@@ -4,7 +4,11 @@ The flow map solves dq/dt = u(t, q) + lam from a recorded trajectory:
 cubic Hermite interpolation in time (each record stores the instantaneous
 time derivative of the fields) combined with trigonometric interpolation
 in space, so the diagnostics keep spectral accuracy without re-running
-the solver.  Along each path we evaluate the slope g = u_x(t, q), the
+the solver.  The Hermite coefficients are built once per call and all
+seeds advance together through one multi-point value+derivative
+evaluator; one cos/sin pass at a record gives u, u_x, m and rho~ for every
+seed and doubles as the first RK4 stage, so each recorded interval costs
+four trig passes.  Along each path we evaluate the slope g = u_x(t, q), the
 stretch q_x, the exponentially weighted pair (A, B) whose monotonicity
 drives the Riccati slope collapse, their unweighted variants, and the
 residuals of the momentum identity and of the two-component density
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Parameters
+from .core import Parameters, TrigEvaluator
 from .evolution import Trajectory
 
 __all__ = [
@@ -147,47 +151,25 @@ class CharacteristicPath:
     truncated: bool
     weight_overflow: bool
 
-    def points(self) -> list[PathPoint]:
-        pts = []
-        for i in range(self.t.size):
-            pts.append(
-                PathPoint(
-                    t=float(self.t[i]),
-                    q=float(self.q[i]),
-                    qx=float(self.qx[i]),
-                    u=float(self.u[i]),
-                    ux=float(self.g[i]),
-                    m=np.nan,
-                    m0=np.nan,
-                )
-            )
-        return pts
-
 
 class _SpaceTimeField:
-    """Hermite-in-time / trigonometric-in-space evaluator over records."""
+    """rfft coefficients of one component at every record, blended in time
+    by cubic Hermite interpolation (each record stores the instantaneous
+    time derivative of the fields)."""
 
     def __init__(self, traj: Trajectory, component: str):
-        grid = traj.grid
-        self.n = grid.n_points
-        self.half_length = grid.half_length
-        self.xi = grid.wavenumbers()
-        self.ik = 1j * self.xi
-        self.ik[-1] = 0.0
-        self.weights = np.full(self.xi.size, 2.0)
-        self.weights[0] = 1.0
-        self.weights[-1] = 1.0
-        self.times = traj.times()
-        if component == "u":
-            vals = [r.state.u.values for r in traj.records]
-            dots = [r.du_dt.values for r in traj.records]
-        elif component == "rho":
-            vals = [r.state.rho_tilde.values for r in traj.records]
-            dots = [r.drho_dt.values for r in traj.records]
-        else:
+        if component not in ("u", "rho"):
             raise ValueError(component)
-        self.coef = np.array([np.fft.rfft(v) for v in vals])
-        self.coef_dot = np.array([np.fft.rfft(v) for v in dots])
+        self.times = traj.times()
+        self.coef = np.empty((len(traj.records), traj.grid.n_points // 2 + 1), dtype=complex)
+        self.coef_dot = np.empty_like(self.coef)
+        for i, r in enumerate(traj.records):
+            if component == "u":
+                val, dot = r.state.u, r.du_dt
+            else:
+                val, dot = r.state.rho_tilde, r.drho_dt
+            self.coef[i] = np.fft.rfft(val.values)
+            self.coef_dot[i] = np.fft.rfft(dot.values)
 
     def coef_at(self, seg: int, s: float) -> np.ndarray:
         """Hermite blend of the rfft coefficients at fraction s of segment."""
@@ -202,100 +184,107 @@ class _SpaceTimeField:
             + dt * (h10 * self.coef_dot[seg] + h11 * self.coef_dot[seg + 1])
         )
 
-    def eval_pair(self, coef: np.ndarray, x: float) -> tuple[float, float]:
-        """(value, d/dx value) of the interpolant with coefficients coef."""
-        phase = (x + self.half_length) * self.xi
-        cosp = np.cos(phase)
-        sinp = np.sin(phase)
-        val = float(np.sum(self.weights * (cosp * coef.real - sinp * coef.imag)) / self.n)
-        cx = self.ik * coef
-        dval = float(np.sum(self.weights * (cosp * cx.real - sinp * cx.imag)) / self.n)
-        return val, dval
 
-    def eval_record(self, idx: int, x: float) -> tuple[float, float]:
-        return self.eval_pair(self.coef[idx], x)
-
-
-def advect(traj: Trajectory, x0: float, params: Parameters) -> CharacteristicPath:
-    """Integrate the particle path seeded at x0 through a recorded
+def advect(traj: Trajectory, x0, params: Parameters):
+    """Integrate the particle paths seeded at x0 through a recorded
     trajectory and evaluate all path diagnostics at the recorded times.
 
-    q and q_x are advanced with RK4 over each recorded interval (the
-    stretch solves dq_x/dt = u_x(t, q) q_x).  If the path approaches the
-    domain boundary closer than 2*alpha the series is truncated there and
-    flagged, since the periodic box no longer approximates the line.
+    x0 is one seed, which gives one CharacteristicPath, or a sequence of
+    seeds, which gives a list of paths in seed order.  All seeds advance
+    together: the space-time coefficients are built once, and one trig
+    pass per evaluation point set serves every seed.  q and q_x are
+    advanced with RK4 over each recorded interval (the stretch solves
+    dq_x/dt = u_x(t, q) q_x); the values at a record are the first RK4
+    stage.  If a path approaches the domain boundary closer than 2*alpha
+    its series is truncated there and flagged, since the periodic box no
+    longer approximates the line.
     """
     grid = traj.grid
     L = grid.half_length
-    if not (-L <= x0 < L):
-        raise ValueError(f"seed {x0} outside the domain [-{L}, {L})")
+    seeds = np.atleast_1d(np.asarray(x0, dtype=float))
+    for x in seeds:
+        if not (-L <= x < L):
+            raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
     safe_lo = -L + 2.0 * params.alpha
     safe_hi = L - 2.0 * params.alpha
 
+    ev = TrigEvaluator(grid)
     fu = _SpaceTimeField(traj, "u")
     two = traj.records[0].state.rho_tilde is not None
     frho = _SpaceTimeField(traj, "rho") if two else None
     times = fu.times
     lam = params.lam
-    alpha2 = params.alpha**2
-
     # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
-    helm = 1.0 + alpha2 * fu.xi**2
-    m0 = float(
-        fu.eval_pair(helm * fu.coef[0], x0)[0]
-    )
-    rho0 = float(frho.eval_record(0, x0)[0]) if two else None
+    helm = 1.0 + params.alpha**2 * ev.xi**2
 
-    q = float(x0)
-    qx = 1.0
-    pts: list[PathPoint] = []
-    truncated = False
+    def rhs(coef, qq, qqx):
+        basis = ev.basis(qq)
+        return ev.values(coef, basis) + lam, ev.slopes(coef, basis) * qqx
 
-    n_pre = 0
-    for i, rec in enumerate(traj.records):
-        u_val, ux_val = fu.eval_record(i, q)
-        m_val = fu.eval_pair(helm * fu.coef[i], q)[0]
-        rho_val = float(frho.eval_record(i, q)[0]) if two else None
-        pts.append(
-            PathPoint(
-                t=float(times[i]),
-                q=q,
-                qx=qx,
-                u=u_val,
-                ux=ux_val,
-                m=m_val,
-                m0=m0,
-                rho=rho_val,
-                rho0=rho0,
-            )
-        )
-        if not rec.at_detection:
-            n_pre += 1
-        if i == len(traj.records) - 1:
+    n_rec = len(traj.records)
+    # (q, q_x, u, u_x, m, rho~) per record and seed; live seeds are still
+    # inside the safe box
+    series = np.full((n_rec, seeds.size, 6), np.nan)
+    length = np.zeros(seeds.size, dtype=int)
+    truncated = np.zeros(seeds.size, dtype=bool)
+    q = seeds.copy()
+    qx = np.ones_like(q)
+    live = np.arange(seeds.size)
+    for i in range(n_rec):
+        basis = ev.basis(q[live])
+        c0 = fu.coef[i]
+        u_val = ev.values(c0, basis)
+        ux_val = ev.slopes(c0, basis)
+        series[i, live, 0] = q[live]
+        series[i, live, 1] = qx[live]
+        series[i, live, 2] = u_val
+        series[i, live, 3] = ux_val
+        series[i, live, 4] = ev.values(helm * c0, basis)
+        if two:
+            series[i, live, 5] = ev.values(frho.coef[i], basis)
+        length[live] += 1
+        if i == n_rec - 1:
             break
 
         # one RK4 step across the recorded interval
         dt = times[i + 1] - times[i]
-        c0 = fu.coef[i]
         cm = fu.coef_at(i, 0.5)
-        c1 = fu.coef[i + 1]
+        qq, qqx = q[live], qx[live]
+        k1 = (u_val + lam, ux_val * qqx)
+        k2 = rhs(cm, qq + 0.5 * dt * k1[0], qqx + 0.5 * dt * k1[1])
+        k3 = rhs(cm, qq + 0.5 * dt * k2[0], qqx + 0.5 * dt * k2[1])
+        k4 = rhs(fu.coef[i + 1], qq + dt * k3[0], qqx + dt * k3[1])
+        qq = qq + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        q[live] = qq
 
-        def rhs(coef, qq, qqx):
-            uu, uux = fu.eval_pair(coef, qq)
-            return uu + lam, uux * qqx
-
-        k1 = rhs(c0, q, qx)
-        k2 = rhs(cm, q + 0.5 * dt * k1[0], qx + 0.5 * dt * k1[1])
-        k3 = rhs(cm, q + 0.5 * dt * k2[0], qx + 0.5 * dt * k2[1])
-        k4 = rhs(c1, q + dt * k3[0], qx + dt * k3[1])
-        q = q + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        qx = qx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-
-        if not (safe_lo <= q < safe_hi):
-            truncated = True
+        inside = (safe_lo <= qq) & (qq < safe_hi)
+        truncated[live[~inside]] = True
+        live = live[inside]
+        if live.size == 0:
             break
 
-    return _assemble(x0, pts, params, truncated, n_pre)
+    pre = np.cumsum([not r.at_detection for r in traj.records])
+    paths = []
+    for j, x in enumerate(seeds):
+        rows = series[: length[j], j]
+        m0, rho0 = rows[0, 4], rows[0, 5]
+        pts = [
+            PathPoint(
+                t=float(times[i]),
+                q=float(r[0]),
+                qx=float(r[1]),
+                u=float(r[2]),
+                ux=float(r[3]),
+                m=float(r[4]),
+                m0=float(m0),
+                rho=float(r[5]) if two else None,
+                rho0=float(rho0) if two else None,
+            )
+            for i, r in enumerate(rows)
+        ]
+        paths.append(_assemble(float(x), pts, params, bool(truncated[j]), int(pre[length[j] - 1])))
+    return paths[0] if np.ndim(x0) == 0 else paths
 
 
 def _assemble(

@@ -274,8 +274,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     two = state.rho_tilde is not None
     char_meta = []
-    for i, x0 in enumerate(cfg.seeds):
-        path = advect(traj, float(x0), params)
+    paths = advect(traj, cfg.seeds, params)
+    for i, (x0, path) in enumerate(zip(cfg.seeds, paths)):
         name = f"characteristic_{i:03d}.csv"
         header = ["t", "q", "g", "qx", "A_w", "B_w", "A_p", "B_p", "mom_res"]
         if two:

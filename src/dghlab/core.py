@@ -231,23 +231,9 @@ def trig_eval(coeffs: np.ndarray, grid: Grid, x) -> np.ndarray | float:
     The Nyquist mode is evaluated as a pure cosine, the standard real-data
     convention; at the nodes this reproduces the samples to round-off.
     """
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    n = grid.n_points
-    xi = grid.wavenumbers()
-    # node j sits at phase xi_k*(x_j + L)
-    phase = np.outer(xs + grid.half_length, xi)
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
-    re = coeffs.real.copy()
-    im = coeffs.imag.copy()
-    # interior bins appear twice (k and N-k); DC and Nyquist once
-    re[1:-1] *= 2.0
-    im[1:-1] *= 2.0
-    im[-1] = 0.0
-    out = (cos_p @ re - sin_p @ im) / n
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out[0])
-    return out
+    ev = TrigEvaluator(grid)
+    out = ev.values(coeffs, ev.basis(x))
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def spectral_interpolate(f: Field, x) -> np.ndarray | float:
@@ -256,30 +242,46 @@ def spectral_interpolate(f: Field, x) -> np.ndarray | float:
 
 
 class TrigEvaluator:
-    """Repeated single-point evaluation of trigonometric interpolants on
-    one grid; caches the wavenumber and weight arrays and shares the
-    cos/sin work across several coefficient vectors at the same point."""
+    """Trigonometric interpolants of rfft coefficients at several points at
+    once: ``basis`` makes the one cos/sin pass at a set of points, which
+    ``values`` and ``slopes`` share across any number of coefficient rows.
+    """
+
+    _BLOCK = 64
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.n = grid.n_points
         self.xi = grid.wavenumbers()
-        self.ik = _derivative_symbol(grid)
-        self.weights = np.full(self.xi.size, 2.0)
-        self.weights[0] = 1.0
-        self.weights[-1] = 1.0
+        self.dxi = self.xi.copy()
+        self.dxi[-1] = 0.0  # d/dx drops the Nyquist bin, as _derivative_symbol
+        # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t)
+        self._n_coarse = -(-self.xi.size // self._BLOCK)
+        self._factors = np.concatenate(
+            (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))
+        ).astype(float)
 
-    def values(self, coeff_list, x: float) -> list[float]:
-        phase = (x + self.grid.half_length) * self.xi
-        wc = self.weights * np.cos(phase)
-        ws = self.weights * np.sin(phase)
-        return [
-            float((wc @ c.real - ws @ c.imag) / self.n) for c in coeff_list
-        ]
+    def basis(self, x) -> np.ndarray:
+        """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),
+        with w_k = 2 for interior bins (they stand for k and N-k) and 1 for
+        DC and Nyquist; the cos/sin pass runs on the block factors only."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        phase = np.multiply.outer((xs + self.grid.half_length) * self.xi[1], self._factors)
+        cis = np.empty(phase.shape, dtype=complex)
+        np.cos(phase, out=cis.real)
+        np.sin(phase, out=cis.imag)
+        j = self._n_coarse
+        cis[:, :j] *= 2.0 / self.n
+        full = (cis[:, :j, None] * cis[:, None, j:]).reshape(xs.size, j * self._BLOCK)
+        out = full[:, : self.xi.size]
+        out[:, 0] = 1.0 / self.n
+        out[:, -1] = 0.5 * out[:, -1].real  # Nyquist as a pure cosine
+        return out
 
-    def value(self, coeffs: np.ndarray, x: float) -> float:
-        return self.values([coeffs], x)[0]
+    def values(self, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """Interpolant values, shape coeffs.shape[:-1] + (points,)."""
+        return (coeffs @ basis.T).real
 
-    def value_and_derivative(self, coeffs: np.ndarray, x: float) -> tuple[float, float]:
-        v, d = self.values([coeffs, self.ik * coeffs], x)
-        return v, d
+    def slopes(self, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """x-derivatives of the interpolants, same shape as ``values``."""
+        return -(coeffs @ (self.dxi * basis).T).imag

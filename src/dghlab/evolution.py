@@ -9,6 +9,15 @@ Fourier multiplier; time stepping is classical RK4 with a CFL-adaptive
 step based on the transport speed |u| + |lam| (the nonlocal term is
 smoothing and never stiff before breaking).
 
+One stage function, _stage, is the only place the right-hand side is
+computed: it takes the rfft rows (u[, rho~]), makes one batched irfft of
+the filtered fields and slopes and one batched rfft of the quadratic
+products, and returns the time derivatives as rfft rows.  RK4 stages 2-4
+stay in Fourier space.  Each point the integration reaches is evaluated
+once, from rfft(u_new), and that evaluation serves as the next step's
+first stage (also across NaN backoff), as the record's du/dt and min u_x,
+as the slope tracker's endpoint fields and as the grid-slope trigger.
+
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
 and then rebounds: no grid sampling can follow inf u_x to -infinity.  The
@@ -28,7 +37,9 @@ the final plunge.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +74,9 @@ TRIGGER_DT = "dt_underflow"
 TRIGGER_HORIZON = "horizon_reached"
 
 _SPEED_FLOOR = 1e-12
+_MAX_SUBSTEPS = 512
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -96,82 +110,82 @@ class _Spectral:
             raise ValueError("operator was built for a different grid")
         self.n = grid.n_points
         self.ik = _derivative_symbol(grid)
-        xi = grid.wavenumbers()
-        # 2/3-rule mask on rfft bins: keep k <= N/3
-        self.mask = (np.arange(xi.size) <= grid.n_points // 3).astype(float)
-        self.ik_masked = self.ik * self.mask
+        self.lam_ik = params.lam * self.ik
+        # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on
+        self.cut = grid.n_points // 3 + 1
+        mask = (np.arange(self.ik.size) < self.cut).astype(float)
+        # multipliers for the rows u_f, u_x,f and the unfiltered u_x
+        self.filters = np.array([mask, self.ik * mask, self.ik])
         self.symbol_q = op.symbol_q
         self.symbol_dq = op.symbol_dq
 
-    def ddx(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.ik * np.fft.rfft(values), n=self.n)
+
+class _Eval(NamedTuple):
+    """Stage evaluation at a point the integration has reached: the next
+    step's first stage, the record's du/dt and min u_x, the slope tracker's
+    endpoint fields and the grid-slope trigger."""
+
+    # rfft rows u[, rho~] and p*(alpha^2/2 u_x^2 + u^2 + 2ku [+ rho~^2/2 + rho~])
+    coef: np.ndarray
+    k_hat: np.ndarray  # time derivatives of the rows u[, rho~]
+    ux: np.ndarray  # unfiltered u_x samples
 
 
-def _rhs(
-    u: np.ndarray,
-    rho: np.ndarray | None,
-    sp: _Spectral,
-    params: Parameters,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Time derivatives of (u, rho~) as raw arrays."""
-    a2 = params.alpha**2
-    k2 = 2.0 * params.k
-    lam = params.lam
-    n = sp.n
-
-    u_hat = np.fft.rfft(u)
-    uf = np.fft.irfft(sp.mask * u_hat, n=n)
-    uxf = np.fft.irfft(sp.ik_masked * u_hat, n=n)
-
-    transport_hat = sp.mask * np.fft.rfft(uf * uxf)
-    quad = 0.5 * a2 * uxf * uxf + uf * uf
-    if rho is not None:
-        # sigma scales the density coupling; only sigma = 1 is exercised
-        r_hat = np.fft.rfft(rho)
-        rf = np.fft.irfft(sp.mask * r_hat, n=n)
-        rxf = np.fft.irfft(sp.ik_masked * r_hat, n=n)
-        quad = quad + params.sigma * 0.5 * rf * rf
-    quad_hat = sp.mask * np.fft.rfft(quad)
-
-    conv_hat = quad_hat + k2 * u_hat
-    if rho is not None:
-        conv_hat = conv_hat + params.sigma * r_hat
-    du_hat = -transport_hat - lam * (sp.ik * u_hat) - sp.symbol_dq * conv_hat
-    du = np.fft.irfft(du_hat, n=n)
-
-    if rho is None:
-        return du, None
-
-    coupling_hat = sp.mask * np.fft.rfft(uf * rxf + uxf * rf)
-    dr_hat = -coupling_hat - sp.ik * u_hat
-    dr = np.fft.irfft(dr_hat, n=n)
-    return du, dr
-
-
-def _tracker_fields(
-    u: np.ndarray,
-    rho: np.ndarray | None,
-    sp: _Spectral,
-    params: Parameters,
+def _stage(
+    y_hat: np.ndarray, sp: _Spectral, params: Parameters, ux_row: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(u_hat, conv_hat, rho_hat) at one time level for the slope tracker;
-    conv is p*(alpha^2/2 u_x^2 + u^2 + 2ku [+ rho~^2/2 + rho~])."""
-    n = sp.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_hat = np.fft.rfft(u)
-        uf = np.fft.irfft(sp.mask * u_hat, n=n)
-        uxf = np.fft.irfft(sp.ik_masked * u_hat, n=n)
-        quad = 0.5 * params.alpha**2 * uxf * uxf + uf * uf
-        r_hat = None
-        if rho is not None:
-            r_hat = np.fft.rfft(rho)
-            rf = np.fft.irfft(sp.mask * r_hat, n=n)
-            quad = quad + params.sigma * 0.5 * rf * rf
-        conv_hat = sp.mask * np.fft.rfft(quad) + 2.0 * params.k * u_hat
-        if r_hat is not None:
-            conv_hat = conv_hat + params.sigma * r_hat
-        conv_hat = sp.symbol_q * conv_hat
-    return u_hat, conv_hat, r_hat
+    """(time derivatives, convolution argument, u_x samples or None) of the
+    rfft rows y_hat = (u[, rho~]) with one batched irfft and one batched
+    rfft; ux_row=True adds the unfiltered u_x row to the irfft."""
+    two = y_hat.shape[0] == 2
+    u_hat = y_hat[0]
+    rows = sp.filters * u_hat if ux_row else sp.filters[:2] * u_hat
+    if two:
+        rows = np.concatenate((rows, sp.filters[:2] * y_hat[1]))
+    phys = np.fft.irfft(rows, n=sp.n)
+    uf, uxf = phys[0], phys[1]
+    quad = 0.5 * params.alpha**2 * uxf * uxf + uf * uf
+    if two:
+        # sigma scales the density coupling; only sigma = 1 is exercised
+        rf, rxf = phys[-2], phys[-1]
+        prods = [uf * uxf, quad + params.sigma * 0.5 * rf * rf, uf * rxf + uxf * rf]
+    else:
+        prods = [uf * uxf, quad]
+    prod_hat = np.fft.rfft(np.array(prods))
+    prod_hat[:, sp.cut :] = 0.0
+
+    conv_hat = prod_hat[1] + 2.0 * params.k * u_hat
+    if two:
+        conv_hat = conv_hat + params.sigma * y_hat[1]
+    k_hat = np.empty_like(y_hat)
+    k_hat[0] = -prod_hat[0] - sp.lam_ik * u_hat - sp.symbol_dq * conv_hat
+    if two:
+        k_hat[1] = -prod_hat[2] - sp.ik * u_hat
+    return k_hat, conv_hat, phys[2] if ux_row else None
+
+
+def _evaluate(y: np.ndarray, sp: _Spectral, params: Parameters) -> _Eval:
+    """Stage evaluation at a reached point y (grid rows u[, rho~])."""
+    c = y.shape[0]
+    coef = np.empty((c + 1, sp.ik.size), dtype=complex)
+    np.fft.rfft(y, out=coef[:c])
+    k_hat, conv_hat, ux = _stage(coef[:c], sp, params, ux_row=True)
+    np.multiply(sp.symbol_q, conv_hat, out=coef[c])
+    return _Eval(coef, k_hat, ux)
+
+
+def _step(
+    y: np.ndarray, ev: _Eval, dt: float, sp: _Spectral, params: Parameters
+) -> np.ndarray:
+    """One classical RK4 step from y, whose evaluation ev is the first
+    stage; stages 2-4 stay in Fourier space and the increment returns to
+    grid values in one irfft."""
+    y_hat = ev.coef[:-1]
+    k1 = ev.k_hat
+    k2 = _stage(y_hat + (0.5 * dt) * k1, sp, params)[0]
+    k3 = _stage(y_hat + (0.5 * dt) * k2, sp, params)[0]
+    k4 = _stage(y_hat + dt * k3, sp, params)[0]
+    return y + (dt / 6.0) * np.fft.irfft(k1 + 2.0 * k2 + 2.0 * k3 + k4, n=sp.n)
 
 
 class _SlopeTracker:
@@ -179,31 +193,31 @@ class _SlopeTracker:
 
     Seeds: the node minimizing u0_x and the node minimizing the criterion
     margin alpha*u0_x + |u0 + k| (plus, for two-component data, the margin
-    minimizer among nodes with rho~0 = -1).  Between solver steps the pair
+    minimizer among nodes with rho~0 = -1).  Between solver steps each pair
     (q, g) is advanced with Heun substeps, interpolating the endpoint
-    fields linearly in time; the substep count scales with |g| so the
-    Riccati plunge is followed into the threshold.
+    evaluations linearly in time; the substep count scales with |g| so the
+    Riccati plunge is followed into the threshold.  The count is capped at
+    _MAX_SUBSTEPS; ``clipped`` counts, per seed, the steps on which the cap
+    applied.  Seeds are advanced one at a time: with one to three seeds a
+    scalar loop costs less than numpy calls on arrays that short.
     """
 
     def __init__(
         self,
         grid: Grid,
         params: Parameters,
-        sp: _Spectral,
+        ux0: np.ndarray,
         u0: np.ndarray,
         rho0: np.ndarray | None,
     ):
-        self.params = params
         self.ev = TrigEvaluator(grid)
         self.lam = params.lam
         self.k = params.k
         self.sigma = params.sigma
         self.alpha2 = params.alpha**2
-        self.two = rho0 is not None
         self.safe_lo = -grid.half_length + 2.0 * params.alpha
         self.safe_hi = grid.half_length - 2.0 * params.alpha
 
-        ux0 = sp.ddx(u0)
         margin = params.alpha * ux0 + np.abs(u0 + params.k)
         idx = [int(np.argmin(ux0)), int(np.argmin(margin))]
         if rho0 is not None:
@@ -215,70 +229,61 @@ class _SlopeTracker:
         for i in idx:
             if all(abs(i - j) > 4 for j in seeds):
                 seeds.append(i)
-        self.q = [float(grid.nodes[i]) for i in seeds]
-        self.g = [float(ux0[i]) for i in seeds]
-        self.active = [True] * len(seeds)
-        self.seeds_x0 = tuple(self.q)
+        self.q = grid.nodes[seeds]
+        self.g = ux0[seeds]
+        self.active = np.ones(len(seeds), dtype=bool)
+        self.clipped = np.zeros(len(seeds), dtype=int)
+        self.seeds_x0 = tuple(float(x) for x in self.q)
 
-    def _rate(self, fields0, fields1, w1, q, g):
-        """(dq/dt, dg/dt) with endpoint fields blended at weight w1."""
-        u0_hat, conv0_hat, r0_hat = fields0
-        u1_hat, conv1_hat, r1_hat = fields1
-        w0 = 1.0 - w1
-        coeffs = [u0_hat, u1_hat, conv0_hat, conv1_hat]
-        if self.two:
-            coeffs += [r0_hat, r1_hat]
-        vals = self.ev.values(coeffs, q)
-        uq = w0 * vals[0] + w1 * vals[1]
-        cq = w0 * vals[2] + w1 * vals[3]
+    def _rate(self, ev0: _Eval, ev1: _Eval, w1: float, q: float, g: float):
+        """(dq/dt, dg/dt) at q with endpoint fields blended at weight w1."""
+        basis = self.ev.basis(q)
+        v = (1.0 - w1) * self.ev.values(ev0.coef, basis) + w1 * self.ev.values(ev1.coef, basis)
+        uq, *rho, cq = v[:, 0].tolist()
         dg = -0.5 * g * g + (uq * uq + 2.0 * self.k * uq) / self.alpha2 - cq / self.alpha2
-        if self.two:
-            rq = w0 * vals[4] + w1 * vals[5]
-            dg += self.sigma * (0.5 * rq * rq + rq) / self.alpha2
+        if rho:
+            dg += self.sigma * (0.5 * rho[0] * rho[0] + rho[0]) / self.alpha2
         return uq + self.lam, dg
 
     def advance(
-        self, fields0, fields1, t0: float, dt: float, threshold: float
+        self, ev0: _Eval, ev1: _Eval, t0: float, dt: float, threshold: float
     ) -> tuple[float, float, float] | None:
-        """Advance all seeds by dt; on a threshold crossing return
-        (t_cross, g, seed_x0)."""
+        """Advance all active seeds by dt; on a threshold crossing return
+        (t_cross, g, seed_x0) of the earliest one."""
         crossing = None
-        for i in range(len(self.q)):
-            if not self.active[i]:
-                continue
-            q, g = self.q[i], self.g[i]
-            m = int(np.clip(np.ceil(dt * (1.0 + abs(g)) / 0.05), 1, 512))
+        for i in np.flatnonzero(self.active):
+            q, g = float(self.q[i]), float(self.g[i])
+            want = int(np.ceil(dt * (1.0 + abs(g)) / 0.05))
+            self.clipped[i] += want > _MAX_SUBSTEPS
+            m = min(max(want, 1), _MAX_SUBSTEPS)
             h = dt / m
-            fired = None
             for j in range(m):
-                s0 = j / m
-                s1 = (j + 1) / m
-                dq1, dg1 = self._rate(fields0, fields1, s0, q, g)
-                dq2, dg2 = self._rate(fields0, fields1, s1, q + h * dq1, g + h * dg1)
+                dq1, dg1 = self._rate(ev0, ev1, j / m, q, g)
+                dq2, dg2 = self._rate(ev0, ev1, (j + 1) / m, q + h * dq1, g + h * dg1)
                 q += 0.5 * h * (dq1 + dq2)
                 g += 0.5 * h * (dg1 + dg2)
                 if not (self.safe_lo <= q < self.safe_hi):
                     self.active[i] = False
                     break
                 if g < -threshold:
-                    fired = (t0 + (j + 1) * h, g, self.seeds_x0[i])
+                    t_cross = t0 + (j + 1) * h
+                    if crossing is None or t_cross < crossing[0]:
+                        crossing = (t_cross, g, self.seeds_x0[i])
                     break
             self.q[i], self.g[i] = q, g
-            if fired is not None and (crossing is None or fired[0] < crossing[0]):
-                crossing = fired
         return crossing
 
     def min_slope(self) -> float:
-        act = [g for g, a in zip(self.g, self.active) if a]
-        return min(act) if act else np.inf
+        act = self.g[self.active]
+        return float(np.min(act)) if act.size else np.inf
 
 
 def dgh_rhs(u: Field, op: NonlocalOperator, params: Parameters) -> Field:
     """Right-hand side of the one-component transport form:
     u_t = -(u + lam) u_x - d_x p * (alpha^2/2 u_x^2 + u^2 + 2k u)."""
     sp = _Spectral(u.grid, params, op)
-    du, _ = _rhs(u.values, None, sp, params)
-    return Field(u.grid, du, allow_nonfinite=True)
+    du = np.fft.irfft(_evaluate(u.values[None], sp, params).k_hat, n=sp.n)
+    return Field(u.grid, du[0], allow_nonfinite=True)
 
 
 def dgh2_rhs(
@@ -288,8 +293,8 @@ def dgh2_rhs(
     if state.rho_tilde is None:
         raise ValueError("two-component right-hand side needs rho_tilde")
     sp = _Spectral(state.u.grid, params, op)
-    du, dr = _rhs(state.u.values, state.rho_tilde.values, sp, params)
-    assert dr is not None
+    y = np.array([state.u.values, state.rho_tilde.values])
+    du, dr = np.fft.irfft(_evaluate(y, sp, params).k_hat, n=sp.n)
     return (
         Field(state.u.grid, du, allow_nonfinite=True),
         Field(state.u.grid, dr, allow_nonfinite=True),
@@ -304,20 +309,9 @@ def _rk4(
     params: Parameters,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """One classical Runge-Kutta step on raw arrays."""
-
-    def axpy(f, g, c):
-        return (f[0] + c * g[0], None if f[1] is None else f[1] + c * g[1])
-
-    y = (u, rho)
-    k1 = _rhs(*y, sp, params)
-    k2 = _rhs(*axpy(y, k1, 0.5 * dt), sp, params)
-    k3 = _rhs(*axpy(y, k2, 0.5 * dt), sp, params)
-    k4 = _rhs(*axpy(y, k3, dt), sp, params)
-    u_new = u + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    if rho is None:
-        return u_new, None
-    r_new = rho + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    return u_new, r_new
+    y = np.array([u] if rho is None else [u, rho])
+    y_new = _step(y, _evaluate(y, sp, params), dt, sp, params)
+    return y_new[0], None if rho is None else y_new[1]
 
 
 def step_rk4(
@@ -432,10 +426,12 @@ def simulate(
     sp = _Spectral(grid, params, op)
     two = initial.rho_tilde is not None
 
-    u = initial.u.values.copy()
-    rho = initial.rho_tilde.values.copy() if two else None
-    if not _finite(u, rho):
+    # grid rows (u[, rho~]); ev is the stage evaluation at y
+    y = np.array([initial.u.values] + ([initial.rho_tilde.values] if two else []))
+    if not _finite(y):
         raise ValueError("initial datum must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = _evaluate(y, sp, params)
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
@@ -443,15 +439,14 @@ def simulate(
     def snapshot(dt_used: float, at_detection: bool = False) -> None:
         state = State(
             t=t,
-            u=Field(grid, u, allow_nonfinite=at_detection),
-            rho_tilde=None if rho is None else Field(grid, rho, allow_nonfinite=at_detection),
+            u=Field(grid, y[0], allow_nonfinite=at_detection),
+            rho_tilde=Field(grid, y[1], allow_nonfinite=at_detection) if two else None,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            du, dr = _rhs(u, rho, sp, params)
-            ux = sp.ddx(u)
+            dy = np.fft.irfft(ev.k_hat, n=sp.n)
             diag = RecordDiagnostics(
-                min_ux=float(np.min(ux)),
-                max_abs_u=float(np.max(np.abs(u))),
+                min_ux=float(np.min(ev.ux)),
+                max_abs_u=float(np.max(np.abs(y[0]))),
                 dt=dt_used,
                 energy_e=energy_E(state, params),
                 energy_f=energy_F(state, params),
@@ -460,16 +455,15 @@ def simulate(
             TrajectoryRecord(
                 state=state,
                 diagnostics=diag,
-                du_dt=Field(grid, du, allow_nonfinite=True),
-                drho_dt=None if dr is None else Field(grid, dr, allow_nonfinite=True),
+                du_dt=Field(grid, dy[0], allow_nonfinite=True),
+                drho_dt=Field(grid, dy[1], allow_nonfinite=True) if two else None,
                 at_detection=at_detection,
             )
         )
 
     snapshot(dt_used=0.0)
 
-    tracker = _SlopeTracker(grid, params, sp, u, rho)
-    fields0 = _tracker_fields(u, rho, sp, params)
+    tracker = _SlopeTracker(grid, params, ev.ux, y[0], y[1] if two else None)
 
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
@@ -485,7 +479,7 @@ def simulate(
         nonlocal trigger, t_detect, min_slope_at_detect
         trigger = TRIGGER_DT
         t_detect = t
-        min_slope_at_detect = min(float(np.min(sp.ddx(u))), tracker.min_slope())
+        min_slope_at_detect = min(float(np.min(ev.ux)), tracker.min_slope())
         if records[-1].state.t < t - eps:
             snapshot(dt_used=dt_used, at_detection=True)
         else:
@@ -499,7 +493,7 @@ def simulate(
             )
 
     while t < horizon - eps:
-        speed = max(float(np.max(np.abs(u))) + abs(params.lam), _SPEED_FLOOR)
+        speed = max(float(np.max(np.abs(y[0]))) + abs(params.lam), _SPEED_FLOOR)
         dt_cfl = config.cfl * grid.dx / speed
         if dt_cfl < config.dt_min:
             # amplitude blowup drove the CFL step under the floor
@@ -509,27 +503,27 @@ def simulate(
 
         # overflow inside a trial step is the breakdown signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            u_new, r_new = _rk4(u, rho, dt, sp, params)
-            while not _finite(u_new, r_new):
+            y_new = _step(y, ev, dt, sp, params)
+            while not _finite(y_new):
                 dt *= 0.5
                 if dt < config.dt_min:
                     break
-                u_new, r_new = _rk4(u, rho, dt, sp, params)
+                y_new = _step(y, ev, dt, sp, params)
 
-        if not _finite(u_new, r_new):
+        if not _finite(y_new):
             # NaN even at the minimum step
             mark_breakdown(dt_used=dt)
             break
 
-        fields1 = _tracker_fields(u_new, r_new, sp, params)
-        crossing = tracker.advance(fields0, fields1, t, dt, threshold)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ev_new = _evaluate(y_new, sp, params)
+        crossing = tracker.advance(ev, ev_new, t, dt, threshold)
 
-        u, rho = u_new, r_new
+        y, ev = y_new, ev_new
         t += dt
         steps += 1
-        fields0 = fields1
 
-        min_ux_grid = float(np.min(sp.ddx(u)))
+        min_ux_grid = float(np.min(ev.ux))
         if crossing is not None or min_ux_grid < -threshold:
             trigger = TRIGGER_SLOPE
             if crossing is not None:
@@ -548,6 +542,11 @@ def simulate(
         if records[-1].state.t < t - eps:
             snapshot(dt_used=records[-1].diagnostics.dt)
 
+    _log.debug(
+        "simulate: %d steps, trigger %s; tracker seeds %s clipped at %d substeps "
+        "on %s steps",
+        steps, trigger, tracker.seeds_x0, _MAX_SUBSTEPS, tracker.clipped.tolist(),
+    )
     report = BlowupReport(
         blew_up=trigger != TRIGGER_HORIZON,
         trigger=trigger,
@@ -558,7 +557,5 @@ def simulate(
     return Trajectory(params=params, config=config, records=records), report
 
 
-def _finite(u: np.ndarray, rho: np.ndarray | None) -> bool:
-    if not np.all(np.isfinite(u)):
-        return False
-    return rho is None or bool(np.all(np.isfinite(rho)))
+def _finite(y: np.ndarray) -> bool:
+    return bool(np.all(np.isfinite(y)))

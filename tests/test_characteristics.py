@@ -71,6 +71,48 @@ class TestFlowMap:
         assert path.t.size < len(traj.records)
 
 
+class TestMultiSeedAdvect:
+    """One advect call over several seeds gives, per seed, the path of the
+    single-seed call."""
+
+    def check(self, traj, seeds, params):
+        paths = dg.advect(traj, seeds, params)
+        assert isinstance(paths, list) and len(paths) == len(seeds)
+        for x0, path in zip(seeds, paths):
+            ref = dg.advect(traj, x0, params)
+            assert path.x0 == ref.x0
+            assert path.truncated == ref.truncated
+            assert path.n_pre_detection == ref.n_pre_detection
+            assert np.array_equal(path.t, ref.t)
+            for name in ("q", "qx", "g", "momentum_res", "rho_res"):
+                got, want = getattr(path, name), getattr(ref, name)
+                if want is None:
+                    assert got is None
+                    continue
+                assert np.max(np.abs(got - want)) <= 1e-12
+        return paths
+
+    def test_matches_single_seed_paths(self, bump_run):
+        traj, _, _, params = bump_run
+        self.check(traj, [-2.0, 0.0, 1.5], params)
+
+    def test_seed_leaving_domain(self, grid1024, params_ch):
+        op = dg.make_operator(grid1024, params_ch)
+        traj, _ = dg.simulate(
+            constant_state(grid1024, 0.5), dg.SolverConfig(t_max=2.0, record_every=2),
+            op, params_ch,
+        )
+        L = grid1024.half_length
+        paths = self.check(traj, [L - 2.3, 0.0], params_ch)
+        assert paths[0].truncated and not paths[1].truncated
+        assert paths[0].t.size < paths[1].t.size == len(traj.records)
+
+    def test_two_component(self, runs):
+        traj, _, _, params = runs.get("two_smooth")
+        paths = self.check(traj, [0.0, 0.5, -1.0], params)
+        assert all(p.rho_res is not None for p in paths)
+
+
 class TestPathFunctionals:
     def test_weighted_pair_at_t0(self, params_ch):
         # A(0) = e^{x0/a}((u0+k)/a - u0'), B(0) = e^{-x0/a}((u0+k)/a + u0')

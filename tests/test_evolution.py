@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,9 @@ from dghlab.evolution import (
     TRIGGER_DT,
     TRIGGER_HORIZON,
     TRIGGER_SLOPE,
+    _SlopeTracker,
     _Spectral,
+    _evaluate,
     _rk4,
 )
 
@@ -310,3 +314,63 @@ class TestTrajectoryRecords:
         grid_min = min(r.diagnostics.min_ux for r in traj.records)
         assert grid_min > -100.0
         assert rep.min_slope_at_detect < -1e4
+
+
+class TestFftBudget:
+    """Every stage is one batched irfft plus one batched rfft, and each
+    reached point is evaluated once for the next step, the tracker and the
+    grid-slope trigger; per-stage transform pairs plus separate tracker
+    and slope transforms cost about 29 (one component) and 52 (two
+    components) calls per step."""
+
+    @pytest.mark.parametrize("two, budget", [(False, 12), (True, 14)])
+    def test_fft_calls_per_step(self, grid1024, params_ch, monkeypatch, two, budget):
+        op = dg.make_operator(grid1024, params_ch)
+        u0 = dg.ic_preset("gaussian_bump", grid1024, a=0.5)
+        rho0 = dg.ic_preset("gaussian_bump", grid1024, a=0.3, center=1.0) if two else None
+        state = dg.State(0.0, u0, rho0)
+        # the step sequence does not depend on the record cadence
+        traj, _ = dg.simulate(state, dg.SolverConfig(t_max=0.5, record_every=1), op, params_ch)
+        steps = len(traj.records) - 1
+
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[0] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+        cfg = dg.SolverConfig(t_max=0.5, record_every=10 * steps)
+        traj, rep = dg.simulate(state, cfg, op, params_ch)
+        assert rep.trigger == TRIGGER_HORIZON
+        assert len(traj.records) == 2 and steps > 10
+        assert calls[0] <= budget * steps
+
+
+class TestTrackerClip:
+    def test_clipped_substeps_counted_per_seed(self, grid1024, params_ch):
+        # a steep seed at x = -5 and the vacuum seed at x = 0, where the
+        # slope is flat: one large dt clips only the steep seed
+        op = dg.make_operator(grid1024, params_ch)
+        sp = _Spectral(grid1024, params_ch, op)
+        u0 = dg.ic_preset("gaussian_derivative", grid1024, a=2.0, center=-5.0).values
+        rho0 = -np.exp(-(grid1024.nodes**2))
+        ev = _evaluate(np.array([u0, rho0]), sp, params_ch)
+        tracker = _SlopeTracker(grid1024, params_ch, ev.ux, u0, rho0)
+        assert tracker.seeds_x0[0] == pytest.approx(-5.0)
+        assert tracker.seeds_x0[1] == 0.0
+        tracker.advance(ev, ev, 0.0, 10.0, 1e4)
+        assert tracker.clipped.tolist() == [1, 0]
+
+    def test_one_debug_record_per_run(self, grid1024, params_ch, caplog):
+        op = dg.make_operator(grid1024, params_ch)
+        u0 = dg.ic_preset("gaussian_bump", grid1024, a=0.5)
+        with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
+            dg.simulate(dg.State(0.0, u0), dg.SolverConfig(t_max=0.2), op, params_ch)
+        recs = [r for r in caplog.records if r.name == "dghlab.evolution"]
+        assert len(recs) == 1
+        assert recs[0].levelno == logging.DEBUG
+        assert "clipped" in recs[0].getMessage()
