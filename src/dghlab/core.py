@@ -255,7 +255,9 @@ class TrigEvaluator:
         self.xi = grid.wavenumbers()
         self.dxi = self.xi.copy()
         self.dxi[-1] = 0.0  # d/dx drops the Nyquist bin, as _derivative_symbol
-        # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t)
+        # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t);
+        # ~N/B + B cos/sin calls per point instead of N/2 (BENCH_2.json
+        # "basis_ablation": simulate_dgh cmd_s -15% against direct cos/sin)
         self._n_coarse = -(-self.xi.size // self._BLOCK)
         self._factors = np.concatenate(
             (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))

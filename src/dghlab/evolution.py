@@ -168,7 +168,7 @@ def _evaluate(y: np.ndarray, sp: _Spectral, params: Parameters) -> _Eval:
     """Stage evaluation at a reached point y (grid rows u[, rho~])."""
     c = y.shape[0]
     coef = np.empty((c + 1, sp.ik.size), dtype=complex)
-    np.fft.rfft(y, out=coef[:c])
+    coef[:c] = np.fft.rfft(y)
     k_hat, conv_hat, ux = _stage(coef[:c], sp, params, ux_row=True)
     np.multiply(sp.symbol_q, conv_hat, out=coef[c])
     return _Eval(coef, k_hat, ux)
