@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Parameters, State, derivative_values, trig_eval
+from .core import Field, Parameters, State, TrigEvaluator, derivative_values
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -216,9 +216,16 @@ def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, floa
     margins = params.alpha * ux + np.abs(u0.values + params.k)
     i = int(np.argmin(margins))
 
+    ev = TrigEvaluator(grid)
+
+    def slope_value(x: float) -> tuple[float, float]:
+        # one cos/sin pass per point; two separate matmuls on it keep the
+        # results bit-identical to trig_eval (one stacked matmul does not)
+        basis = ev.basis(x)
+        return float(ev.values(ux_hat, basis)[0]), float(ev.values(u_hat, basis)[0])
+
     def margin_at(x: float) -> float:
-        s = trig_eval(ux_hat, grid, x)
-        v = trig_eval(u_hat, grid, x)
+        s, v = slope_value(x)
         return params.alpha * s + abs(v + params.k)
 
     # refine over the three cells around the discrete minimizer; the
@@ -230,8 +237,7 @@ def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, floa
         x_best, margin = float(x_ref), float(m_ref)
     else:
         x_best, margin = float(grid.nodes[i]), float(margins[i])
-    slope = float(trig_eval(ux_hat, grid, x_best))
-    value = float(trig_eval(u_hat, grid, x_best))
+    slope, value = slope_value(x_best)
     return x_best, margin, slope, value
 
 

@@ -7,16 +7,22 @@ written with 17 significant digits (round-trip exact), JSON keys are
 sorted, and wall-clock timing goes to stderr only.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
-1 property-suite violation (lemmas), 2 usage or configuration error.
+1 property-suite violation (lemmas), 2 usage or configuration error,
+including a ValueError raised in a sweep cell.  A sweep cell that stops
+on a numerical breakdown (ArithmeticError, e.g. an overflow) is a result
+and is written to its row; any other exception in a cell, or a sweep
+worker process that dies, fails the command with a RuntimeError naming
+the cell, and the interpreter exits non-zero with its traceback.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +98,7 @@ class RunConfig:
     seeds: list[float] = dc_field(default_factory=lambda: [0.0])
     out_dir: str = "out"
     rng_seed: int = 2024
-    workers: int = 4
+    workers: int | None = None  # sweep processes; None: min(cells, usable CPUs)
     lemmas: dict = dc_field(default_factory=dict)
     sweep: dict = dc_field(default_factory=dict)
 
@@ -195,6 +201,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             setattr(cfg, attr, val)
     if cfg.equation not in ("dgh", "dgh2"):
         raise ConfigError(f"equation must be dgh or dgh2, got {cfg.equation!r}")
+    if cfg.workers is not None and cfg.workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
 
 
@@ -232,8 +240,8 @@ def _report_payload(rep: BlowupReport) -> dict:
     }
 
 
-def _criterion_for(cfg: RunConfig, state: State, params: Parameters) -> CriterionVerdict | None:
-    if cfg.equation == "dgh":
+def _criterion_for(equation: str, state: State, params: Parameters) -> CriterionVerdict | None:
+    if equation == "dgh":
         return check_criterion_dgh(state.u, params)
     if params.gamma != 0.0:
         return None  # the two-component criterion is stated only for gamma = 0
@@ -300,7 +308,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             }
         )
 
-    verdict = _criterion_for(cfg, state, params)
+    verdict = _criterion_for(cfg.equation, state, params)
     summary = {
         "equation": cfg.equation,
         "parameters": _params_payload(params),
@@ -344,7 +352,7 @@ def cmd_criterion(cfg: RunConfig) -> int:
             file=sys.stderr,
         )
         return 2
-    verdict = _criterion_for(cfg, state, params)
+    verdict = _criterion_for(cfg.equation, state, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -520,32 +528,56 @@ def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, float, float]]:
     return cells
 
 
-def _run_cell(cfg: RunConfig, cell: tuple[int, float, float, float]) -> list:
+def _run_cell(
+    equation: str,
+    alpha: float,
+    sigma: float,
+    solver: SolverConfig,
+    base: State,
+    cell: tuple[int, float, float, float],
+) -> list:
+    """One sweep row: the base datum scaled by the cell's amplitude, run at
+    the cell's (c0, gamma).  A numerical breakdown is a result and goes in
+    the row's status; any other exception propagates."""
     idx, amp, c0, gamma = cell
+    params = make_parameters(alpha, gamma, c0, sigma)
+    grid = base.u.grid
+    u0 = ic_preset("from_samples", grid, params, values=amp * base.u.values)
+    state = State(0.0, u0, base.rho_tilde)
     try:
-        params = make_parameters(cfg.alpha, gamma, c0, cfg.sigma)
-        grid = cfg.grid()
-        base = cfg.build_field(cfg.initial, grid, params)
-        u0 = ic_preset("from_samples", grid, params, values=amp * base.values)
-        rho0 = None
-        if cfg.equation == "dgh2":
-            assert cfg.rho_initial is not None
-            rho0 = cfg.build_field(cfg.rho_initial, grid, params)
-        state = State(0.0, u0, rho0)
-        verdict = _criterion_for(cfg, state, params)
-        op = make_operator(grid, params)
-        traj, report = simulate(state, cfg.solver(), op, params)
-        v = verdict
-        return [
-            idx, amp, c0, gamma, cfg.alpha,
-            v.holds if v else "", v.margin if v else "",
-            v.time_bound if v else "",
-            report.blew_up, report.trigger, report.t_detect,
-            report.min_slope_at_detect, "ok",
-        ]
-    except Exception as exc:  # breakdowns are results, not sweep failures
-        return [idx, amp, c0, gamma, cfg.alpha, "", "", "", "", "", "", "",
+        v = _criterion_for(equation, state, params)
+        _, report = simulate(state, solver, make_operator(grid, params), params)
+    except ArithmeticError as exc:
+        return [idx, amp, c0, gamma, alpha, "", "", "", "", "", "", "",
                 f"error: {type(exc).__name__}: {exc}"]
+    return [
+        idx, amp, c0, gamma, alpha,
+        v.holds if v else "", v.margin if v else "",
+        v.time_bound if v else "",
+        report.blew_up, report.trigger, report.t_detect,
+        report.min_slope_at_detect, "ok",
+    ]
+
+
+def _collect(cells: list[tuple[int, float, float, float]], results) -> list[list]:
+    """The rows of ``results`` (an iterator in cell order).  A cell that
+    raises fails the sweep with its index in the message; a pool's ``map``
+    cancels the cells still pending when its iterator raises."""
+    rows = []
+    for idx, *_ in cells:
+        try:
+            rows.append(next(results))
+        except ValueError as exc:
+            raise ValueError(f"sweep cell {idx}: {exc}") from exc
+        except Exception as exc:
+            raise RuntimeError(f"sweep cell {idx}: {type(exc).__name__}: {exc}") from exc
+    return rows
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 SWEEP_HEADER = [
@@ -557,12 +589,29 @@ SWEEP_HEADER = [
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cells = _sweep_cells(cfg)
+    # grid, solver and data depend only on alpha, the same in every cell:
+    # built once here, a bad preset is a configuration error, not a row
+    _, _, c0, gamma = cells[0]
+    try:
+        grid = cfg.grid()
+        solver = cfg.solver()
+        base = cfg.initial_state(grid, make_parameters(cfg.alpha, gamma, c0, cfg.sigma))
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"cannot set up the sweep: {type(exc).__name__}: {exc}") from exc
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    workers = max(1, int(cfg.workers))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda cell: _run_cell(cfg, cell), cells))
+    run = partial(_run_cell, cfg.equation, cfg.alpha, cfg.sigma, solver, base)
+    workers = min(len(cells), cfg.workers or _usable_cpus())
+    if workers == 1:
+        rows = _collect(cells, map(run, cells))
+    else:
+        # imported here: every command imports this module, only sweep
+        # needs the process machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = _collect(cells, pool.map(run, cells))
     rows.sort(key=lambda r: r[0])
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     print(f"sweep: {len(rows)} cells -> {out / 'sweep.csv'}")
@@ -587,7 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None, help="YAML config file")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="RNG seed (randomized suites)")
-        sp.add_argument("--workers", type=int, default=None, help="sweep worker pool size")
+        sp.add_argument("--workers", type=int, default=None,
+                        help="sweep worker processes (default: min(cells, usable CPUs))")
         sp.add_argument("--alpha", type=float, default=None)
         sp.add_argument("--gamma", type=float, default=None)
         sp.add_argument("--c0", type=float, default=None)

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 import yaml
 
+from dghlab import cli
 from dghlab.cli import main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dghlab" / "schemas"
@@ -192,6 +193,41 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, sweep={})
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    def test_bad_preset_exits_2_without_rows(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            initial={"preset": "gaussian_derivative", "args": {"a": 1.0, "bogus": 2}},
+            sweep={"amplitudes": [1.0, 2.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag,key", [("0", None), ("-3", None), (None, 0)])
+    def test_workers_below_one_exit_2(self, tmp_path, flag, key):
+        over = {} if key is None else {"workers": key}
+        cfg = self.sweep_config(tmp_path, **over)
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv + (["--workers", flag] if flag else [])) == 2
+
+    @pytest.mark.parametrize("exc", [TypeError, ValueError])
+    def test_non_arithmetic_cell_error_fails_sweep(self, tmp_path, monkeypatch, exc):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(1)
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "simulate", broken)
+        cfg = self.sweep_config(tmp_path)
+        argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "1"]
+        if exc is ValueError:
+            assert main(argv) == 2
+        else:
+            with pytest.raises(RuntimeError, match="sweep cell 0: TypeError: injected"):
+                main(argv)
+        assert len(calls) == 1  # the cells after the failing one never run
+
 
 class TestDeterminism:
     def test_simulate_outputs_bit_identical(self, tmp_path):
@@ -212,3 +248,19 @@ class TestDeterminism:
         main(["sweep", "--config", str(cfg), "--out", str(out1), "--workers", "1"])
         main(["sweep", "--config", str(cfg), "--out", str(out2), "--workers", "4"])
         assert read_all(out1) == read_all(out2)
+
+    def test_sweep_csv_identical_for_serial_pool_and_default(self, tmp_path):
+        # 6 cells: at --workers 2 each pool worker runs several of them
+        cfg = write_config(
+            tmp_path,
+            grid={"half_length": 20.0, "n_points": 512},
+            solver={"t_max": 2.0, "record_every": 16},
+            sweep={"amplitudes": [0.5, 1.0, 2.0], "c0_gamma": [[0.0, 0.0], [0.4, 0.7]]},
+        )
+        outs = []
+        for extra in (["--workers", "1"], ["--workers", "2"], []):
+            out = tmp_path / f"o{len(outs)}"
+            assert main(["sweep", "--config", str(cfg), "--out", str(out), *extra]) == 0
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0].count(b"\n") == 7
+        assert outs[0] == outs[1] == outs[2]
