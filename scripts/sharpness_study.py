@@ -22,6 +22,22 @@ import dghlab as dg
 from dghlab.analysis import one_sided_gaps
 
 
+def gap_levels(c, y, k, resolutions):
+    """(N, gap at the peak node, largest |gap| on the equality region,
+    min gap) of the peaked witness at each resolution."""
+    params = dg.make_parameters(1.0, 0.0, 2.0 * k)
+    rows = []
+    for n in resolutions:
+        grid = dg.make_grid(20.0, n)
+        op = dg.make_operator(grid, params)
+        u = dg.ic_preset("peakon_shifted", grid, params, c=c, y=y, k=k)
+        gm, _ = one_sided_gaps(u, op, params)
+        ipk = int(np.argmin(np.abs(grid.nodes - y)))
+        region = grid.nodes <= y - 0.25
+        rows.append((n, gm.field.values[ipk], np.max(np.abs(gm.field.values[region])), gm.min_gap))
+    return rows
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--c", type=float, default=1.0)
@@ -31,20 +47,11 @@ def main():
                     default=[512, 1024, 2048, 4096, 8192])
     args = ap.parse_args()
 
-    params = dg.make_parameters(1.0, 0.0, 2.0 * args.k)
     print(f"witness u = {args.c}*exp(-|x - {args.y}|) - {args.k}")
     print(f"{'N':>6} {'gap@peak':>12} {'gap(region)':>12} {'min gap':>12}")
     prev = None
-    for n in args.resolutions:
-        grid = dg.make_grid(20.0, n)
-        op = dg.make_operator(grid, params)
-        u = dg.ic_preset("peakon_shifted", grid, params, c=args.c, y=args.y, k=args.k)
-        gm, _ = one_sided_gaps(u, op, params)
-        ipk = int(np.argmin(np.abs(grid.nodes - args.y)))
-        region = grid.nodes <= args.y - 0.25
-        peak = gm.field.values[ipk]
-        away = np.max(np.abs(gm.field.values[region]))
-        line = f"{n:6d} {peak:12.3e} {away:12.3e} {gm.min_gap:12.3e}"
+    for n, peak, away, min_gap in gap_levels(args.c, args.y, args.k, args.resolutions):
+        line = f"{n:6d} {peak:12.3e} {away:12.3e} {min_gap:12.3e}"
         if prev is not None:
             line += f"   orders: peak {np.log2(prev[0]/peak):+5.2f} region {np.log2(prev[1]/away):+5.2f}"
         print(line)

@@ -13,16 +13,7 @@ from .core import (
     spectral_interpolate,
 )
 from .helmholtz import NonlocalOperator, green_kernel, make_operator
-from .evolution import (
-    BlowupReport,
-    SolverConfig,
-    Trajectory,
-    adaptive_dt,
-    dgh2_rhs,
-    dgh_rhs,
-    simulate,
-    step_rk4,
-)
+from .evolution import BlowupReport, SolverConfig, Trajectory, simulate
 from .characteristics import (
     CharacteristicPath,
     PathPoint,

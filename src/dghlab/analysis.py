@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Parameters, State, TrigEvaluator, derivative_values
+from .core import Field, Parameters, State
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -34,6 +34,22 @@ def _quadrature(values: np.ndarray, dx: float) -> float:
     return float(np.sum(values) * dx)
 
 
+def _energy_e(u, ux, rho, params: Parameters, dx: float) -> float:
+    """E from the samples u, u_x [and rho~]."""
+    dens = u * u + params.alpha**2 * ux * ux
+    if rho is not None:
+        dens = dens + rho * rho
+    return 0.5 * _quadrature(dens, dx)
+
+
+def _energy_f(uf, uxf, rf, params: Parameters, dx: float) -> float:
+    """F from the 2/3-filtered samples u, u_x [and rho~]."""
+    dens = uf**3 + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
+    if rf is not None:
+        dens = dens + 2.0 * uf * rf + uf * rf * rf
+    return 0.5 * _quadrature(dens, dx)
+
+
 def energy_E(state: State, params: Parameters) -> float:
     """E = 1/2 int (u^2 + alpha^2 u_x^2) [+ 1/2 int rho~^2], conserved.
 
@@ -44,12 +60,8 @@ def energy_E(state: State, params: Parameters) -> float:
     """
     grid = state.u.grid
     u = state.u.values
-    ux = derivative_values(u, grid)
-    dens = u * u + params.alpha**2 * ux * ux
-    if state.rho_tilde is not None:
-        r = state.rho_tilde.values
-        dens = dens + r * r
-    return 0.5 * _quadrature(dens, grid.dx)
+    rho = None if state.rho_tilde is None else state.rho_tilde.values
+    return _energy_e(u, grid.spectral.ddx(u), rho, params, grid.dx)
 
 
 def energy_F(state: State, params: Parameters) -> float:
@@ -61,24 +73,17 @@ def energy_F(state: State, params: Parameters) -> float:
     from 2/3-filtered factors so the cubic quadrature stays alias-free.
     """
     grid = state.u.grid
-    n = grid.n_points
-    u_hat = np.fft.rfft(state.u.values)
-    mask = (np.arange(u_hat.size) <= n // 3).astype(float)
-    xi = grid.wavenumbers()
-    ik = 1j * xi
-    ik[-1] = 0.0
-    uf = np.fft.irfft(mask * u_hat, n=n)
-    uxf = np.fft.irfft(mask * ik * u_hat, n=n)
-    dens = uf**3 + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
+    sp = grid.spectral
+    uf, uxf = np.fft.irfft(sp.filters[:2] * np.fft.rfft(state.u.values), n=sp.n)
+    rf = None
     if state.rho_tilde is not None:
-        rf = np.fft.irfft(mask * np.fft.rfft(state.rho_tilde.values), n=n)
-        dens = dens + 2.0 * uf * rf + uf * rf * rf
-    return 0.5 * _quadrature(dens, grid.dx)
+        rf = np.fft.irfft(sp.filters[0] * np.fft.rfft(state.rho_tilde.values), n=sp.n)
+    return _energy_f(uf, uxf, rf, params, grid.dx)
 
 
 def h_alpha_norm(u: Field, params: Parameters) -> float:
     """Scale-weighted Sobolev norm sqrt(int (u^2 + alpha^2 u_x^2))."""
-    ux = derivative_values(u.values, u.grid)
+    ux = u.grid.spectral.ddx(u.values)
     return float(
         np.sqrt(_quadrature(u.values**2 + params.alpha**2 * ux**2, u.grid.dx))
     )
@@ -102,24 +107,6 @@ def _gap_field(values: np.ndarray, grid) -> GapField:
     )
 
 
-def _quarter_band(u: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Band-limit a field to wavenumber bins <= N/4 and return (u, u_x).
-
-    With the input in the quarter band every quadratic product below is
-    alias-free on the grid, so the discrete gap equals the continuum gap
-    of a genuine finite-energy function: nonnegative up to the e^{-2L/alpha}
-    periodization correction even for kinked inputs like the peakon.  For
-    resolved smooth fields the projection changes nothing.
-    """
-    grid = u.grid
-    n = grid.n_points
-    u_hat = np.fft.rfft(u.values)
-    u_hat[n // 4 + 1 :] = 0.0
-    ik = 1j * grid.wavenumbers()
-    ik[-1] = 0.0
-    return np.fft.irfft(u_hat, n=n), np.fft.irfft(ik * u_hat, n=n)
-
-
 def one_sided_gaps(
     u: Field, op: NonlocalOperator, params: Parameters
 ) -> tuple[GapField, GapField]:
@@ -130,7 +117,11 @@ def one_sided_gaps(
     Equality holds for the peakon family u = c*exp(-|x-y|/alpha) - k, on
     x <= y for the minus sign and x >= y for the plus sign.
     """
-    uv, ux = _quarter_band(u)
+    # in the quarter band every quadratic product below is alias-free, so
+    # the discrete gap equals the continuum gap of a genuine finite-energy
+    # function: nonnegative up to the e^{-2L/alpha} periodization
+    # correction even for kinked inputs like the peakon
+    uv, ux = u.grid.spectral.quarter_band(u.values)
     w = Field(u.grid, 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv)
     minus, plus = op.one_sided_convolutions(w)
     rhs = 0.5 * (uv + params.k) ** 2 - params.k**2
@@ -144,7 +135,7 @@ def full_kernel_gap(
     u: Field, op: NonlocalOperator, params: Parameters
 ) -> GapField:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2."""
-    uv, ux = _quarter_band(u)
+    uv, ux = u.grid.spectral.quarter_band(u.values)
     w = 0.5 * params.alpha**2 * ux * ux + (uv + params.k) ** 2
     conv = op.apply_q_values(w)
     rhs = 0.5 * (uv + params.k) ** 2
@@ -159,7 +150,7 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     maximum is a lower bound on the true sup and the norm is Parseval
     exact, so the reported slack is never spuriously negative.
     """
-    uv, ux = _quarter_band(u)
+    uv, ux = u.grid.spectral.quarter_band(u.values)
     norm = np.sqrt(
         _quadrature(uv * uv + params.alpha**2 * ux * ux, u.grid.dx)
     )
@@ -208,21 +199,19 @@ def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, floa
     Returns (x_best, margin, slope, value) at the refined minimizer.
     """
     grid = u0.grid
+    sp = grid.spectral
     u_hat = np.fft.rfft(u0.values)
-    ik = 1j * grid.wavenumbers()
-    ik[-1] = 0.0
-    ux_hat = ik * u_hat
+    ux_hat = sp.ik * u_hat
     ux = np.fft.irfft(ux_hat, n=grid.n_points)
     margins = params.alpha * ux + np.abs(u0.values + params.k)
     i = int(np.argmin(margins))
 
-    ev = TrigEvaluator(grid)
-
     def slope_value(x: float) -> tuple[float, float]:
         # one cos/sin pass per point; two separate matmuls on it keep the
-        # results bit-identical to trig_eval (one stacked matmul does not)
-        basis = ev.basis(x)
-        return float(ev.values(ux_hat, basis)[0]), float(ev.values(u_hat, basis)[0])
+        # results bit-identical to one basis per row (one stacked matmul
+        # does not)
+        basis = sp.basis(x)
+        return float(sp.values(ux_hat, basis)[0]), float(sp.values(u_hat, basis)[0])
 
     def margin_at(x: float) -> float:
         s, v = slope_value(x)
@@ -279,7 +268,7 @@ def check_criterion_dgh2(
     if rho0.grid != u0.grid:
         raise ValueError("u0 and rho0 must share one grid")
     grid = u0.grid
-    ux = derivative_values(u0.values, grid)
+    ux = grid.spectral.ddx(u0.values)
     margins = params.alpha * ux + np.abs(u0.values + params.k)
     at_minus_one = np.abs(rho0.values + 1.0) <= rho_tol
     if not np.any(at_minus_one):

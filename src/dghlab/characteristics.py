@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Parameters, TrigEvaluator
+from .core import Parameters
 from .evolution import Trajectory
 
 __all__ = [
@@ -152,39 +152,6 @@ class CharacteristicPath:
     weight_overflow: bool
 
 
-class _SpaceTimeField:
-    """rfft coefficients of one component at every record, blended in time
-    by cubic Hermite interpolation (each record stores the instantaneous
-    time derivative of the fields)."""
-
-    def __init__(self, traj: Trajectory, component: str):
-        if component not in ("u", "rho"):
-            raise ValueError(component)
-        self.times = traj.times()
-        self.coef = np.empty((len(traj.records), traj.grid.n_points // 2 + 1), dtype=complex)
-        self.coef_dot = np.empty_like(self.coef)
-        for i, r in enumerate(traj.records):
-            if component == "u":
-                val, dot = r.state.u, r.du_dt
-            else:
-                val, dot = r.state.rho_tilde, r.drho_dt
-            self.coef[i] = np.fft.rfft(val.values)
-            self.coef_dot[i] = np.fft.rfft(dot.values)
-
-    def coef_at(self, seg: int, s: float) -> np.ndarray:
-        """Hermite blend of the rfft coefficients at fraction s of segment."""
-        dt = self.times[seg + 1] - self.times[seg]
-        h00 = 2 * s**3 - 3 * s**2 + 1
-        h10 = s**3 - 2 * s**2 + s
-        h01 = -2 * s**3 + 3 * s**2
-        h11 = s**3 - s**2
-        return (
-            h00 * self.coef[seg]
-            + h01 * self.coef[seg + 1]
-            + dt * (h10 * self.coef_dot[seg] + h11 * self.coef_dot[seg + 1])
-        )
-
-
 def advect(traj: Trajectory, x0, params: Parameters):
     """Integrate the particle paths seeded at x0 through a recorded
     trajectory and evaluate all path diagnostics at the recorded times.
@@ -208,11 +175,22 @@ def advect(traj: Trajectory, x0, params: Parameters):
     safe_lo = -L + 2.0 * params.alpha
     safe_hi = L - 2.0 * params.alpha
 
-    ev = TrigEvaluator(grid)
-    fu = _SpaceTimeField(traj, "u")
-    two = traj.records[0].state.rho_tilde is not None
-    frho = _SpaceTimeField(traj, "rho") if two else None
-    times = fu.times
+    ev = grid.spectral
+    records = traj.records
+    two = records[0].state.rho_tilde is not None
+    # rfft rows at every record: u and du/dt for the Hermite blend in time,
+    # rho~ only at the records themselves; one row at a time, so no
+    # records-by-N temporary is allocated
+    n_rec = len(records)
+    u_coef = np.empty((n_rec, ev.xi.size), dtype=complex)
+    u_dot = np.empty_like(u_coef)
+    rho_coef = np.empty_like(u_coef) if two else None
+    for i, r in enumerate(records):
+        u_coef[i] = np.fft.rfft(r.state.u.values)
+        u_dot[i] = np.fft.rfft(r.du_dt.values)
+        if two:
+            rho_coef[i] = np.fft.rfft(r.state.rho_tilde.values)
+    times = traj.times()
     lam = params.lam
     # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
     helm = 1.0 + params.alpha**2 * ev.xi**2
@@ -221,7 +199,6 @@ def advect(traj: Trajectory, x0, params: Parameters):
         basis = ev.basis(qq)
         return ev.values(coef, basis) + lam, ev.slopes(coef, basis) * qqx
 
-    n_rec = len(traj.records)
     # (q, q_x, u, u_x, m, rho~) per record and seed; live seeds are still
     # inside the safe box
     series = np.full((n_rec, seeds.size, 6), np.nan)
@@ -232,7 +209,7 @@ def advect(traj: Trajectory, x0, params: Parameters):
     live = np.arange(seeds.size)
     for i in range(n_rec):
         basis = ev.basis(q[live])
-        c0 = fu.coef[i]
+        c0 = u_coef[i]
         u_val = ev.values(c0, basis)
         ux_val = ev.slopes(c0, basis)
         series[i, live, 0] = q[live]
@@ -241,19 +218,21 @@ def advect(traj: Trajectory, x0, params: Parameters):
         series[i, live, 3] = ux_val
         series[i, live, 4] = ev.values(helm * c0, basis)
         if two:
-            series[i, live, 5] = ev.values(frho.coef[i], basis)
+            series[i, live, 5] = ev.values(rho_coef[i], basis)
         length[live] += 1
         if i == n_rec - 1:
             break
 
         # one RK4 step across the recorded interval
         dt = times[i + 1] - times[i]
-        cm = fu.coef_at(i, 0.5)
+        # cubic Hermite blend at the interval midpoint (weights 1/2, 1/2,
+        # dt/8, -dt/8)
+        cm = 0.5 * u_coef[i] + 0.5 * u_coef[i + 1] + dt * (0.125 * u_dot[i] - 0.125 * u_dot[i + 1])
         qq, qqx = q[live], qx[live]
         k1 = (u_val + lam, ux_val * qqx)
         k2 = rhs(cm, qq + 0.5 * dt * k1[0], qqx + 0.5 * dt * k1[1])
         k3 = rhs(cm, qq + 0.5 * dt * k2[0], qqx + 0.5 * dt * k2[1])
-        k4 = rhs(fu.coef[i + 1], qq + dt * k3[0], qqx + dt * k3[1])
+        k4 = rhs(u_coef[i + 1], qq + dt * k3[0], qqx + dt * k3[1])
         qq = qq + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         q[live] = qq

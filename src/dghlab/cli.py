@@ -7,12 +7,14 @@ written with 17 significant digits (round-trip exact), JSON keys are
 sorted, and wall-clock timing goes to stderr only.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
-1 property-suite violation (lemmas), 2 usage or configuration error,
-including a ValueError raised in a sweep cell.  A sweep cell that stops
-on a numerical breakdown (ArithmeticError, e.g. an overflow) is a result
-and is written to its row; any other exception in a cell, or a sweep
-worker process that dies, fails the command with a RuntimeError naming
-the cell, and the interpreter exits non-zero with its traceback.
+1 property-suite violation (lemmas), 2 usage or configuration error (an
+unknown config key, a value that does not convert, initial data that
+cannot be built), including a ValueError raised in a sweep cell.  A
+sweep cell that stops on a numerical breakdown (ArithmeticError, e.g. an
+overflow) is a result and is written to its row; any other exception in
+a cell, or a sweep worker process that dies, fails the command with a
+RuntimeError naming the cell, and the interpreter exits non-zero with
+its traceback.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from pathlib import Path
 
@@ -38,7 +40,7 @@ from .analysis import (
 )
 from .characteristics import advect
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
-from .evolution import BlowupReport, SolverConfig, Trajectory, simulate
+from .evolution import SolverConfig, Trajectory, simulate
 from .helmholtz import NonlocalOperator, make_operator
 
 __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
@@ -119,14 +121,15 @@ class RunConfig:
         )
 
     def build_field(self, spec: dict, grid: Grid, params: Parameters) -> Field:
-        if "samples_file" in spec:
-            vals = np.loadtxt(spec["samples_file"], dtype=float)
-            return ic_preset("from_samples", grid, params, values=vals)
-        preset = spec.get("preset")
-        if preset is None:
+        if "samples_file" not in spec and "preset" not in spec:
             raise ConfigError("initial condition needs 'preset' or 'samples_file'")
-        args = dict(spec.get("args", {}))
-        return ic_preset(preset, grid, params, **args)
+        try:
+            if "samples_file" in spec:
+                vals = np.loadtxt(spec["samples_file"], dtype=float)
+                return ic_preset("from_samples", grid, params, values=vals)
+            return ic_preset(spec["preset"], grid, params, **spec.get("args", {}))
+        except (TypeError, ValueError, OSError) as exc:
+            raise ConfigError(f"cannot build the initial data: {type(exc).__name__}: {exc}") from exc
 
     def initial_state(self, grid: Grid, params: Parameters) -> State:
         u0 = self.build_field(self.initial, grid, params)
@@ -136,6 +139,75 @@ class RunConfig:
                 raise ConfigError("equation dgh2 needs a rho_initial section")
             rho0 = self.build_field(self.rho_initial, grid, params)
         return State(0.0, u0, rho0)
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _floats(value) -> list[float]:
+    return [float(v) for v in value]
+
+
+_FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
+
+# Every key a config file may hold: a dict is a section whose own keys are
+# checked, anything else converts the value.  The keys of the sections
+# parameters, grid and solver, and the top-level keys outside sections,
+# are RunConfig attributes of the same name.
+CONFIG_KEYS = {
+    "equation": _text,
+    "parameters": {"alpha": float, "gamma": float, "c0": float, "sigma": float},
+    "grid": {"half_length": float, "n_points": int},
+    "solver": {
+        "t_max": float,
+        "cfl": float,
+        "dt_min": float,
+        "slope_blowup_threshold": float,
+        "record_every": int,
+    },
+    "initial": _FIELD_KEYS,
+    "rho_initial": _FIELD_KEYS,
+    "seeds": _floats,
+    "out_dir": _text,
+    "rng_seed": int,
+    "workers": int,
+    "lemmas": {
+        "n_random": int,
+        "n_modes": int,
+        "max_mode": int,
+        "resolutions": lambda v: [int(n) for n in v],
+    },
+    "sweep": {
+        "amplitudes": _floats,
+        "c0_gamma": lambda v: [(float(c), float(g)) for c, g in v],
+    },
+}
+_FLAT_SECTIONS = ("parameters", "grid", "solver")
+
+
+def _convert(raw, keys: dict, path: str) -> dict:
+    """The values of the mapping ``raw`` converted by the table ``keys``;
+    an unknown key or a failed conversion is a ConfigError naming its
+    dotted path."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path or 'config root'} must be a mapping")
+    out = {}
+    for key, value in raw.items():
+        where = f"{path}.{key}" if path else str(key)
+        if key not in keys:
+            raise ConfigError(f"unknown config key {where}")
+        conv = keys[key]
+        if isinstance(conv, dict):
+            out[key] = _convert(value, conv, where)
+            continue
+        try:
+            out[key] = conv(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {where}: {value!r} ({exc})") from exc
+    return out
 
 
 def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
@@ -148,40 +220,12 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raw = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
-        cfg.equation = raw.get("equation", cfg.equation)
-        par = raw.get("parameters", {})
-        cfg.alpha = float(par.get("alpha", cfg.alpha))
-        cfg.gamma = float(par.get("gamma", cfg.gamma))
-        cfg.c0 = float(par.get("c0", cfg.c0))
-        cfg.sigma = float(par.get("sigma", cfg.sigma))
-        grd = raw.get("grid", {})
-        if "half_length" in grd:
-            cfg.half_length = float(grd["half_length"])
-        cfg.n_points = int(grd.get("n_points", cfg.n_points))
-        sol = raw.get("solver", {})
-        cfg.t_max = float(sol.get("t_max", cfg.t_max))
-        cfg.cfl = float(sol.get("cfl", cfg.cfl))
-        cfg.dt_min = float(sol.get("dt_min", cfg.dt_min))
-        cfg.slope_blowup_threshold = float(
-            sol.get("slope_blowup_threshold", cfg.slope_blowup_threshold)
-        )
-        cfg.record_every = int(sol.get("record_every", cfg.record_every))
-        if "initial" in raw:
-            cfg.initial = raw["initial"]
-        if "rho_initial" in raw:
-            cfg.rho_initial = raw["rho_initial"]
-        if "seeds" in raw:
-            cfg.seeds = [float(s) for s in raw["seeds"]]
-        if "out_dir" in raw:
-            cfg.out_dir = str(raw["out_dir"])
-        if "rng_seed" in raw:
-            cfg.rng_seed = int(raw["rng_seed"])
-        if "workers" in raw:
-            cfg.workers = int(raw["workers"])
-        cfg.lemmas = raw.get("lemmas", {})
-        cfg.sweep = raw.get("sweep", {})
+        for key, value in _convert(raw, CONFIG_KEYS, "").items():
+            if key in _FLAT_SECTIONS:
+                for attr, v in value.items():
+                    setattr(cfg, attr, v)
+            else:
+                setattr(cfg, key, value)
 
     flag_map = {
         "alpha": "alpha",
@@ -204,40 +248,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
-
-
-def _params_payload(params: Parameters) -> dict:
-    return {
-        "alpha": params.alpha,
-        "gamma": params.gamma,
-        "c0": params.c0,
-        "sigma": params.sigma,
-        "lam": params.lam,
-        "k": params.k,
-        "in_band": params.in_band,
-    }
-
-
-def _verdict_payload(v: CriterionVerdict | None) -> dict | None:
-    if v is None:
-        return None
-    return {
-        "holds": v.holds,
-        "x0_best": v.x0_best,
-        "margin": v.margin,
-        "time_bound": v.time_bound,
-        "rho_condition_met": v.rho_condition_met,
-    }
-
-
-def _report_payload(rep: BlowupReport) -> dict:
-    return {
-        "blew_up": rep.blew_up,
-        "trigger": rep.trigger,
-        "t_detect": rep.t_detect,
-        "min_slope_at_detect": rep.min_slope_at_detect,
-        "detector_x0": rep.detector_x0,
-    }
 
 
 def _criterion_for(equation: str, state: State, params: Parameters) -> CriterionVerdict | None:
@@ -311,20 +321,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     verdict = _criterion_for(cfg.equation, state, params)
     summary = {
         "equation": cfg.equation,
-        "parameters": _params_payload(params),
+        "parameters": asdict(params),
         "grid": {"half_length": grid.half_length, "n_points": grid.n_points, "dx": grid.dx},
-        "solver": {
-            "t_max": solver.t_max,
-            "cfl": solver.cfl,
-            "dt_min": solver.dt_min,
-            "slope_blowup_threshold": solver.slope_blowup_threshold,
-            "record_every": solver.record_every,
-        },
+        "solver": asdict(solver),
         "initial": cfg.initial,
         "rho_initial": cfg.rho_initial,
         "seeds": [float(s) for s in cfg.seeds],
-        "blowup_report": _report_payload(report),
-        "criterion": _verdict_payload(verdict),
+        "blowup_report": asdict(report),
+        "criterion": asdict(verdict) if verdict is not None else None,
         "n_records": len(traj.records),
         "outputs": {
             "trajectory_csv": "trajectory.csv",
@@ -357,8 +361,8 @@ def cmd_criterion(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     payload = {
         "equation": cfg.equation,
-        "parameters": _params_payload(params),
-        "verdict": _verdict_payload(verdict),
+        "parameters": asdict(params),
+        "verdict": asdict(verdict),
     }
     _write_json(out / "verdict.json", payload)
     assert verdict is not None
@@ -394,21 +398,16 @@ def _gap_entries(u: Field, op: NonlocalOperator, params: Parameters) -> dict:
     }
 
 
-def cmd_lemmas(cfg: RunConfig, corrupt_operator: bool = False) -> int:
+def cmd_lemmas(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     op = make_operator(grid, params)
-    if corrupt_operator:
-        # test hook: flip the kernel symbol's sign so every convolution
-        # bound fails (flipping the derivative symbol alone would only
-        # mirror the one-sided pair)
-        object.__setattr__(op, "symbol_q", -op.symbol_q)
 
     lem = cfg.lemmas
-    n_random = int(lem.get("n_random", 50))
-    n_modes = int(lem.get("n_modes", 30))
-    max_mode = int(lem.get("max_mode", 80))
-    resolutions = [int(n) for n in lem.get("resolutions", [1024, 2048, 4096])]
+    n_random = lem.get("n_random", 50)
+    n_modes = lem.get("n_modes", 30)
+    max_mode = lem.get("max_mode", 80)
+    resolutions = lem.get("resolutions", [1024, 2048, 4096])
     rng = np.random.default_rng(cfg.rng_seed)
 
     fields: list[tuple[str, Field, Parameters]] = [
@@ -430,18 +429,18 @@ def cmd_lemmas(cfg: RunConfig, corrupt_operator: bool = False) -> int:
     results = {}
     worst = np.inf
     for name, u, pars in fields:
-        opu = op if pars is params else _maybe_corrupt(make_operator(grid, pars), corrupt_operator)
+        opu = op if pars is params else make_operator(grid, pars)
         entry = _gap_entries(u, opu, pars)
         results[name] = entry
         worst = min(worst, *(e["min_gap"] for e in entry.values()))
 
-    witness = _witness_study(params, resolutions, corrupt_operator)
+    witness = _witness_study(params, resolutions)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ok = worst >= -GAP_TOLERANCE
     payload = {
-        "parameters": _params_payload(params),
+        "parameters": asdict(params),
         "rng_seed": cfg.rng_seed,
         "gap_tolerance": GAP_TOLERANCE,
         "n_random_fields": n_random,
@@ -464,13 +463,7 @@ def cmd_lemmas(cfg: RunConfig, corrupt_operator: bool = False) -> int:
     return 0
 
 
-def _maybe_corrupt(op: NonlocalOperator, corrupt: bool) -> NonlocalOperator:
-    if corrupt:
-        object.__setattr__(op, "symbol_q", -op.symbol_q)
-    return op
-
-
-def _witness_study(params: Parameters, resolutions: list[int], corrupt: bool) -> dict:
+def _witness_study(params: Parameters, resolutions: list[int]) -> dict:
     """Sharpness study: the peakon profile attains equality in the
     one-sided inequality on one side of its peak.  The peak carries a
     slope jump, so the gap right at it shrinks only linearly in N, while
@@ -480,7 +473,7 @@ def _witness_study(params: Parameters, resolutions: list[int], corrupt: bool) ->
     exclusion = 0.25 * params.alpha
     for n in resolutions:
         grid = make_grid(20.0 * params.alpha, n)
-        op = _maybe_corrupt(make_operator(grid, params), corrupt)
+        op = make_operator(grid, params)
         u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
         gm, _ = one_sided_gaps(u, op, params)
         x = grid.nodes
@@ -511,8 +504,8 @@ def _witness_study(params: Parameters, resolutions: list[int], corrupt: bool) ->
 
 def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, float, float]]:
     sw = cfg.sweep
-    amplitudes = [float(a) for a in sw.get("amplitudes", [])]
-    pairs = [(float(c), float(g)) for c, g in sw.get("c0_gamma", [])]
+    amplitudes = sw.get("amplitudes", [])
+    pairs = sw.get("c0_gamma", [])
     if not amplitudes and not pairs:
         raise ConfigError("sweep needs a non-empty 'amplitudes' and/or 'c0_gamma' axis")
     if not amplitudes:
@@ -592,12 +585,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     # grid, solver and data depend only on alpha, the same in every cell:
     # built once here, a bad preset is a configuration error, not a row
     _, _, c0, gamma = cells[0]
-    try:
-        grid = cfg.grid()
-        solver = cfg.solver()
-        base = cfg.initial_state(grid, make_parameters(cfg.alpha, gamma, c0, cfg.sigma))
-    except (TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"cannot set up the sweep: {type(exc).__name__}: {exc}") from exc
+    grid = cfg.grid()
+    solver = cfg.solver()
+    base = cfg.initial_state(grid, make_parameters(cfg.alpha, gamma, c0, cfg.sigma))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -645,12 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, default=None, help="number of grid points")
         sp.add_argument("--tmax", type=float, default=None)
         sp.add_argument("--cfl", type=float, default=None)
-        if name == "lemmas":
-            sp.add_argument(
-                "--corrupt-operator",
-                action="store_true",
-                help=argparse.SUPPRESS,  # negative-control test hook
-            )
     return parser
 
 
@@ -667,7 +651,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "criterion":
             return cmd_criterion(cfg)
         if args.command == "lemmas":
-            return cmd_lemmas(cfg, corrupt_operator=getattr(args, "corrupt_operator", False))
+            return cmd_lemmas(cfg)
         if args.command == "sweep":
             return cmd_sweep(cfg)
     except ConfigError as exc:

@@ -8,6 +8,7 @@ at the boundary.  All containers are immutable value objects.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "ic_preset",
     "derivative",
     "spectral_interpolate",
+    "Spectral",
     "PRESET_NAMES",
 ]
 
@@ -90,6 +92,11 @@ class Grid:
     def wavenumbers(self) -> np.ndarray:
         """Angular wavenumbers matching numpy's rfft layout (xi_k = pi*k/L)."""
         return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.dx)
+
+    @cached_property
+    def spectral(self) -> Spectral:
+        """The grid's Fourier bookkeeping, built on first use."""
+        return Spectral(self)
 
 
 def make_grid(half_length: float, n_points: int) -> Grid:
@@ -206,55 +213,47 @@ def ic_preset(
     return Field(grid, vals)
 
 
-def _derivative_symbol(grid: Grid) -> np.ndarray:
-    """i*xi on rfft bins, with the Nyquist bin zeroed (keeps d/dx real and
-    antisymmetric on an even grid)."""
-    ik = 1j * grid.wavenumbers()
-    ik[-1] = 0.0
-    return ik
-
-
-def derivative_values(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Spectral d/dx on raw samples (array-in, array-out hot path)."""
-    return np.fft.irfft(_derivative_symbol(grid) * np.fft.rfft(values), n=grid.n_points)
-
-
 def derivative(f: Field) -> Field:
     """Spectral derivative on the periodic grid; exact for resolved modes."""
-    return Field(f.grid, derivative_values(f.values, f.grid), f.allow_nonfinite)
-
-
-def trig_eval(coeffs: np.ndarray, grid: Grid, x) -> np.ndarray | float:
-    """Evaluate the trigonometric interpolant with rfft coefficients
-    ``coeffs`` at arbitrary points x in [-L, L).
-
-    The Nyquist mode is evaluated as a pure cosine, the standard real-data
-    convention; at the nodes this reproduces the samples to round-off.
-    """
-    ev = TrigEvaluator(grid)
-    out = ev.values(coeffs, ev.basis(x))
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return Field(f.grid, f.grid.spectral.ddx(f.values), f.allow_nonfinite)
 
 
 def spectral_interpolate(f: Field, x) -> np.ndarray | float:
     """Trigonometric interpolation of a Field at off-grid points."""
-    return trig_eval(np.fft.rfft(f.values), f.grid, x)
+    sp = f.grid.spectral
+    out = sp.values(np.fft.rfft(f.values), sp.basis(x))
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-class TrigEvaluator:
-    """Trigonometric interpolants of rfft coefficients at several points at
-    once: ``basis`` makes the one cos/sin pass at a set of points, which
-    ``values`` and ``slopes`` share across any number of coefficient rows.
+class Spectral:
+    """Fourier bookkeeping of one grid, built once per Grid (``grid.spectral``).
+
+    Owns the wavenumbers ``xi`` on rfft bins, the derivative symbol ``ik``
+    (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
+    antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
+    the quarter-band projection, d/dx, and the multi-point trigonometric
+    interpolant: ``basis`` makes the one cos/sin pass at a set of points,
+    which ``values`` and ``slopes`` share across any number of coefficient
+    rows.  The Nyquist mode is interpolated as a pure cosine, the standard
+    real-data convention; at the nodes this reproduces the samples to
+    round-off.
     """
 
     _BLOCK = 64
 
     def __init__(self, grid: Grid):
-        self.grid = grid
+        self.half_length = grid.half_length
         self.n = grid.n_points
         self.xi = grid.wavenumbers()
-        self.dxi = self.xi.copy()
-        self.dxi[-1] = 0.0  # d/dx drops the Nyquist bin, as _derivative_symbol
+        self.ik = 1j * self.xi
+        self.ik[-1] = 0.0
+        # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on
+        self.cut = self.n // 3 + 1
+        mask = (np.arange(self.xi.size) < self.cut).astype(float)
+        # multipliers for the rows u_f, u_x,f and the unfiltered u_x
+        self.filters = np.array([mask, self.ik * mask, self.ik])
+        for a in (self.xi, self.ik, self.filters):
+            a.setflags(write=False)
         # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t);
         # ~N/B + B cos/sin calls per point instead of N/2 (BENCH_2.json
         # "basis_ablation": simulate_dgh cmd_s -15% against direct cos/sin)
@@ -263,12 +262,23 @@ class TrigEvaluator:
             (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))
         ).astype(float)
 
+    def ddx(self, values: np.ndarray) -> np.ndarray:
+        """Spectral d/dx of grid samples."""
+        return np.fft.irfft(self.ik * np.fft.rfft(values), n=self.n)
+
+    def quarter_band(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, u_x) of the samples band-limited to wavenumber bins <= N/4,
+        where every quadratic product is alias-free on the grid."""
+        u_hat = np.fft.rfft(values)
+        u_hat[self.n // 4 + 1 :] = 0.0
+        return np.fft.irfft(u_hat, n=self.n), np.fft.irfft(self.ik * u_hat, n=self.n)
+
     def basis(self, x) -> np.ndarray:
         """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),
         with w_k = 2 for interior bins (they stand for k and N-k) and 1 for
         DC and Nyquist; the cos/sin pass runs on the block factors only."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = np.multiply.outer((xs + self.grid.half_length) * self.xi[1], self._factors)
+        phase = np.multiply.outer((xs + self.half_length) * self.xi[1], self._factors)
         cis = np.empty(phase.shape, dtype=complex)
         np.cos(phase, out=cis.real)
         np.sin(phase, out=cis.imag)
@@ -286,4 +296,4 @@ class TrigEvaluator:
 
     def slopes(self, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """x-derivatives of the interpolants, same shape as ``values``."""
-        return -(coeffs @ (self.dxi * basis).T).imag
+        return -(coeffs @ (self.ik.imag * basis).T).imag

@@ -15,8 +15,11 @@ the filtered fields and slopes and one batched rfft of the quadratic
 products, and returns the time derivatives as rfft rows.  RK4 stages 2-4
 stay in Fourier space.  Each point the integration reaches is evaluated
 once, from rfft(u_new), and that evaluation serves as the next step's
-first stage (also across NaN backoff), as the record's du/dt and min u_x,
-as the slope tracker's endpoint fields and as the grid-slope trigger.
+first stage (also across NaN backoff), as the record's du/dt, min u_x, E
+and F, as the slope tracker's endpoint fields and as the grid-slope
+trigger.  The grid's Fourier bookkeeping (derivative symbol, 2/3 filter
+rows, trigonometric interpolant) comes from grid.spectral, the Helmholtz
+symbols from the NonlocalOperator.
 
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
@@ -43,14 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    Field,
-    Grid,
-    Parameters,
-    State,
-    TrigEvaluator,
-    _derivative_symbol,
-)
+from .analysis import _energy_e, _energy_f
+from .core import Field, Grid, Parameters, State
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -62,10 +59,6 @@ __all__ = [
     "TRIGGER_SLOPE",
     "TRIGGER_DT",
     "TRIGGER_HORIZON",
-    "dgh_rhs",
-    "dgh2_rhs",
-    "step_rk4",
-    "adaptive_dt",
     "simulate",
 ]
 
@@ -102,41 +95,30 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
 
-class _Spectral:
-    """Precomputed arrays for one (grid, params) pair."""
-
-    def __init__(self, grid: Grid, params: Parameters, op: NonlocalOperator):
-        if op.grid != grid:
-            raise ValueError("operator was built for a different grid")
-        self.n = grid.n_points
-        self.ik = _derivative_symbol(grid)
-        self.lam_ik = params.lam * self.ik
-        # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on
-        self.cut = grid.n_points // 3 + 1
-        mask = (np.arange(self.ik.size) < self.cut).astype(float)
-        # multipliers for the rows u_f, u_x,f and the unfiltered u_x
-        self.filters = np.array([mask, self.ik * mask, self.ik])
-        self.symbol_q = op.symbol_q
-        self.symbol_dq = op.symbol_dq
-
-
 class _Eval(NamedTuple):
     """Stage evaluation at a point the integration has reached: the next
-    step's first stage, the record's du/dt and min u_x, the slope tracker's
-    endpoint fields and the grid-slope trigger."""
+    step's first stage, the record's du/dt, min u_x, E and F, the slope
+    tracker's endpoint fields and the grid-slope trigger."""
 
     # rfft rows u[, rho~] and p*(alpha^2/2 u_x^2 + u^2 + 2ku [+ rho~^2/2 + rho~])
     coef: np.ndarray
     k_hat: np.ndarray  # time derivatives of the rows u[, rho~]
-    ux: np.ndarray  # unfiltered u_x samples
+    # samples u_f, u_x,f, u_x[, rho~_f, rho~_x,f] (f: 2/3-filtered)
+    phys: np.ndarray
 
 
 def _stage(
-    y_hat: np.ndarray, sp: _Spectral, params: Parameters, ux_row: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(time derivatives, convolution argument, u_x samples or None) of the
-    rfft rows y_hat = (u[, rho~]) with one batched irfft and one batched
-    rfft; ux_row=True adds the unfiltered u_x row to the irfft."""
+    y_hat: np.ndarray,
+    op: NonlocalOperator,
+    params: Parameters,
+    lam_ik: np.ndarray,
+    ux_row: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(time derivatives, convolution argument, samples) of the rfft rows
+    y_hat = (u[, rho~]) with one batched irfft and one batched rfft; the
+    samples are u_f, u_x,f[, u_x][, rho~_f, rho~_x,f], the unfiltered u_x
+    row only with ux_row=True.  lam_ik = lam * i*xi, formed once per run."""
+    sp = op.grid.spectral
     two = y_hat.shape[0] == 2
     u_hat = y_hat[0]
     rows = sp.filters * u_hat if ux_row else sp.filters[:2] * u_hat
@@ -158,34 +140,41 @@ def _stage(
     if two:
         conv_hat = conv_hat + params.sigma * y_hat[1]
     k_hat = np.empty_like(y_hat)
-    k_hat[0] = -prod_hat[0] - sp.lam_ik * u_hat - sp.symbol_dq * conv_hat
+    k_hat[0] = -prod_hat[0] - lam_ik * u_hat - op.symbol_dq * conv_hat
     if two:
         k_hat[1] = -prod_hat[2] - sp.ik * u_hat
-    return k_hat, conv_hat, phys[2] if ux_row else None
+    return k_hat, conv_hat, phys
 
 
-def _evaluate(y: np.ndarray, sp: _Spectral, params: Parameters) -> _Eval:
+def _evaluate(
+    y: np.ndarray, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
+) -> _Eval:
     """Stage evaluation at a reached point y (grid rows u[, rho~])."""
     c = y.shape[0]
-    coef = np.empty((c + 1, sp.ik.size), dtype=complex)
+    coef = np.empty((c + 1, op.symbol_q.size), dtype=complex)
     coef[:c] = np.fft.rfft(y)
-    k_hat, conv_hat, ux = _stage(coef[:c], sp, params, ux_row=True)
-    np.multiply(sp.symbol_q, conv_hat, out=coef[c])
-    return _Eval(coef, k_hat, ux)
+    k_hat, conv_hat, phys = _stage(coef[:c], op, params, lam_ik, ux_row=True)
+    np.multiply(op.symbol_q, conv_hat, out=coef[c])
+    return _Eval(coef, k_hat, phys)
 
 
 def _step(
-    y: np.ndarray, ev: _Eval, dt: float, sp: _Spectral, params: Parameters
+    y: np.ndarray,
+    ev: _Eval,
+    dt: float,
+    op: NonlocalOperator,
+    params: Parameters,
+    lam_ik: np.ndarray,
 ) -> np.ndarray:
     """One classical RK4 step from y, whose evaluation ev is the first
     stage; stages 2-4 stay in Fourier space and the increment returns to
     grid values in one irfft."""
     y_hat = ev.coef[:-1]
     k1 = ev.k_hat
-    k2 = _stage(y_hat + (0.5 * dt) * k1, sp, params)[0]
-    k3 = _stage(y_hat + (0.5 * dt) * k2, sp, params)[0]
-    k4 = _stage(y_hat + dt * k3, sp, params)[0]
-    return y + (dt / 6.0) * np.fft.irfft(k1 + 2.0 * k2 + 2.0 * k3 + k4, n=sp.n)
+    k2 = _stage(y_hat + (0.5 * dt) * k1, op, params, lam_ik)[0]
+    k3 = _stage(y_hat + (0.5 * dt) * k2, op, params, lam_ik)[0]
+    k4 = _stage(y_hat + dt * k3, op, params, lam_ik)[0]
+    return y + (dt / 6.0) * np.fft.irfft(k1 + 2.0 * k2 + 2.0 * k3 + k4, n=y.shape[1])
 
 
 class _SlopeTracker:
@@ -210,7 +199,7 @@ class _SlopeTracker:
         u0: np.ndarray,
         rho0: np.ndarray | None,
     ):
-        self.ev = TrigEvaluator(grid)
+        self.sp = grid.spectral
         self.lam = params.lam
         self.k = params.k
         self.sigma = params.sigma
@@ -237,8 +226,8 @@ class _SlopeTracker:
 
     def _rate(self, ev0: _Eval, ev1: _Eval, w1: float, q: float, g: float):
         """(dq/dt, dg/dt) at q with endpoint fields blended at weight w1."""
-        basis = self.ev.basis(q)
-        v = (1.0 - w1) * self.ev.values(ev0.coef, basis) + w1 * self.ev.values(ev1.coef, basis)
+        basis = self.sp.basis(q)
+        v = (1.0 - w1) * self.sp.values(ev0.coef, basis) + w1 * self.sp.values(ev1.coef, basis)
         uq, *rho, cq = v[:, 0].tolist()
         dg = -0.5 * g * g + (uq * uq + 2.0 * self.k * uq) / self.alpha2 - cq / self.alpha2
         if rho:
@@ -276,73 +265,6 @@ class _SlopeTracker:
     def min_slope(self) -> float:
         act = self.g[self.active]
         return float(np.min(act)) if act.size else np.inf
-
-
-def dgh_rhs(u: Field, op: NonlocalOperator, params: Parameters) -> Field:
-    """Right-hand side of the one-component transport form:
-    u_t = -(u + lam) u_x - d_x p * (alpha^2/2 u_x^2 + u^2 + 2k u)."""
-    sp = _Spectral(u.grid, params, op)
-    du = np.fft.irfft(_evaluate(u.values[None], sp, params).k_hat, n=sp.n)
-    return Field(u.grid, du[0], allow_nonfinite=True)
-
-
-def dgh2_rhs(
-    state: State, op: NonlocalOperator, params: Parameters
-) -> tuple[Field, Field]:
-    """Right-hand sides (u_t, rho~_t) of the two-component system."""
-    if state.rho_tilde is None:
-        raise ValueError("two-component right-hand side needs rho_tilde")
-    sp = _Spectral(state.u.grid, params, op)
-    y = np.array([state.u.values, state.rho_tilde.values])
-    du, dr = np.fft.irfft(_evaluate(y, sp, params).k_hat, n=sp.n)
-    return (
-        Field(state.u.grid, du, allow_nonfinite=True),
-        Field(state.u.grid, dr, allow_nonfinite=True),
-    )
-
-
-def _rk4(
-    u: np.ndarray,
-    rho: np.ndarray | None,
-    dt: float,
-    sp: _Spectral,
-    params: Parameters,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """One classical Runge-Kutta step on raw arrays."""
-    y = np.array([u] if rho is None else [u, rho])
-    y_new = _step(y, _evaluate(y, sp, params), dt, sp, params)
-    return y_new[0], None if rho is None else y_new[1]
-
-
-def step_rk4(
-    state: State, dt: float, op: NonlocalOperator, params: Parameters
-) -> State:
-    """Advance a state by one RK4 step of size dt.
-
-    The result is tagged as possibly non-finite: a breakdown during the
-    stages shows up as NaN/Inf samples, which the driver treats as the
-    breakdown signal rather than an exception.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    sp = _Spectral(state.u.grid, params, op)
-    rho = None if state.rho_tilde is None else state.rho_tilde.values
-    u_new, r_new = _rk4(state.u.values, rho, dt, sp, params)
-    grid = state.u.grid
-    return State(
-        t=state.t + dt,
-        u=Field(grid, u_new, allow_nonfinite=True),
-        rho_tilde=None if r_new is None else Field(grid, r_new, allow_nonfinite=True),
-    )
-
-
-def adaptive_dt(state: State, config: SolverConfig, params: Parameters) -> float:
-    """CFL step dt = cfl*dx / max(|u| + |lam|, eps), capped at the
-    remaining horizon."""
-    speed = max(state.u.max_abs() + abs(params.lam), _SPEED_FLOOR)
-    dt = config.cfl * state.u.grid.dx / speed
-    remaining = config.t_max - state.t
-    return min(dt, remaining)
 
 
 @dataclass(frozen=True)
@@ -420,10 +342,10 @@ def simulate(
     NaN backoff pushes dt under dt_min (reported as dt_underflow with the
     last finite state retained).
     """
-    from .analysis import energy_E, energy_F
-
     grid = initial.u.grid
-    sp = _Spectral(grid, params, op)
+    if op.grid != grid:
+        raise ValueError("operator was built for a different grid")
+    lam_ik = params.lam * grid.spectral.ik
     two = initial.rho_tilde is not None
 
     # grid rows (u[, rho~]); ev is the stage evaluation at y
@@ -431,7 +353,7 @@ def simulate(
     if not _finite(y):
         raise ValueError("initial datum must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = _evaluate(y, sp, params)
+        ev = _evaluate(y, op, params, lam_ik)
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
@@ -443,13 +365,14 @@ def simulate(
             rho_tilde=Field(grid, y[1], allow_nonfinite=at_detection) if two else None,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            dy = np.fft.irfft(ev.k_hat, n=sp.n)
+            dy = np.fft.irfft(ev.k_hat, n=grid.n_points)
+            rho, rf = (y[1], ev.phys[3]) if two else (None, None)
             diag = RecordDiagnostics(
-                min_ux=float(np.min(ev.ux)),
+                min_ux=float(np.min(ev.phys[2])),
                 max_abs_u=float(np.max(np.abs(y[0]))),
                 dt=dt_used,
-                energy_e=energy_E(state, params),
-                energy_f=energy_F(state, params),
+                energy_e=_energy_e(y[0], ev.phys[2], rho, params, grid.dx),
+                energy_f=_energy_f(ev.phys[0], ev.phys[1], rf, params, grid.dx),
             )
         records.append(
             TrajectoryRecord(
@@ -463,7 +386,7 @@ def simulate(
 
     snapshot(dt_used=0.0)
 
-    tracker = _SlopeTracker(grid, params, ev.ux, y[0], y[1] if two else None)
+    tracker = _SlopeTracker(grid, params, ev.phys[2], y[0], y[1] if two else None)
 
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
@@ -479,7 +402,7 @@ def simulate(
         nonlocal trigger, t_detect, min_slope_at_detect
         trigger = TRIGGER_DT
         t_detect = t
-        min_slope_at_detect = min(float(np.min(ev.ux)), tracker.min_slope())
+        min_slope_at_detect = min(float(np.min(ev.phys[2])), tracker.min_slope())
         if records[-1].state.t < t - eps:
             snapshot(dt_used=dt_used, at_detection=True)
         else:
@@ -503,12 +426,12 @@ def simulate(
 
         # overflow inside a trial step is the breakdown signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            y_new = _step(y, ev, dt, sp, params)
+            y_new = _step(y, ev, dt, op, params, lam_ik)
             while not _finite(y_new):
                 dt *= 0.5
                 if dt < config.dt_min:
                     break
-                y_new = _step(y, ev, dt, sp, params)
+                y_new = _step(y, ev, dt, op, params, lam_ik)
 
         if not _finite(y_new):
             # NaN even at the minimum step
@@ -516,14 +439,14 @@ def simulate(
             break
 
         with np.errstate(over="ignore", invalid="ignore"):
-            ev_new = _evaluate(y_new, sp, params)
+            ev_new = _evaluate(y_new, op, params, lam_ik)
         crossing = tracker.advance(ev, ev_new, t, dt, threshold)
 
         y, ev = y_new, ev_new
         t += dt
         steps += 1
 
-        min_ux_grid = float(np.min(ev.ux))
+        min_ux_grid = float(np.min(ev.phys[2]))
         if crossing is not None or min_ux_grid < -threshold:
             trigger = TRIGGER_SLOPE
             if crossing is not None:

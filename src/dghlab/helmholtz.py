@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import Field, Grid, Parameters, _derivative_symbol
+from .core import Field, Grid, Parameters
 
 __all__ = ["NonlocalOperator", "make_operator", "green_kernel"]
 
@@ -40,9 +40,9 @@ class NonlocalOperator:
     symbol_dq: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        xi = self.grid.wavenumbers()
-        sym_q = 1.0 / (1.0 + (self.params.alpha * xi) ** 2)
-        sym_dq = _derivative_symbol(self.grid) * sym_q
+        sp = self.grid.spectral
+        sym_q = 1.0 / (1.0 + (self.params.alpha * sp.xi) ** 2)
+        sym_dq = sp.ik * sym_q
         sym_q.setflags(write=False)
         sym_dq.setflags(write=False)
         object.__setattr__(self, "symbol_q", sym_q)

@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 import dghlab as dg
 from dghlab.analysis import _golden_refine, full_kernel_gap, one_sided_gaps, sobolev_gap
-from dghlab.core import trig_eval
 from tests.conftest import seeded_band_limited
 
 
@@ -275,10 +274,11 @@ class TestCriterionOneComponent:
 
     @pytest.mark.parametrize("seed,amp", [(0, 2.0), (1, 2.0), (2, 2.0), (3, 0.01)])
     def test_refinement_bit_identical_to_trig_eval_reference(self, grid2048, seed, amp):
-        # reference: the grid scan plus golden-section refinement with one
-        # trig_eval (its own evaluator and cos/sin pass) per row and point
+        # reference: the grid scan plus golden-section refinement with its
+        # own cos/sin pass per coefficient row and point
         rng = np.random.default_rng(seed)
         grid = grid2048
+        sp = grid.spectral
         p = dg.make_parameters(1.0, 0.3 * (seed % 2), 0.4 * (seed // 2))
         u0 = dg.ic_preset("from_samples", grid, values=amp * seeded_band_limited(rng, grid))
         u_hat = np.fft.rfft(u0.values)
@@ -288,12 +288,16 @@ class TestCriterionOneComponent:
         margins = p.alpha * np.fft.irfft(ux_hat, n=grid.n_points) + np.abs(u0.values + p.k)
         i = int(np.argmin(margins))
 
+        def interp(coeffs, x):
+            # the former trig_eval: a cos/sin pass of its own per row
+            return float(sp.values(coeffs, sp.basis(x))[0])
+
         def margin_at(x):
-            return p.alpha * trig_eval(ux_hat, grid, x) + abs(trig_eval(u_hat, grid, x) + p.k)
+            return p.alpha * interp(ux_hat, x) + abs(interp(u_hat, x) + p.k)
 
         x_ref, m_ref = _golden_refine(margin_at, grid.nodes[i] - grid.dx, grid.nodes[i] + grid.dx)
         x_best, margin = (x_ref, m_ref) if m_ref < margins[i] else (grid.nodes[i], margins[i])
-        slope, value = trig_eval(ux_hat, grid, x_best), trig_eval(u_hat, grid, x_best)
+        slope, value = interp(ux_hat, x_best), interp(u_hat, x_best)
 
         v = dg.check_criterion_dgh(u0, p)
         assert v.x0_best == float(x_best)

@@ -169,9 +169,7 @@ class TestMomentumIdentity:
         traj, _, _, params = bump_run
         grid = traj.grid
         u0 = traj.records[0].state.u.values
-        from dghlab.core import derivative_values
-
-        uxx0 = derivative_values(derivative_values(u0, grid), grid)
+        uxx0 = grid.spectral.ddx(grid.spectral.ddx(u0))
         for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0):
             path = dg.advect(traj, x0, params)
             i = int(np.argmin(np.abs(grid.nodes - x0)))

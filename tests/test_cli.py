@@ -131,13 +131,21 @@ class TestLemmasCommand:
         assert report["passed"] is True
         assert report["worst_min_gap"] >= -1e-8
 
-    def test_corrupted_operator_fails_suite(self, tmp_path):
+    def test_corrupted_operator_fails_suite(self, tmp_path, monkeypatch):
+        # flip the kernel symbol's sign so every convolution bound fails
+        # (flipping the derivative symbol alone would only mirror the
+        # one-sided pair)
+        make_operator = cli.make_operator
+
+        def corrupted(grid, params):
+            op = make_operator(grid, params)
+            object.__setattr__(op, "symbol_q", -op.symbol_q)
+            return op
+
+        monkeypatch.setattr(cli, "make_operator", corrupted)
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
         out = tmp_path / "out"
-        code = main([
-            "lemmas", "--config", str(cfg), "--out", str(out),
-            "--N", "512", "--corrupt-operator",
-        ])
+        code = main(["lemmas", "--config", str(cfg), "--out", str(out), "--N", "512"])
         assert code == 1
         report = json.loads((out / "lemmas_report.json").read_text())
         assert report["passed"] is False
@@ -227,6 +235,60 @@ class TestSweepCommand:
             with pytest.raises(RuntimeError, match="sweep cell 0: TypeError: injected"):
                 main(argv)
         assert len(calls) == 1  # the cells after the failing one never run
+
+
+class TestConfigErrors:
+    """A config that cannot be used exits 2, names the offending key and
+    writes nothing, in every command."""
+
+    def run(self, tmp_path, capsys, command, **over):
+        cfg = write_config(tmp_path, **over)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    def test_misspelled_keys_exit_2(self, tmp_path, capsys):
+        code, _ = self.run(
+            tmp_path, capsys, "criterion",
+            solver={"tmax": 0.1, "record_evry": 2}, grid={"n_point": 256},
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
+    @pytest.mark.parametrize("over, path", [
+        ({"solver": {"t_max": 0.1, "record_evry": 2}}, "solver.record_evry"),
+        ({"grid": {"n_point": 256}}, "grid.n_point"),
+        ({"initial": {"preset": "sech_bump", "arg": {"a": 2.0}}}, "initial.arg"),
+        ({"lemmas": {"n_randm": 3}}, "lemmas.n_randm"),
+        ({"worker": 2}, "worker"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_unknown_key_exits_2_naming_path(self, tmp_path, capsys, command, over, path):
+        code, err = self.run(tmp_path, capsys, command, **over)
+        assert code == 2
+        assert f"unknown config key {path}" in err
+
+    @pytest.mark.parametrize("over, path", [
+        ({"parameters": {"alpha": "abc"}}, "parameters.alpha"),
+        ({"workers": None}, "workers"),
+        ({"seeds": 0.5}, "seeds"),
+        ({"solver": None}, "solver"),
+        ({"sweep": {"c0_gamma": [[0.0, 0.0, 1.0]]}}, "sweep.c0_gamma"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_malformed_value_exits_2_naming_path(self, tmp_path, capsys, over, path):
+        code, err = self.run(tmp_path, capsys, "criterion", **over)
+        assert code == 2
+        assert path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion"])
+    def test_bad_preset_argument_exits_2(self, tmp_path, capsys, command):
+        code, err = self.run(
+            tmp_path, capsys, command,
+            initial={"preset": "gaussian_derivative", "args": {"a": 1.0, "bogus": 2}},
+        )
+        assert code == 2
+        assert "bogus" in err
 
 
 class TestDeterminism:

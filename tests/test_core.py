@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dghlab as dg
-from dghlab.core import TrigEvaluator, derivative_values
 
 
 class TestParameters:
@@ -151,7 +150,7 @@ class TestDerivative:
         for n in (128, 256):
             g = dg.make_grid(20.0, n)
             u = dg.ic_preset("gaussian_bump", g)
-            du = derivative_values(u.values, g)
+            du = g.spectral.ddx(u.values)
             fd = (np.roll(u.values, -1) - np.roll(u.values, 1)) / (2 * g.dx)
             errs.append(np.max(np.abs(du - fd)))
         ratio = errs[0] / errs[1]
@@ -164,8 +163,8 @@ class TestDerivative:
         rng = np.random.default_rng(42)
         f1 = np.fft.irfft(np.exp(-np.arange(129) / 8.0) * (rng.normal(size=129) + 1j * rng.normal(size=129)), n=256)
         f2 = np.fft.irfft(np.exp(-np.arange(129) / 8.0) * (rng.normal(size=129) + 1j * rng.normal(size=129)), n=256)
-        lhs = derivative_values(a * f1 + b * f2, g)
-        rhs = a * derivative_values(f1, g) + b * derivative_values(f2, g)
+        lhs = g.spectral.ddx(a * f1 + b * f2)
+        rhs = a * g.spectral.ddx(f1) + b * g.spectral.ddx(f2)
         scale = np.max(np.abs(rhs)) + 1.0
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
@@ -173,9 +172,22 @@ class TestDerivative:
         g = grid1024
         f = dg.ic_preset("gaussian_bump", g).values
         h = dg.ic_preset("sech_bump", g, center=2.0).values
-        lhs = np.sum(f * derivative_values(h, g)) * g.dx
-        rhs = -np.sum(derivative_values(f, g) * h) * g.dx
+        lhs = np.sum(f * g.spectral.ddx(h)) * g.dx
+        rhs = -np.sum(g.spectral.ddx(f) * h) * g.dx
         assert abs(lhs - rhs) / (abs(rhs) + 1e-30) < 1e-10
+
+
+class TestSpectral:
+    def test_one_read_only_toolkit_per_grid(self, grid1024, params_ch):
+        sp = grid1024.spectral
+        assert grid1024.spectral is sp
+        assert dg.make_grid(20.0, 1024).spectral is not sp
+        for a in (sp.xi, sp.ik, sp.filters):
+            assert not a.flags.writeable
+        assert sp.ik[-1] == 0.0
+        assert np.array_equal(sp.ik.imag[:-1], sp.xi[:-1])
+        op = dg.make_operator(grid1024, params_ch)
+        assert np.array_equal(op.symbol_dq, sp.ik * op.symbol_q)
 
 
 class TestInterpolation:
@@ -193,7 +205,7 @@ class TestInterpolation:
 
     def test_evaluator_matches_field_interpolation(self, grid1024):
         u = dg.ic_preset("gaussian_derivative", grid1024, a=0.7)
-        ev = TrigEvaluator(grid1024)
+        ev = grid1024.spectral
         coeffs = np.fft.rfft(u.values)
         x = 1.2345
         basis = ev.basis(x)
@@ -207,7 +219,7 @@ class TestInterpolation:
         # block-factored phases at several points against direct cos/sin
         # sums over every bin
         u = dg.ic_preset("gaussian_derivative", grid1024, a=0.7)
-        ev = TrigEvaluator(grid1024)
+        ev = grid1024.spectral
         coeffs = np.fft.rfft(u.values)
         xs = np.array([-19.9, -3.3, 1.2345, 7.77, 19.99])
         xi = grid1024.wavenumbers()

@@ -41,8 +41,8 @@ class TestSymbols:
     def test_operator_grid_mismatch_detected(self, grid1024, grid2048, params_ch):
         op = dg.make_operator(grid1024, params_ch)
         u = dg.ic_preset("gaussian_bump", grid2048)
-        with pytest.raises(ValueError):
-            dg.dgh_rhs(u, op, params_ch)
+        with pytest.raises(ValueError, match="different grid"):
+            dg.simulate(dg.State(0.0, u), dg.SolverConfig(t_max=0.1), op, params_ch)
 
 
 def _periodized_conv_oracle(x_eval, f_exact, grid, params, one_sided=False):
