@@ -19,9 +19,8 @@ def run_family(amplitudes, n_points, half_length):
         grid = dg.make_grid(half_length, n_points)
         u0 = dg.ic_preset("gaussian_derivative", grid, a=a)
         verdict = dg.check_criterion_dgh(u0, params)
-        op = dg.make_operator(grid, params)
         cfg = dg.SolverConfig(t_max=2.0 / a + 1.0, record_every=4)
-        _, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+        _, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
         rows.append((a, verdict.margin, verdict.time_bound, rep.t_detect,
                      rep.min_slope_at_detect))
     return rows

@@ -107,6 +107,17 @@ def _gap_field(values: np.ndarray, grid) -> GapField:
     )
 
 
+def _check_operator(u: Field, op: NonlocalOperator, params: Parameters) -> None:
+    """Raise ValueError unless op belongs to u's grid and params' alpha:
+    under any other operator the gap would be a wrong number."""
+    if op.grid != u.grid:
+        raise ValueError("operator was built for a different grid than u")
+    if op.alpha != params.alpha:
+        raise ValueError(
+            f"operator was built for alpha = {op.alpha}, parameters have alpha = {params.alpha}"
+        )
+
+
 def one_sided_gaps(
     u: Field, op: NonlocalOperator, params: Parameters
 ) -> tuple[GapField, GapField]:
@@ -117,6 +128,7 @@ def one_sided_gaps(
     Equality holds for the peakon family u = c*exp(-|x-y|/alpha) - k, on
     x <= y for the minus sign and x >= y for the plus sign.
     """
+    _check_operator(u, op, params)
     # in the quarter band every quadratic product below is alias-free, so
     # the discrete gap equals the continuum gap of a genuine finite-energy
     # function: nonnegative up to the e^{-2L/alpha} periodization
@@ -135,6 +147,7 @@ def full_kernel_gap(
     u: Field, op: NonlocalOperator, params: Parameters
 ) -> GapField:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2."""
+    _check_operator(u, op, params)
     uv, ux = u.grid.spectral.quarter_band(u.values)
     w = 0.5 * params.alpha**2 * ux * ux + (uv + params.k) ** 2
     conv = op.apply_q_values(w)

@@ -12,7 +12,9 @@ four trig passes.  Along each path we evaluate the slope g = u_x(t, q), the
 stretch q_x, the exponentially weighted pair (A, B) whose monotonicity
 drives the Riccati slope collapse, their unweighted variants, and the
 residuals of the momentum identity and of the two-component density
-invariant.
+invariant.  Each of these path functionals takes a PathPoint whose fields
+are scalars or arrays, and advect calls it once per path on the whole
+recorded series.
 
 The weighted pair grows like exp(t |k - lam| / alpha) and can overflow;
 it is therefore carried in sign + log-magnitude form, and monotonicity
@@ -44,20 +46,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathPoint:
-    """Everything evaluated at one recorded time along one path."""
+    """The fields along one path at one recorded time or at several: each
+    field is a scalar or an array over the path's records, all arrays of
+    one length (m0 and rho0, the values at the seed, may stay scalars).
+    The path functionals below return scalars or arrays to match."""
 
-    t: float
-    q: float
-    qx: float
-    u: float
-    ux: float
-    m: float
-    m0: float
-    rho: float | None = None
-    rho0: float | None = None
+    t: float | np.ndarray
+    q: float | np.ndarray
+    qx: float | np.ndarray
+    u: float | np.ndarray
+    ux: float | np.ndarray
+    m: float | np.ndarray
+    m0: float | np.ndarray
+    rho: float | np.ndarray | None = None
+    rho0: float | np.ndarray | None = None
 
 
-def weighted_ab(point: PathPoint, params: Parameters) -> tuple[float, float]:
+def weighted_ab(point: PathPoint, params: Parameters):
     """Exponentially weighted monotone pair
 
         A = exp(q/alpha + (k-lam) t/alpha) * ((u+k)/alpha - u_x)
@@ -69,29 +74,25 @@ def weighted_ab(point: PathPoint, params: Parameters) -> tuple[float, float]:
     """
     sa, la, sb, lb = weighted_ab_log(point, params)
     with np.errstate(over="ignore"):
-        return float(sa * np.exp(la)), float(sb * np.exp(lb))
+        return sa * np.exp(la), sb * np.exp(lb)
 
 
-def weighted_ab_log(
-    point: PathPoint, params: Parameters
-) -> tuple[float, float, float, float]:
+def weighted_ab_log(point: PathPoint, params: Parameters):
     """(sign_A, log|A|, sign_B, log|B|); log|.| is -inf for exact zeros."""
     a = params.alpha
     base_a = (point.u + params.k) / a - point.ux
     base_b = (point.u + params.k) / a + point.ux
     wa = (point.q + (params.k - params.lam) * point.t) / a
-    wb = -wa
     with np.errstate(divide="ignore"):
-        la = wa + np.log(abs(base_a)) if base_a != 0.0 else -np.inf
-        lb = wb + np.log(abs(base_b)) if base_b != 0.0 else -np.inf
-    return float(np.sign(base_a)), float(la), float(np.sign(base_b)), float(lb)
+        la = wa + np.log(np.abs(base_a))
+        lb = -wa + np.log(np.abs(base_b))
+    return np.sign(base_a), la, np.sign(base_b), lb
 
 
-def plain_ab(point: PathPoint, params: Parameters) -> tuple[float, float]:
+def plain_ab(point: PathPoint, params: Parameters):
     """Unweighted variants A = (u+k)/alpha - u_x, B = (u+k)/alpha + u_x."""
-    a = (point.u + params.k) / params.alpha - point.ux
-    b = (point.u + params.k) / params.alpha + point.ux
-    return float(a), float(b)
+    base = (point.u + params.k) / params.alpha
+    return base - point.ux, base + point.ux
 
 
 def collapse_rate(a: float, b: float) -> float | None:
@@ -104,21 +105,21 @@ def collapse_rate(a: float, b: float) -> float | None:
     return float(np.sqrt(-prod))
 
 
-def momentum_residual(point: PathPoint, params: Parameters) -> float:
+def momentum_residual(point: PathPoint, params: Parameters):
     """LHS - RHS of the conserved momentum identity
 
         m0(x0) + k = (m(t, q) + k) * q_x^2,
 
     using c0/2 + gamma/(2 alpha^2) = k; zero along exact solutions."""
-    return float((point.m0 + params.k) - (point.m + params.k) * point.qx**2)
+    return (point.m0 + params.k) - (point.m + params.k) * point.qx**2
 
 
-def rho_invariant_residual(point: PathPoint) -> float:
+def rho_invariant_residual(point: PathPoint):
     """(rho~(t,q) + 1) q_x - (rho~0(x0) + 1); zero along exact solutions
     of the two-component system."""
     if point.rho is None or point.rho0 is None:
         raise ValueError("density invariant needs a two-component path")
-    return float((point.rho + 1.0) * point.qx - (point.rho0 + 1.0))
+    return (point.rho + 1.0) * point.qx - (point.rho0 + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,85 +244,32 @@ def advect(traj: Trajectory, x0, params: Parameters):
         if live.size == 0:
             break
 
-    pre = np.cumsum([not r.at_detection for r in traj.records])
+    pre = np.cumsum([not r.at_detection for r in records])
     paths = []
     for j, x in enumerate(seeds):
-        rows = series[: length[j], j]
-        m0, rho0 = rows[0, 4], rows[0, 5]
-        pts = [
-            PathPoint(
-                t=float(times[i]),
-                q=float(r[0]),
-                qx=float(r[1]),
-                u=float(r[2]),
-                ux=float(r[3]),
-                m=float(r[4]),
-                m0=float(m0),
-                rho=float(r[5]) if two else None,
-                rho0=float(rho0) if two else None,
-            )
-            for i, r in enumerate(rows)
-        ]
-        paths.append(_assemble(float(x), pts, params, bool(truncated[j]), int(pre[length[j] - 1])))
+        n = length[j]
+        q_j, qx_j, u_j, ux_j, m_j, rho_j = np.ascontiguousarray(series[:n, j].T)
+        pt = PathPoint(
+            t=times[:n], q=q_j, qx=qx_j, u=u_j, ux=ux_j, m=m_j, m0=m_j[0],
+            rho=rho_j if two else None, rho0=rho_j[0] if two else None,
+        )
+        sa, la, sb, lb = weighted_ab_log(pt, params)
+        aw, bw = weighted_ab(pt, params)
+        ap, bp = plain_ab(pt, params)
+        prod = ap * bp
+        paths.append(CharacteristicPath(
+            x0=float(x), t=pt.t, q=q_j, qx=qx_j, u=u_j, g=ux_j,
+            a_weighted=aw, b_weighted=bw,
+            sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
+            a_plain=ap, b_plain=bp,
+            h_plain=np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan),
+            momentum_res=momentum_residual(pt, params),
+            rho_res=rho_invariant_residual(pt) if two else None,
+            n_pre_detection=int(pre[n - 1]),
+            truncated=bool(truncated[j]),
+            weight_overflow=bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw))),
+        ))
     return paths[0] if np.ndim(x0) == 0 else paths
-
-
-def _assemble(
-    x0: float,
-    pts: list[PathPoint],
-    params: Parameters,
-    truncated: bool,
-    n_pre: int,
-) -> CharacteristicPath:
-    n = len(pts)
-    t = np.array([p.t for p in pts])
-    q = np.array([p.q for p in pts])
-    qx = np.array([p.qx for p in pts])
-    u = np.array([p.u for p in pts])
-    g = np.array([p.ux for p in pts])
-    sa = np.empty(n)
-    la = np.empty(n)
-    sb = np.empty(n)
-    lb = np.empty(n)
-    ap = np.empty(n)
-    bp = np.empty(n)
-    mres = np.empty(n)
-    rres = np.empty(n) if pts and pts[0].rho is not None else None
-    for i, p in enumerate(pts):
-        sa[i], la[i], sb[i], lb[i] = weighted_ab_log(p, params)
-        ap[i], bp[i] = plain_ab(p, params)
-        mres[i] = momentum_residual(p, params)
-        if rres is not None:
-            rres[i] = rho_invariant_residual(p)
-    with np.errstate(over="ignore"):
-        aw = sa * np.exp(la)
-        bw = sb * np.exp(lb)
-    prod = ap * bp
-    h = np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan)
-    overflow = bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw)))
-    n_pre = min(n_pre, n)
-    return CharacteristicPath(
-        x0=x0,
-        t=t,
-        q=q,
-        qx=qx,
-        u=u,
-        g=g,
-        a_weighted=aw,
-        b_weighted=bw,
-        sign_a_w=sa,
-        log_abs_a_w=la,
-        sign_b_w=sb,
-        log_abs_b_w=lb,
-        a_plain=ap,
-        b_plain=bp,
-        h_plain=h,
-        momentum_res=mres,
-        rho_res=rres,
-        n_pre_detection=n_pre,
-        truncated=truncated,
-        weight_overflow=overflow,
-    )
 
 
 def resolved_count(path: CharacteristicPath, qx_floor: float = 0.1) -> int:

@@ -147,6 +147,14 @@ def _text(value) -> str:
     return value
 
 
+def _integer(value) -> int:
+    """int(value), refusing what int() would truncate: bools and floats
+    with a fractional part (or no finite value)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _floats(value) -> list[float]:
     return [float(v) for v in value]
 
@@ -160,25 +168,25 @@ _FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
 CONFIG_KEYS = {
     "equation": _text,
     "parameters": {"alpha": float, "gamma": float, "c0": float, "sigma": float},
-    "grid": {"half_length": float, "n_points": int},
+    "grid": {"half_length": float, "n_points": _integer},
     "solver": {
         "t_max": float,
         "cfl": float,
         "dt_min": float,
         "slope_blowup_threshold": float,
-        "record_every": int,
+        "record_every": _integer,
     },
     "initial": _FIELD_KEYS,
     "rho_initial": _FIELD_KEYS,
     "seeds": _floats,
     "out_dir": _text,
-    "rng_seed": int,
-    "workers": int,
+    "rng_seed": _integer,
+    "workers": _integer,
     "lemmas": {
-        "n_random": int,
-        "n_modes": int,
-        "max_mode": int,
-        "resolutions": lambda v: [int(n) for n in v],
+        "n_random": _integer,
+        "n_modes": _integer,
+        "max_mode": _integer,
+        "resolutions": lambda v: [_integer(n) for n in v],
     },
     "sweep": {
         "amplitudes": _floats,
@@ -245,6 +253,8 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             setattr(cfg, attr, val)
     if cfg.equation not in ("dgh", "dgh2"):
         raise ConfigError(f"equation must be dgh or dgh2, got {cfg.equation!r}")
+    if cfg.equation == "dgh" and cfg.rho_initial is not None:
+        raise ConfigError("rho_initial is set, but equation dgh has no density")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
     return cfg
@@ -278,37 +288,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     state = cfg.initial_state(grid, params)
-    op = make_operator(grid, params)
     solver = cfg.solver()
+
+    t0 = time.perf_counter()
+    traj, report = simulate(state, solver, params)
+    wall = time.perf_counter() - t0
+    # before any file is written: a seed outside the domain fails here
+    # and leaves no partial output
+    paths = advect(traj, cfg.seeds, params)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    t0 = time.perf_counter()
-    traj, report = simulate(state, solver, op, params)
-    wall = time.perf_counter() - t0
-
     _write_trajectory_csv(out / "trajectory.csv", traj)
 
     two = state.rho_tilde is not None
+    header = ["t", "q", "g", "qx", "A_w", "B_w", "A_p", "B_p", "mom_res"]
+    if two:
+        header.append("rho_res")
     char_meta = []
-    paths = advect(traj, cfg.seeds, params)
     for i, (x0, path) in enumerate(zip(cfg.seeds, paths)):
         name = f"characteristic_{i:03d}.csv"
-        header = ["t", "q", "g", "qx", "A_w", "B_w", "A_p", "B_p", "mom_res"]
+        cols = [
+            path.t, path.q, path.g, path.qx, path.a_weighted, path.b_weighted,
+            path.a_plain, path.b_plain, path.momentum_res,
+        ]
         if two:
-            header.append("rho_res")
-        rows = []
-        for j in range(path.t.size):
-            row = [
-                path.t[j], path.q[j], path.g[j], path.qx[j],
-                path.a_weighted[j], path.b_weighted[j],
-                path.a_plain[j], path.b_plain[j], path.momentum_res[j],
-            ]
-            if two:
-                row.append(path.rho_res[j])
-            rows.append(row)
-        _write_csv(out / name, header, rows)
+            cols.append(path.rho_res)
+        _write_csv(out / name, header, np.column_stack(cols))
         char_meta.append(
             {
                 "seed": float(x0),
@@ -349,14 +355,11 @@ def cmd_criterion(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     state = cfg.initial_state(grid, params)
-    if cfg.equation == "dgh2" and params.gamma != 0.0:
-        print(
-            "error: the two-component breaking criterion requires gamma = 0 "
-            f"(config has gamma = {params.gamma})",
-            file=sys.stderr,
-        )
-        return 2
-    verdict = _criterion_for(cfg.equation, state, params)
+    if cfg.equation == "dgh":
+        verdict = check_criterion_dgh(state.u, params)
+    else:
+        # a ValueError at gamma != 0 exits 2 through main
+        verdict = check_criterion_dgh2(state.u, state.rho_tilde, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -365,7 +368,6 @@ def cmd_criterion(cfg: RunConfig) -> int:
         "verdict": asdict(verdict),
     }
     _write_json(out / "verdict.json", payload)
-    assert verdict is not None
     line = (
         f"criterion holds={verdict.holds} x0={verdict.x0_best:.6g} "
         f"margin={verdict.margin:.6g}"
@@ -429,8 +431,7 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     results = {}
     worst = np.inf
     for name, u, pars in fields:
-        opu = op if pars is params else make_operator(grid, pars)
-        entry = _gap_entries(u, opu, pars)
+        entry = _gap_entries(u, op, pars)
         results[name] = entry
         worst = min(worst, *(e["min_gap"] for e in entry.values()))
 
@@ -534,12 +535,11 @@ def _run_cell(
     the row's status; any other exception propagates."""
     idx, amp, c0, gamma = cell
     params = make_parameters(alpha, gamma, c0, sigma)
-    grid = base.u.grid
-    u0 = ic_preset("from_samples", grid, params, values=amp * base.u.values)
+    u0 = ic_preset("from_samples", base.u.grid, params, values=amp * base.u.values)
     state = State(0.0, u0, base.rho_tilde)
     try:
         v = _criterion_for(equation, state, params)
-        _, report = simulate(state, solver, make_operator(grid, params), params)
+        _, report = simulate(state, solver, params)
     except ArithmeticError as exc:
         return [idx, amp, c0, gamma, alpha, "", "", "", "", "", "", "",
                 f"error: {type(exc).__name__}: {exc}"]

@@ -19,7 +19,8 @@ first stage (also across NaN backoff), as the record's du/dt, min u_x, E
 and F, as the slope tracker's endpoint fields and as the grid-slope
 trigger.  The grid's Fourier bookkeeping (derivative symbol, 2/3 filter
 rows, trigonometric interpolant) comes from grid.spectral, the Helmholtz
-symbols from the NonlocalOperator.
+symbols from the NonlocalOperator that simulate builds from the initial
+datum's grid and alpha.
 
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
@@ -328,14 +329,12 @@ class BlowupReport:
 
 
 def simulate(
-    initial: State,
-    config: SolverConfig,
-    op: NonlocalOperator,
-    params: Parameters,
+    initial: State, config: SolverConfig, params: Parameters
 ) -> tuple[Trajectory, BlowupReport]:
     """Integrate until the horizon, a slope-threshold crossing, or dt
     underflow; record at the configured cadence plus initial, final and
-    trigger states.
+    trigger states.  The Helmholtz operator is built here, on the grid of
+    the initial datum with params.alpha, so the two cannot disagree.
 
     Breaking is declared when either the characteristic-tracked slope or
     the grid minimum of u_x falls below -slope_blowup_threshold, or when
@@ -343,8 +342,7 @@ def simulate(
     last finite state retained).
     """
     grid = initial.u.grid
-    if op.grid != grid:
-        raise ValueError("operator was built for a different grid")
+    op = NonlocalOperator(grid, params.alpha)
     lam_ik = params.lam * grid.spectral.ik
     two = initial.rho_tilde is not None
 

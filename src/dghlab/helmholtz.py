@@ -26,7 +26,8 @@ def green_kernel(x, params: Parameters):
 
 @dataclass(frozen=True, eq=False)
 class NonlocalOperator:
-    """Precomputed Fourier symbols for Q and d_x Q on one grid.
+    """Precomputed Fourier symbols for Q and d_x Q on one grid and one
+    alpha, which is all that fixes the operator.
 
     The symbol of Q is 1/(1 + alpha^2 xi^2): real, even, positive, <= 1,
     and exactly 1 at xi = 0 (the kernel has unit mass).  d_x Q carries the
@@ -35,13 +36,13 @@ class NonlocalOperator:
     """
 
     grid: Grid
-    params: Parameters
+    alpha: float
     symbol_q: np.ndarray = dc_field(init=False, repr=False)
     symbol_dq: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sp = self.grid.spectral
-        sym_q = 1.0 / (1.0 + (self.params.alpha * sp.xi) ** 2)
+        sym_q = 1.0 / (1.0 + (self.alpha * sp.xi) ** 2)
         sym_dq = sp.ik * sym_q
         sym_q.setflags(write=False)
         sym_dq.setflags(write=False)
@@ -77,7 +78,7 @@ class NonlocalOperator:
         a single code path for all convolutions.
         """
         fh = np.fft.rfft(f.values)
-        a = self.params.alpha
+        a = self.alpha
         n = self.grid.n_points
         qf = np.fft.irfft(self.symbol_q * fh, n=n)
         dqf = np.fft.irfft(self.symbol_dq * fh, n=n)
@@ -87,4 +88,4 @@ class NonlocalOperator:
 
 
 def make_operator(grid: Grid, params: Parameters) -> NonlocalOperator:
-    return NonlocalOperator(grid, params)
+    return NonlocalOperator(grid, params.alpha)

@@ -57,9 +57,8 @@ class RunCache:
             grid = dg.make_grid(L_DEFAULT, n)
             params = dg.make_parameters(1.0)
             u0 = dg.ic_preset("gaussian_derivative", grid, a=a)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=2.0 / a + 1.0, record_every=2)
-            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
             verdict = dg.check_criterion_dgh(u0, params)
             return traj, rep, verdict, params
         if kind == "bump":
@@ -67,27 +66,24 @@ class RunCache:
             grid = dg.make_grid(L_DEFAULT, n)
             params = dg.make_parameters(1.0)
             u0 = dg.ic_preset("gaussian_bump", grid)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=1.0, record_every=2)
-            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
             return traj, rep, dg.check_criterion_dgh(u0, params), params
         if kind == "two_smooth":
             grid = dg.make_grid(L_DEFAULT, 4096)
             params = dg.make_parameters(1.0)
             u0 = dg.ic_preset("gaussian_derivative", grid, a=-0.3)
             rho0 = _rho_minus_one_bump(grid)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=1.0, record_every=2)
-            traj, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, params)
             return traj, rep, None, params
         if kind == "two_breaking":
             grid = dg.make_grid(L_DEFAULT, 4096)
             params = dg.make_parameters(1.0)
             u0 = dg.ic_preset("gaussian_derivative", grid, a=1.0)
             rho0 = _rho_minus_one_bump(grid)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=2.5, record_every=2)
-            traj, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, params)
             verdict = dg.check_criterion_dgh2(u0, rho0, params)
             return traj, rep, verdict, params
         if kind == "dispersive_breaking":
@@ -97,18 +93,16 @@ class RunCache:
             grid = dg.make_grid(L_DEFAULT, 4096)
             params = dg.make_parameters(1.0, 1.0, 1.0)
             u0 = dg.ic_preset("gaussian_derivative", grid, a=3.0, offset=-params.k)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=1.0, record_every=2)
-            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
             verdict = dg.check_criterion_dgh(u0, params)
             return traj, rep, verdict, params
         if kind == "negative_control":
             grid = dg.make_grid(L_DEFAULT, 4096)
             params = dg.make_parameters(1.0)
             u0 = dg.ic_preset("gaussian_bump", grid, a=0.01)
-            op = dg.make_operator(grid, params)
             cfg = dg.SolverConfig(t_max=5.0, record_every=1)
-            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+            traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
             return traj, rep, None, params
         raise KeyError(key)
 

@@ -197,6 +197,23 @@ class TestFullKernelGap:
         assert np.max(np.abs(gap.field.values - combined)) < 1e-10
 
 
+class TestOperatorMismatch:
+    """A gap under an operator of another grid or another alpha is a
+    wrong number, not a failure; the gap functions refuse such an
+    operator instead."""
+
+    @pytest.mark.parametrize("gap", [one_sided_gaps, full_kernel_gap])
+    @pytest.mark.parametrize("n_points, alpha, match", [
+        (2048, 1.0, "different grid"),
+        (1024, 2.0, "alpha = 2.0"),
+    ], ids=["other_grid", "other_alpha"])
+    def test_foreign_operator_rejected(self, grid1024, params_ch, gap, n_points, alpha, match):
+        u = dg.ic_preset("gaussian_derivative", grid1024)
+        op = dg.make_operator(dg.make_grid(grid1024.half_length, n_points), dg.make_parameters(alpha))
+        with pytest.raises(ValueError, match=match):
+            gap(u, op, params_ch)
+
+
 class TestSobolevGap:
     def test_zero(self, grid1024, params_ch):
         u = dg.ic_preset("from_samples", grid1024, values=np.zeros(1024))

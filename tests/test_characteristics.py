@@ -15,10 +15,9 @@ def constant_state(grid, c):
 
 class TestFlowMap:
     def test_stationary_flow(self, grid1024, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
         traj, _ = dg.simulate(
             constant_state(grid1024, 0.0), dg.SolverConfig(t_max=1.0, record_every=2),
-            op, params_ch,
+            params_ch,
         )
         path = dg.advect(traj, -3.0, params_ch)
         assert np.max(np.abs(path.q + 3.0)) == 0.0
@@ -27,10 +26,9 @@ class TestFlowMap:
 
     def test_uniform_translation(self, grid1024, params_ch):
         c = 0.4
-        op = dg.make_operator(grid1024, params_ch)
         traj, _ = dg.simulate(
             constant_state(grid1024, c), dg.SolverConfig(t_max=1.0, record_every=2),
-            op, params_ch,
+            params_ch,
         )
         path = dg.advect(traj, 0.5, params_ch)
         assert np.max(np.abs(path.q - (0.5 + c * path.t))) < 1e-10
@@ -60,10 +58,9 @@ class TestFlowMap:
         assert np.all(np.diff(qs, axis=0) > 0)
 
     def test_boundary_truncation_flag(self, grid1024, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
         traj, _ = dg.simulate(
             constant_state(grid1024, 0.5), dg.SolverConfig(t_max=2.0, record_every=2),
-            op, params_ch,
+            params_ch,
         )
         L = grid1024.half_length
         path = dg.advect(traj, L - 2.3, params_ch)
@@ -97,10 +94,9 @@ class TestMultiSeedAdvect:
         self.check(traj, [-2.0, 0.0, 1.5], params)
 
     def test_seed_leaving_domain(self, grid1024, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
         traj, _ = dg.simulate(
             constant_state(grid1024, 0.5), dg.SolverConfig(t_max=2.0, record_every=2),
-            op, params_ch,
+            params_ch,
         )
         L = grid1024.half_length
         paths = self.check(traj, [L - 2.3, 0.0], params_ch)
@@ -156,6 +152,27 @@ class TestPathFunctionals:
     def test_momentum_residual_is_zero_at_t0(self, params_ch):
         pt = PathPoint(t=0.0, q=1.0, qx=1.0, u=0.1, ux=0.0, m=0.37, m0=0.37)
         assert dg.momentum_residual(pt, params_ch) == 0.0
+
+    def test_array_point_matches_scalar_points(self):
+        # advect evaluates each functional once on a path's whole series;
+        # record by record on scalars the results are the same bits
+        rng = np.random.default_rng(3)
+        p = dg.make_parameters(1.3, 0.4, 0.25)
+        cols = {f: rng.normal(size=40) for f in ("t", "q", "qx", "u", "ux", "m", "rho")}
+        cols["u"][:2], cols["ux"][:2] = -p.k, 0.0  # zero bases: log -inf
+        cols["t"][-1] = 2000.0  # weighted pair overflows
+        fixed = dict(m0=0.37, rho0=-0.2)
+
+        def functionals(pt):
+            return (
+                *dg.weighted_ab_log(pt, p), *dg.weighted_ab(pt, p), *dg.plain_ab(pt, p),
+                dg.momentum_residual(pt, p), dg.rho_invariant_residual(pt),
+            )
+
+        series = functionals(PathPoint(**cols, **fixed))
+        for i in range(40):
+            point = functionals(PathPoint(**{f: float(v[i]) for f, v in cols.items()}, **fixed))
+            assert [float(s[i]) for s in series] == [float(x) for x in point]
 
     def test_rho_invariant_needs_density(self, params_ch):
         pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.0, ux=0.0, m=0.0, m0=0.0)

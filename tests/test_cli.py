@@ -77,6 +77,13 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_seed_outside_domain_exits_2_without_outputs(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, seeds=[0.0, 25.0], solver={"t_max": 0.1, "record_every": 4})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "seed 25.0 outside the domain" in capsys.readouterr().err
+
     def test_breaking_summary_reports_detection(self, tmp_path):
         cfg = write_config(tmp_path, solver={"t_max": 2.0, "record_every": 8})
         out = tmp_path / "out"
@@ -118,7 +125,9 @@ class TestCriterionCommand:
             parameters={"alpha": 1.0, "gamma": 0.5, "c0": 0.0},
             rho_initial={"preset": "gaussian_bump", "args": {"a": -1.0}},
         )
-        assert main(["criterion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert main(["criterion", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestLemmasCommand:
@@ -274,12 +283,24 @@ class TestConfigErrors:
         ({"seeds": 0.5}, "seeds"),
         ({"solver": None}, "solver"),
         ({"sweep": {"c0_gamma": [[0.0, 0.0, 1.0]]}}, "sweep.c0_gamma"),
+        # integer keys refuse what int() would truncate
+        ({"grid": {"n_points": 1024.7}}, "grid.n_points"),
+        ({"solver": {"t_max": 0.5, "record_every": 2.5}}, "solver.record_every"),
+        ({"solver": {"t_max": 0.5, "record_every": True}}, "solver.record_every"),
+        ({"lemmas": {"resolutions": [512, 1024.5]}}, "lemmas.resolutions"),
+        ({"rng_seed": False}, "rng_seed"),
+        # a density section the one-component equation would ignore
+        ({"rho_initial": {"preset": "gaussian_bump", "args": {"a": -1.0}}}, "rho_initial"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_value_exits_2_naming_path(self, tmp_path, capsys, over, path):
         code, err = self.run(tmp_path, capsys, "criterion", **over)
         assert code == 2
         assert path in err
         assert "Traceback" not in err
+
+    def test_integral_float_accepted_for_integer_key(self, tmp_path):
+        cfg = cli.load_config(str(write_config(tmp_path, grid={"n_points": 512.0})), None)
+        assert cfg.n_points == 512 and isinstance(cfg.n_points, int)
 
     @pytest.mark.parametrize("command", ["simulate", "criterion"])
     def test_bad_preset_argument_exits_2(self, tmp_path, capsys, command):

@@ -22,19 +22,17 @@ def constant(grid, c):
     return dg.ic_preset("from_samples", grid, values=np.full(grid.n_points, c))
 
 
-def rhs(state, params, op=None):
+def rhs(state, params):
     """(du/dt, drho/dt) at the datum: the time derivatives stored on the
     first record of a one-step run."""
-    op = op or dg.make_operator(state.u.grid, params)
-    traj, _ = dg.simulate(state, dg.SolverConfig(t_max=1e-6), op, params)
+    traj, _ = dg.simulate(state, dg.SolverConfig(t_max=1e-6), params)
     r = traj.records[0]
     return r.du_dt, r.drho_dt
 
 
 def first_dt(state, params, t_max):
     """Size of the first step, read from the record after it."""
-    op = dg.make_operator(state.u.grid, params)
-    traj, _ = dg.simulate(state, dg.SolverConfig(t_max=t_max, record_every=1), op, params)
+    traj, _ = dg.simulate(state, dg.SolverConfig(t_max=t_max, record_every=1), params)
     return traj.records[1].diagnostics.dt
 
 
@@ -73,7 +71,7 @@ class TestRhsOneComponent:
         grid = grid4096
         op = dg.make_operator(grid, p)
         u = dg.ic_preset("gaussian_bump", grid, a=0.7)
-        du = rhs(dg.State(0.0, u), p, op)[0].values
+        du = rhs(dg.State(0.0, u), p)[0].values
 
         n = grid.n_points
         uh = np.fft.rfft(u.values)
@@ -102,7 +100,7 @@ class TestRhsTwoComponent:
         op = dg.make_operator(grid1024, params_ch)
         rho = dg.ic_preset("gaussian_bump", grid1024, a=0.3)
         st = dg.State(0.0, zeros(grid1024), rho)
-        du, dr = rhs(st, params_ch, op)
+        du, dr = rhs(st, params_ch)
         n = grid1024.n_points
         mask = (np.arange(n // 2 + 1) <= n // 3).astype(float)
         rf = np.fft.irfft(mask * np.fft.rfft(rho.values), n=n)
@@ -122,11 +120,10 @@ class TestRhsTwoComponent:
     def test_sigma_scales_density_coupling(self, grid1024):
         # sigma = 0 decouples the density from the velocity equation
         p0 = dg.make_parameters(1.0, 0.0, 0.0, sigma=0.0)
-        op = dg.make_operator(grid1024, p0)
         u = dg.ic_preset("gaussian_bump", grid1024, a=0.5)
         rho = dg.ic_preset("gaussian_bump", grid1024, a=0.4, center=1.0)
-        du2, _ = rhs(dg.State(0.0, u, rho), p0, op)
-        du1, _ = rhs(dg.State(0.0, u), p0, op)
+        du2, _ = rhs(dg.State(0.0, u, rho), p0)
+        du1, _ = rhs(dg.State(0.0, u), p0)
         assert np.max(np.abs(du2.values - du1.values)) < 1e-15
 
 
@@ -162,14 +159,13 @@ class TestStepRK4:
         # amplitude-1e-8 single mode travels at the linear phase speed
         # c(xi) = (c0 - gamma xi^2)/(1 + alpha^2 xi^2)
         p = dg.make_parameters(1.0, 0.0, 1.0)
-        op = dg.make_operator(grid1024, p)
         m = 5
         xi0 = np.pi * m / grid1024.half_length
         u0 = dg.ic_preset(
             "from_samples", grid1024, values=1e-8 * np.cos(xi0 * grid1024.nodes)
         )
         cfg = dg.SolverConfig(t_max=0.5, record_every=10**6)
-        traj, _ = dg.simulate(dg.State(0.0, u0), cfg, op, p)
+        traj, _ = dg.simulate(dg.State(0.0, u0), cfg, p)
         T = traj.final_state.t
         ph0 = np.angle(np.fft.rfft(u0.values)[m])
         ph1 = np.angle(np.fft.rfft(traj.final_state.u.values)[m])
@@ -196,9 +192,8 @@ class TestAdaptiveDt:
 
 class TestSimulate:
     def test_zero_datum_reaches_horizon(self, grid1024, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
         cfg = dg.SolverConfig(t_max=1.0)
-        traj, rep = dg.simulate(dg.State(0.0, zeros(grid1024)), cfg, op, params_ch)
+        traj, rep = dg.simulate(dg.State(0.0, zeros(grid1024)), cfg, params_ch)
         assert rep.trigger == TRIGGER_HORIZON
         assert not rep.blew_up
         assert rep.t_detect is None
@@ -207,12 +202,11 @@ class TestSimulate:
             assert np.max(np.abs(r.state.u.values)) == 0.0
 
     def test_rejects_nonfinite_initial(self, grid1024, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
         vals = np.zeros(1024)
         vals[0] = np.inf
         bad = dg.Field(grid1024, vals, allow_nonfinite=True)
         with pytest.raises(ValueError):
-            dg.simulate(dg.State(0.0, bad), dg.SolverConfig(t_max=1.0), op, params_ch)
+            dg.simulate(dg.State(0.0, bad), dg.SolverConfig(t_max=1.0), params_ch)
 
     def test_breaking_run_detects(self, breaking_run):
         traj, rep, verdict, params = breaking_run
@@ -233,10 +227,9 @@ class TestSimulate:
 
     def test_amplitude_overflow_reports_dt_underflow(self, params_ch):
         grid = dg.make_grid(20.0, 64)
-        op = dg.make_operator(grid, params_ch)
         u0 = dg.ic_preset("gaussian_bump", grid, a=1e155)
         cfg = dg.SolverConfig(t_max=1.0)
-        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params_ch)
+        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
         assert rep.trigger == TRIGGER_DT
         assert rep.blew_up
         # last finite state retained
@@ -247,10 +240,9 @@ class TestSimulate:
         # dt_min low enough that the CFL guard passes, but the quadratic
         # terms overflow inside the stages at any step size
         grid = dg.make_grid(20.0, 64)
-        op = dg.make_operator(grid, params_ch)
         u0 = dg.ic_preset("gaussian_bump", grid, a=1e155)
         cfg = dg.SolverConfig(t_max=1.0, dt_min=1e-300)
-        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params_ch)
+        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
         assert rep.trigger == TRIGGER_DT
         assert np.all(np.isfinite(traj.final_state.u.values))
 
@@ -333,12 +325,11 @@ class TestFftBudget:
 
     @staticmethod
     def calls_per_step(grid, params, two, monkeypatch, record_every=None):
-        op = dg.make_operator(grid, params)
         u0 = dg.ic_preset("gaussian_bump", grid, a=0.5)
         rho0 = dg.ic_preset("gaussian_bump", grid, a=0.3, center=1.0) if two else None
         state = dg.State(0.0, u0, rho0)
         # the step sequence does not depend on the record cadence
-        traj, _ = dg.simulate(state, dg.SolverConfig(t_max=0.5, record_every=1), op, params)
+        traj, _ = dg.simulate(state, dg.SolverConfig(t_max=0.5, record_every=1), params)
         steps = len(traj.records) - 1
 
         calls = [0]
@@ -352,7 +343,7 @@ class TestFftBudget:
         monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
         cfg = dg.SolverConfig(t_max=0.5, record_every=record_every or 10 * steps)
-        traj, rep = dg.simulate(state, cfg, op, params)
+        traj, rep = dg.simulate(state, cfg, params)
         assert rep.trigger == TRIGGER_HORIZON
         assert len(traj.records) == (steps + 1 if record_every == 1 else 2) and steps > 10
         return calls[0] / steps
@@ -382,10 +373,9 @@ class TestTrackerClip:
         assert tracker.clipped.tolist() == [1, 0]
 
     def test_one_debug_record_per_run(self, grid1024, params_ch, caplog):
-        op = dg.make_operator(grid1024, params_ch)
         u0 = dg.ic_preset("gaussian_bump", grid1024, a=0.5)
         with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
-            dg.simulate(dg.State(0.0, u0), dg.SolverConfig(t_max=0.2), op, params_ch)
+            dg.simulate(dg.State(0.0, u0), dg.SolverConfig(t_max=0.2), params_ch)
         recs = [r for r in caplog.records if r.name == "dghlab.evolution"]
         assert len(recs) == 1
         assert recs[0].levelno == logging.DEBUG
@@ -395,10 +385,11 @@ class TestTrackerClip:
 class TestMetamorphic:
     """Exact symmetries of the equation that a wrong but self-consistent
     solver or toolkit would break.  Tolerances come from the measured
-    agreement at N = 1024: t_detect within 5.5e-16 relative, the detector
-    seed exact, x0_best within 2.7e-15 at k = 0; at gamma = 0.3, c0 = 0.4
-    the golden-section refinement resolves x0_best only to 7.2e-9 in the
-    flat valley of the margin."""
+    agreement at N = 1024.  Translation and reflection: t_detect within
+    5.5e-16 relative, the detector seed exact, x0_best within 2.7e-15 at
+    k = 0; at gamma = 0.3, c0 = 0.4 the golden-section refinement resolves
+    x0_best only to 7.2e-9 in the flat valley of the margin.  The
+    alpha-scaling and the reduction to k = 0 state theirs below."""
 
     @staticmethod
     def asymmetric(grid):
@@ -408,23 +399,27 @@ class TestMetamorphic:
         )
 
     @staticmethod
-    def run(grid, params, vals):
+    def run(grid, params, vals, scale=1.0):
+        # scale multiplies t_max and dt_min and divides the slope threshold
         u0 = dg.ic_preset("from_samples", grid, values=vals)
-        op = dg.make_operator(grid, params)
-        cfg = dg.SolverConfig(t_max=3.0, record_every=8)
-        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, op, params)
+        cfg = dg.SolverConfig(
+            t_max=3.0 * scale, dt_min=1e-9 * scale,
+            slope_blowup_threshold=1e4 / scale, record_every=8,
+        )
+        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params)
         assert rep.trigger == TRIGGER_SLOPE
-        return rep, dg.check_criterion_dgh(u0, params), len(traj.records)
+        verdict = dg.check_criterion_dgh(u0, params)
+        return traj, rep, verdict
 
     @pytest.mark.parametrize("gamma, c0, x0_tol", [(0.0, 0.0, 1e-12), (0.3, 0.4, 1e-7)])
     def test_translation_by_whole_cells(self, grid1024, gamma, c0, x0_tol):
         p = dg.make_parameters(1.0, gamma, c0)
         vals = self.asymmetric(grid1024)
-        rep0, v0, n0 = self.run(grid1024, p, vals)
+        traj0, rep0, v0 = self.run(grid1024, p, vals)
         for m in (37, -101):
-            rep, v, n = self.run(grid1024, p, np.roll(vals, m))
+            traj, rep, v = self.run(grid1024, p, np.roll(vals, m))
             shift = m * grid1024.dx
-            assert n == n0
+            assert len(traj.records) == len(traj0.records)
             assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-14)
             assert rep.detector_x0 == pytest.approx(rep0.detector_x0 + shift, abs=1e-12)
             assert v.x0_best == pytest.approx(v0.x0_best + shift, abs=x0_tol)
@@ -436,11 +431,58 @@ class TestMetamorphic:
         vals = self.asymmetric(grid1024)
         mirrored = -vals[(-np.arange(grid1024.n_points)) % grid1024.n_points]
         assert np.max(np.abs(mirrored - vals)) > 0.1
-        rep0, v0, n0 = self.run(grid1024, params_ch, vals)
-        rep, v, n = self.run(grid1024, params_ch, mirrored)
-        assert n == n0
+        traj0, rep0, v0 = self.run(grid1024, params_ch, vals)
+        traj, rep, v = self.run(grid1024, params_ch, mirrored)
+        assert len(traj.records) == len(traj0.records)
         assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-14)
         assert rep.detector_x0 == pytest.approx(-rep0.detector_x0, abs=1e-12)
         assert v.x0_best == pytest.approx(-v0.x0_best, abs=1e-12)
         assert v.margin == pytest.approx(v0.margin, abs=1e-13)
         assert v.time_bound == pytest.approx(v0.time_bound, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma, c0", [(0.0, 0.0), (0.3, 0.4)])
+    def test_alpha_scaling(self, grid1024, gamma, c0):
+        # x, L, t, alpha -> 2x, 2L, 2t, 2 alpha and gamma -> 4 gamma leave u
+        # unchanged (lam and k too) and halve u_x.  Scaling by 2 is exact
+        # in floating point, so with the same N the runs match step for
+        # step: recorded u bit for bit, times exactly doubled, criterion
+        # margin equal and x0, bound doubled.  Only the tracker's substep
+        # count ceil(dt (1 + |g|)/0.05) is not scale-invariant: t_detect
+        # measured 8.5e-5 relative apart at (0, 0), equal at (0.3, 0.4).
+        vals = self.asymmetric(grid1024)
+        traj1, rep1, v1 = self.run(grid1024, dg.make_parameters(1.0, gamma, c0), vals)
+        grid2 = dg.make_grid(2.0 * grid1024.half_length, grid1024.n_points)
+        p2 = dg.make_parameters(2.0, 4.0 * gamma, c0)
+        traj2, rep2, v2 = self.run(grid2, p2, vals, scale=2.0)
+        assert len(traj2.records) == len(traj1.records)
+        for r1, r2 in zip(traj1.records, traj2.records):
+            assert r2.state.t == 2.0 * r1.state.t
+            assert np.array_equal(r2.state.u.values, r1.state.u.values)
+        assert rep2.detector_x0 == 2.0 * rep1.detector_x0
+        assert rep2.t_detect == pytest.approx(2.0 * rep1.t_detect, rel=2e-4)
+        assert (v2.holds, v2.margin) == (v1.holds, v1.margin)
+        assert v2.x0_best == 2.0 * v1.x0_best
+        assert v2.time_bound == 2.0 * v1.time_bound
+
+    @pytest.mark.parametrize("gamma, c0", [(0.3, 0.4), (0.0, 1.0), (0.5, -0.3)])
+    def test_reduction_to_zero_offset(self, grid1024, gamma, c0):
+        # v = u + k solves the same family at (gamma', c0') =
+        # (-alpha^2 (lam - k), lam - k), where k' = 0 and lam' = lam - k.
+        # The CFL speeds differ, so the discrete runs agree only to the
+        # time-stepping error.  Measured at N = 1024: t_detect within
+        # 8.1e-5 relative, margin within 1.2e-14, x0_best within 7.1e-9
+        # and the time bound within 6.1e-9 relative (golden-section noise
+        # in the flat margin valley at k != 0); the detector seed exact.
+        p = dg.make_parameters(1.0, gamma, c0)
+        shift = p.lam - p.k
+        p0 = dg.make_parameters(1.0, -(p.alpha**2) * shift, shift)
+        assert (p0.k, p0.lam) == (0.0, shift)
+        vals = self.asymmetric(grid1024)
+        _, rep, v = self.run(grid1024, p, vals)
+        _, rep0, v0 = self.run(grid1024, p0, vals + p.k)
+        assert rep0.detector_x0 == rep.detector_x0
+        assert rep0.t_detect == pytest.approx(rep.t_detect, rel=2e-4)
+        assert v0.holds and v.holds
+        assert v0.margin == pytest.approx(v.margin, abs=3e-14)
+        assert v0.x0_best == pytest.approx(v.x0_best, abs=2e-8)
+        assert v0.time_bound == pytest.approx(v.time_bound, rel=2e-8)

@@ -38,12 +38,6 @@ class TestSymbols:
     def test_dq_symbol_nyquist_zeroed(self, op4096):
         assert op4096.symbol_dq[-1] == 0.0
 
-    def test_operator_grid_mismatch_detected(self, grid1024, grid2048, params_ch):
-        op = dg.make_operator(grid1024, params_ch)
-        u = dg.ic_preset("gaussian_bump", grid2048)
-        with pytest.raises(ValueError, match="different grid"):
-            dg.simulate(dg.State(0.0, u), dg.SolverConfig(t_max=0.1), op, params_ch)
-
 
 def _periodized_conv_oracle(x_eval, f_exact, grid, params, one_sided=False):
     """Direct quadrature of the periodized (one-sided) kernel convolution.
