@@ -95,14 +95,12 @@ def plain_ab(point: PathPoint, params: Parameters):
     return base - point.ux, base + point.ux
 
 
-def collapse_rate(a: float, b: float) -> float | None:
-    """h = sqrt(-A*B) for the unweighted pair; defined only when A*B < 0.
-    Along criterion-satisfying paths h grows at least like h^2/2, which
-    yields the explicit breaking-time bound 2/h(0)."""
+def collapse_rate(a, b):
+    """h = sqrt(-A*B) for the unweighted pair where A*B < 0, NaN elsewhere
+    (scalars or equal-length arrays).  Along criterion-satisfying paths h
+    grows at least like h^2/2, which yields the breaking-time bound 2/h(0)."""
     prod = a * b
-    if prod >= 0.0:
-        return None
-    return float(np.sqrt(-prod))
+    return np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan)[()]
 
 
 def momentum_residual(point: PathPoint, params: Parameters):
@@ -256,13 +254,12 @@ def advect(traj: Trajectory, x0, params: Parameters):
         sa, la, sb, lb = weighted_ab_log(pt, params)
         aw, bw = weighted_ab(pt, params)
         ap, bp = plain_ab(pt, params)
-        prod = ap * bp
         paths.append(CharacteristicPath(
             x0=float(x), t=pt.t, q=q_j, qx=qx_j, u=u_j, g=ux_j,
             a_weighted=aw, b_weighted=bw,
             sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
             a_plain=ap, b_plain=bp,
-            h_plain=np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan),
+            h_plain=collapse_rate(ap, bp),
             momentum_res=momentum_residual(pt, params),
             rho_res=rho_invariant_residual(pt) if two else None,
             n_pre_detection=int(pre[n - 1]),

@@ -126,9 +126,6 @@ class Field:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True, eq=False)
 class State:
@@ -142,10 +139,6 @@ class State:
     def __post_init__(self) -> None:
         if self.rho_tilde is not None and self.rho_tilde.grid != self.u.grid:
             raise ValueError("u and rho_tilde must share one grid")
-
-    @property
-    def is_two_component(self) -> bool:
-        return self.rho_tilde is not None
 
 
 PRESET_NAMES = (
@@ -249,10 +242,7 @@ class Spectral:
         self.ik[-1] = 0.0
         # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on
         self.cut = self.n // 3 + 1
-        mask = (np.arange(self.xi.size) < self.cut).astype(float)
-        # multipliers for the rows u_f, u_x,f and the unfiltered u_x
-        self.filters = np.array([mask, self.ik * mask, self.ik])
-        for a in (self.xi, self.ik, self.filters):
+        for a in (self.xi, self.ik):
             a.setflags(write=False)
         # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t);
         # ~N/B + B cos/sin calls per point instead of N/2 (BENCH_2.json
@@ -261,6 +251,15 @@ class Spectral:
         self._factors = np.concatenate(
             (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))
         ).astype(float)
+
+    @cached_property
+    def filters(self) -> np.ndarray:
+        """Multipliers for the rows u_f, u_x,f and the unfiltered u_x, built
+        on first use: grids that never step never need them."""
+        mask = (np.arange(self.xi.size) < self.cut).astype(float)
+        rows = np.array([mask, self.ik * mask, self.ik])
+        rows.setflags(write=False)
+        return rows
 
     def ddx(self, values: np.ndarray) -> np.ndarray:
         """Spectral d/dx of grid samples."""

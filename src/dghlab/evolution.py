@@ -28,21 +28,21 @@ and then rebounds: no grid sampling can follow inf u_x to -infinity.  The
 quantity that genuinely collapses is the slope along the steepest
 characteristics, which obeys the exact pointwise identity
 
-    d/dt u_x(t, q) = -u_x^2/2 + (u^2 + 2ku)/alpha^2
-                     - (1/alpha^2) p*(alpha^2/2 u_x^2 + u^2 + 2ku)(q)
+    d/dt u_x(t, q) = -u_x^2/2 + f,
+    f = (u^2 + 2ku)/alpha^2 - (1/alpha^2) p*(alpha^2/2 u_x^2 + u^2 + 2ku)(q)
 
-(analogously with the rho~ terms for the two-component system), in which
-everything except u_x itself is a bounded, well-resolved convolution.
-The solver co-integrates this slope ODE along a few automatically chosen
-seeds and declares breaking when the tracked slope crosses the threshold;
-the resulting detection time is insensitive to both the grid resolution
-and to doubling the threshold, because the Riccati term -u_x^2/2 dominates
-the final plunge.
+(plus sigma (rho~^2/2 + rho~)/alpha^2 for the two-component system), in
+which f is a bounded, well-resolved convolution.  With u_x = 2w'/w the
+Riccati equation becomes linear, w'' = f w/2, and breaking is a zero of w.
+The solver co-integrates (q, w, w') along a few automatically chosen seeds
+and declares breaking when the tracked slope crosses the threshold -M.
+The plunge from -M to -infinity takes about 2/M, so t_detect + 2/M hardly
+depends on M, and it converges in N with the solver.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -68,7 +68,6 @@ TRIGGER_DT = "dt_underflow"
 TRIGGER_HORIZON = "horizon_reached"
 
 _SPEED_FLOOR = 1e-12
-_MAX_SUBSTEPS = 512
 
 _log = logging.getLogger(__name__)
 
@@ -183,28 +182,22 @@ class _SlopeTracker:
 
     Seeds: the node minimizing u0_x and the node minimizing the criterion
     margin alpha*u0_x + |u0 + k| (plus, for two-component data, the margin
-    minimizer among nodes with rho~0 = -1).  Between solver steps each pair
-    (q, g) is advanced with Heun substeps, interpolating the endpoint
-    evaluations linearly in time; the substep count scales with |g| so the
-    Riccati plunge is followed into the threshold.  The count is capped at
-    _MAX_SUBSTEPS; ``clipped`` counts, per seed, the steps on which the cap
-    applied.  Seeds are advanced one at a time: with one to three seeds a
-    scalar loop costs less than numpy calls on arrays that short.
+    minimizer among nodes with rho~0 = -1).  The slope is g = 2w'/w with
+    w'' = f w/2 (module docstring), w(0) = 1 and w'(0) = g0/2.  Each solver
+    step moves the rows (q, w, w') of all active seeds by one Heun step, the
+    predictor in the fields of the step's start and the corrector in those
+    of its end (the linear blend in time at weights 0 and 1).  g crosses -M
+    at the first sign change of phi = w' + (M/2) w on phi's cubic Hermite
+    interpolant over the step.  A seed leaving [safe_lo, safe_hi) is
+    deactivated.
     """
 
     def __init__(
-        self,
-        grid: Grid,
-        params: Parameters,
-        ux0: np.ndarray,
-        u0: np.ndarray,
+        self, grid: Grid, params: Parameters, ux0: np.ndarray, u0: np.ndarray,
         rho0: np.ndarray | None,
     ):
         self.sp = grid.spectral
-        self.lam = params.lam
-        self.k = params.k
-        self.sigma = params.sigma
-        self.alpha2 = params.alpha**2
+        self.params = params
         self.safe_lo = -grid.half_length + 2.0 * params.alpha
         self.safe_hi = grid.half_length - 2.0 * params.alpha
 
@@ -219,53 +212,68 @@ class _SlopeTracker:
         for i in idx:
             if all(abs(i - j) > 4 for j in seeds):
                 seeds.append(i)
-        self.q = grid.nodes[seeds]
-        self.g = ux0[seeds]
-        self.active = np.ones(len(seeds), dtype=bool)
-        self.clipped = np.zeros(len(seeds), dtype=int)
-        self.seeds_x0 = tuple(float(x) for x in self.q)
+        self.seeds_x0 = tuple(float(x) for x in grid.nodes[seeds])
+        # the active seeds' x0 and rows (q, w, w')
+        self.x0 = grid.nodes[seeds]
+        self.y = np.array([self.x0, np.ones(len(seeds)), 0.5 * ux0[seeds]])
 
-    def _rate(self, ev0: _Eval, ev1: _Eval, w1: float, q: float, g: float):
-        """(dq/dt, dg/dt) at q with endpoint fields blended at weight w1."""
-        basis = self.sp.basis(q)
-        v = (1.0 - w1) * self.sp.values(ev0.coef, basis) + w1 * self.sp.values(ev1.coef, basis)
-        uq, *rho, cq = v[:, 0].tolist()
-        dg = -0.5 * g * g + (uq * uq + 2.0 * self.k * uq) / self.alpha2 - cq / self.alpha2
+    def _rate(self, ev: _Eval, y: np.ndarray) -> np.ndarray:
+        """d/dt of the rows (q, w, w') in the fields of the evaluation ev."""
+        p = self.params
+        u, *rho, c = self.sp.values(ev.coef, self.sp.basis(y[0]))
+        f = u * u + 2.0 * p.k * u - c
         if rho:
-            dg += self.sigma * (0.5 * rho[0] * rho[0] + rho[0]) / self.alpha2
-        return uq + self.lam, dg
+            f += p.sigma * (0.5 * rho[0] * rho[0] + rho[0])
+        return np.array([u + p.lam, y[2], (0.5 / p.alpha**2) * f * y[1]])
 
     def advance(
         self, ev0: _Eval, ev1: _Eval, t0: float, dt: float, threshold: float
     ) -> tuple[float, float, float] | None:
         """Advance all active seeds by dt; on a threshold crossing return
-        (t_cross, g, seed_x0) of the earliest one."""
+        (t_cross, g at the step's end, seed_x0) of the earliest one."""
+        y = self.y
+        r0 = self._rate(ev0, y)
+        y1 = y + (0.5 * dt) * (r0 + self._rate(ev1, y + dt * r0))
+        inside = (self.safe_lo <= y1[0]) & (y1[0] < self.safe_hi)
+        phi = np.array([0.0, 0.5 * threshold, 1.0])  # w' + (M/2) w as a row vector
+        cross = inside & (phi @ y1 < 0.0)
         crossing = None
-        for i in np.flatnonzero(self.active):
-            q, g = float(self.q[i]), float(self.g[i])
-            want = int(np.ceil(dt * (1.0 + abs(g)) / 0.05))
-            self.clipped[i] += want > _MAX_SUBSTEPS
-            m = min(max(want, 1), _MAX_SUBSTEPS)
-            h = dt / m
-            for j in range(m):
-                dq1, dg1 = self._rate(ev0, ev1, j / m, q, g)
-                dq2, dg2 = self._rate(ev0, ev1, (j + 1) / m, q + h * dq1, g + h * dg1)
-                q += 0.5 * h * (dq1 + dq2)
-                g += 0.5 * h * (dg1 + dg2)
-                if not (self.safe_lo <= q < self.safe_hi):
-                    self.active[i] = False
-                    break
-                if g < -threshold:
-                    t_cross = t0 + (j + 1) * h
-                    if crossing is None or t_cross < crossing[0]:
-                        crossing = (t_cross, g, self.seeds_x0[i])
-                    break
-            self.q[i], self.g[i] = q, g
+        if np.any(cross):
+            y1c = y1[:, cross]
+            s = _first_root(
+                phi @ y[:, cross], dt * (phi @ r0[:, cross]),
+                phi @ y1c, dt * (phi @ self._rate(ev1, y1c)),
+            )
+            i = int(np.argmin(s))
+            g = float(_slope(y1c)[i])
+            crossing = (t0 + float(s[i]) * dt, g, float(self.x0[cross][i]))
+        self.y, self.x0 = y1[:, inside], self.x0[inside]
         return crossing
 
     def min_slope(self) -> float:
-        act = self.g[self.active]
-        return float(np.min(act)) if act.size else np.inf
+        return float(np.min(_slope(self.y), initial=np.inf))
+
+
+def _slope(y: np.ndarray) -> np.ndarray:
+    """g = 2w'/w of the rows (q, w, w'); -inf where w <= 0, that is, where
+    the characteristic has already broken."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y[1] > 0.0, 2.0 * y[2] / y[1], -np.inf)
+
+
+def _first_root(p0, m0, p1, m1) -> np.ndarray:
+    """First zero in [0, 1] of each cubic Hermite interpolant with values
+    p0 > 0, p1 < 0 and end derivatives m0, m1 (arrays): the first sign
+    change on 64 equal cells, then bisection (Horner only, no eigensolver)."""
+    c = [2.0 * (p0 - p1) + m0 + m1, 3.0 * (p1 - p0) - 2.0 * m0 - m1, m0, p0]
+    ends = np.linspace(0.0, 1.0, 65)[1:, None]  # right ends of the cells
+    hi = ends[np.argmax(np.polyval(c, ends) <= 0.0, axis=0), 0]
+    lo = hi - 1.0 / 64.0
+    for _ in range(48):
+        mid = 0.5 * (lo + hi)
+        neg = np.polyval(c, mid) <= 0.0
+        lo, hi = np.where(neg, lo, mid), np.where(neg, mid, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -315,10 +323,13 @@ class BlowupReport:
     """Outcome of a run; blew_up is true iff the trigger is not
     horizon_reached.
 
-    min_slope_at_detect is the characteristic-tracked slope at detection
-    (the honest estimate of inf_x u_x; the per-record grid minimum in the
-    trajectory diagnostics saturates at O(sqrt(N)) across a forming cusp).
-    detector_x0 is the seed of the characteristic that fired.
+    min_slope_at_detect is the characteristic-tracked slope 2w'/w at the
+    end of the step in which it crossed the threshold (the honest estimate
+    of inf_x u_x; the per-record grid minimum in the trajectory diagnostics
+    saturates at O(sqrt(N)) across a forming cusp); it is -inf when w <= 0
+    there, i.e. the characteristic broke inside that step.  t_detect is the
+    crossing time inside the step.  detector_x0 is the seed of the
+    characteristic that fired.
     """
 
     blew_up: bool
@@ -404,14 +415,7 @@ def simulate(
         if records[-1].state.t < t - eps:
             snapshot(dt_used=dt_used, at_detection=True)
         else:
-            last = records[-1]
-            records[-1] = TrajectoryRecord(
-                state=last.state,
-                diagnostics=last.diagnostics,
-                du_dt=last.du_dt,
-                drho_dt=last.drho_dt,
-                at_detection=True,
-            )
+            records[-1] = replace(records[-1], at_detection=True)
 
     while t < horizon - eps:
         speed = max(float(np.max(np.abs(y[0]))) + abs(params.lam), _SPEED_FLOOR)
@@ -464,9 +468,8 @@ def simulate(
             snapshot(dt_used=records[-1].diagnostics.dt)
 
     _log.debug(
-        "simulate: %d steps, trigger %s; tracker seeds %s clipped at %d substeps "
-        "on %s steps",
-        steps, trigger, tracker.seeds_x0, _MAX_SUBSTEPS, tracker.clipped.tolist(),
+        "simulate: %d steps, trigger %s; tracker seeds %s, %d active at the end",
+        steps, trigger, tracker.seeds_x0, tracker.x0.size,
     )
     report = BlowupReport(
         blew_up=trigger != TRIGGER_HORIZON,

@@ -136,7 +136,7 @@ class TestPathFunctionals:
         pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.5, ux=0.0, m=0.0, m0=0.0)
         a, b = dg.plain_ab(pt, params_ch)
         assert a == b == 0.5
-        assert dg.collapse_rate(a, b) is None
+        assert np.isnan(dg.collapse_rate(a, b))
 
     def test_weighted_overflow_goes_to_log_form(self):
         p = dg.make_parameters(1.0, -4.0, 8.0)  # k - lam = -2... use t<0? no:
