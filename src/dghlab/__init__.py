@@ -6,11 +6,9 @@ from .core import (
     Grid,
     Parameters,
     State,
-    derivative,
     ic_preset,
     make_grid,
     make_parameters,
-    spectral_interpolate,
 )
 from .helmholtz import NonlocalOperator, green_kernel, make_operator
 from .evolution import BlowupReport, SolverConfig, Trajectory, simulate
@@ -33,8 +31,8 @@ from .analysis import (
     energy_E,
     energy_F,
     full_kernel_gap,
-    h_alpha_norm,
     one_sided_gaps,
+    peakon_witness_study,
     sobolev_gap,
 )
 

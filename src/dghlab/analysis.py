@@ -4,7 +4,9 @@ The inequality checks return the pointwise difference LHS - RHS as a
 GapField; validity means the minimum gap is nonnegative up to round-off.
 The local blowup criterion scans the initial datum for a point where
 alpha*u0'(x) + |u0(x) + k| is negative and, when one exists, reports the
-explicit breaking-time bound 2/sqrt(u0'(x0)^2 - (u0(x0)+k)^2/alpha^2).
+explicit breaking-time bound 2/sqrt(u0'(x0)^2 - (u0(x0)+k)^2/alpha^2);
+the slope tracker seeds from the same node-level test (_criterion_nodes).
+The lemma suite's random fields and peakon witness study live here too.
 """
 from __future__ import annotations
 
@@ -12,18 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Field, Parameters, State
-from .helmholtz import NonlocalOperator
+from .core import Field, Grid, Parameters, State, ic_preset, make_grid
+from .helmholtz import NonlocalOperator, make_operator
 
 __all__ = [
     "GapField",
     "CriterionVerdict",
     "energy_E",
     "energy_F",
-    "h_alpha_norm",
     "one_sided_gaps",
     "full_kernel_gap",
     "sobolev_gap",
+    "random_band_limited",
+    "peakon_witness_study",
     "check_criterion_dgh",
     "check_criterion_dgh2",
 ]
@@ -79,14 +82,6 @@ def energy_F(state: State, params: Parameters) -> float:
     if state.rho_tilde is not None:
         rf = np.fft.irfft(sp.filters[0] * np.fft.rfft(state.rho_tilde.values), n=sp.n)
     return _energy_f(uf, uxf, rf, params, grid.dx)
-
-
-def h_alpha_norm(u: Field, params: Parameters) -> float:
-    """Scale-weighted Sobolev norm sqrt(int (u^2 + alpha^2 u_x^2))."""
-    ux = u.grid.spectral.ddx(u.values)
-    return float(
-        np.sqrt(_quadrature(u.values**2 + params.alpha**2 * ux**2, u.grid.dx))
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +165,59 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     return float(norm / np.sqrt(2.0 * params.alpha) - np.max(np.abs(uv)))
 
 
+def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> np.ndarray:
+    """Random smooth periodic samples, unit amplitude: n_modes random
+    coefficients on the wavenumber bins 1..max_mode, damped by
+    exp(-bin/(max_mode/2))."""
+    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
+    modes = rng.integers(1, max_mode + 1, size=n_modes)
+    coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
+    coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
+    vals = np.fft.irfft(coeffs, n=grid.n_points)
+    peak = np.max(np.abs(vals))
+    return vals / peak if peak > 0 else vals
+
+
+def peakon_witness_study(params: Parameters, resolutions, c: float = 1.0, y: float = 0.0) -> dict:
+    """Sharpness study: the peakon c*exp(-|x - y|/alpha) - k attains
+    equality in the minus one-sided inequality on x <= y.  The peak
+    carries a slope jump, so the gap right at it shrinks only linearly in
+    N, while on the equality region away from the kink (x <= y - alpha/4)
+    the gap converges at order ~2; both are reported per resolution
+    (grids on [-20 alpha, 20 alpha)), with the fitted order between the
+    first and the last resolution (NaN with fewer than two)."""
+    levels = []
+    exclusion = 0.25 * params.alpha
+    for n in resolutions:
+        grid = make_grid(20.0 * params.alpha, n)
+        u = ic_preset("peakon_shifted", grid, params, c=c, y=y, k=params.k)
+        gm, _ = one_sided_gaps(u, make_operator(grid, params), params)
+        x = grid.nodes
+        ipk = int(np.argmin(np.abs(x - y)))
+        region = x <= y - exclusion
+        levels.append(
+            {
+                "n_points": n,
+                "gap_at_peak": float(gm.field.values[ipk]),
+                "gap_equality_region": float(np.max(np.abs(gm.field.values[region]))),
+                "min_gap": gm.min_gap,
+                "sup_embedding_gap": float(sobolev_gap(u, params)),
+            }
+        )
+    order = np.nan
+    if len(levels) >= 2:
+        g0 = abs(levels[0]["gap_equality_region"])
+        g1 = abs(levels[-1]["gap_equality_region"])
+        steps = np.log2(levels[-1]["n_points"] / levels[0]["n_points"])
+        if g1 > 0 and steps > 0:
+            order = float(np.log2(g0 / g1) / steps)
+    return {
+        "equality_region_excludes": f"|x - y| < {exclusion}",
+        "levels": levels,
+        "equality_region_order": order,
+    }
+
+
 @dataclass(frozen=True)
 class CriterionVerdict:
     """Outcome of the local-in-space breaking criterion.
@@ -206,6 +254,25 @@ def _golden_refine(f, a: float, b: float, iters: int = 60) -> tuple[float, float
     return x, min(fc, fd)
 
 
+def _margin(ux, u, params: Parameters):
+    """The criterion margin alpha*u_x + |u + k| (scalars or arrays)."""
+    return params.alpha * ux + np.abs(u + params.k)
+
+
+def _criterion_nodes(ux, u, params: Parameters, rho=None) -> tuple[np.ndarray, int | None]:
+    """The criterion margin at the nodes and, given rho~, the node that
+    minimizes it among the vacuum nodes, where rho~ is -1 to the tolerance
+    below (None when there is none).  The caller passes its own u_x
+    samples, so each caller keeps the bits of its derivative."""
+    margins = _margin(ux, u, params)
+    if rho is None:
+        return margins, None
+    vacuum = np.flatnonzero(np.abs(rho + 1.0) <= 1e-10)
+    if vacuum.size == 0:
+        return margins, None
+    return margins, int(vacuum[np.argmin(margins[vacuum])])
+
+
 def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, float, float]:
     """Grid scan plus one golden-section refinement of the criterion margin.
 
@@ -215,8 +282,7 @@ def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, floa
     sp = grid.spectral
     u_hat = np.fft.rfft(u0.values)
     ux_hat = sp.ik * u_hat
-    ux = np.fft.irfft(ux_hat, n=grid.n_points)
-    margins = params.alpha * ux + np.abs(u0.values + params.k)
+    margins, _ = _criterion_nodes(np.fft.irfft(ux_hat, n=grid.n_points), u0.values, params)
     i = int(np.argmin(margins))
 
     def slope_value(x: float) -> tuple[float, float]:
@@ -227,8 +293,7 @@ def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, floa
         return float(sp.values(ux_hat, basis)[0]), float(sp.values(u_hat, basis)[0])
 
     def margin_at(x: float) -> float:
-        s, v = slope_value(x)
-        return params.alpha * s + abs(v + params.k)
+        return _margin(*slope_value(x), params)
 
     # refine over the three cells around the discrete minimizer; the
     # criterion point need not be a node
@@ -263,15 +328,10 @@ def check_criterion_dgh(u0: Field, params: Parameters) -> CriterionVerdict:
     )
 
 
-def check_criterion_dgh2(
-    u0: Field,
-    rho0: Field,
-    params: Parameters,
-    rho_tol: float = 1e-10,
-) -> CriterionVerdict:
+def check_criterion_dgh2(u0: Field, rho0: Field, params: Parameters) -> CriterionVerdict:
     """Local breaking criterion for the two-component system (gamma = 0):
     requires rho~0(x0) = -1 and u0'(x0) < -|u0(x0) + c0/2|/alpha at a
-    common point.
+    common node.
     """
     if params.gamma != 0.0:
         raise ValueError(
@@ -280,30 +340,12 @@ def check_criterion_dgh2(
         )
     if rho0.grid != u0.grid:
         raise ValueError("u0 and rho0 must share one grid")
-    grid = u0.grid
-    ux = grid.spectral.ddx(u0.values)
-    margins = params.alpha * ux + np.abs(u0.values + params.k)
-    at_minus_one = np.abs(rho0.values + 1.0) <= rho_tol
-    if not np.any(at_minus_one):
+    ux = u0.grid.spectral.ddx(u0.values)
+    margins, i = _criterion_nodes(ux, u0.values, params, rho0.values)
+    met = i is not None
+    if not met:  # report the margin minimizer over all nodes
         i = int(np.argmin(margins))
-        return CriterionVerdict(
-            holds=False,
-            x0_best=float(grid.nodes[i]),
-            margin=float(margins[i]),
-            rho_condition_met=False,
-        )
-    candidates = np.where(at_minus_one)[0]
-    i = int(candidates[np.argmin(margins[candidates])])
-    x_best = float(grid.nodes[i])
     margin = float(margins[i])
-    slope = float(ux[i])
-    value = float(u0.values[i])
-    holds = margin < 0.0
-    bound = _time_bound(slope, value, params) if holds else None
-    return CriterionVerdict(
-        holds=holds,
-        x0_best=x_best,
-        margin=margin,
-        time_bound=bound,
-        rho_condition_met=True,
-    )
+    holds = met and margin < 0.0
+    bound = _time_bound(float(ux[i]), float(u0.values[i]), params) if holds else None
+    return CriterionVerdict(holds, float(u0.grid.nodes[i]), margin, bound, rho_condition_met=met)

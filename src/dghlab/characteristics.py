@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Parameters
-from .evolution import Trajectory
+from .evolution import Trajectory, _in_safe_box
 
 __all__ = [
     "PathPoint",
@@ -171,8 +171,6 @@ def advect(traj: Trajectory, x0, params: Parameters):
     for x in seeds:
         if not (-L <= x < L):
             raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
-    safe_lo = -L + 2.0 * params.alpha
-    safe_hi = L - 2.0 * params.alpha
 
     ev = grid.spectral
     records = traj.records
@@ -236,7 +234,7 @@ def advect(traj: Trajectory, x0, params: Parameters):
         qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         q[live] = qq
 
-        inside = (safe_lo <= qq) & (qq < safe_hi)
+        inside = _in_safe_box(qq, L, params.alpha)
         truncated[live[~inside]] = True
         live = live[inside]
         if live.size == 0:
@@ -286,12 +284,7 @@ def resolved_count(path: CharacteristicPath, qx_floor: float = 0.1) -> int:
     return int(np.argmin(ok))
 
 
-def monotone_violation(
-    signs: np.ndarray,
-    logs: np.ndarray,
-    direction: str,
-    rel_tol: float = 0.0,
-) -> float:
+def monotone_violation(signs: np.ndarray, logs: np.ndarray, direction: str) -> float:
     """Largest normalized monotonicity violation of a signed log-magnitude
     series; <= tol means monotone within tolerance.
 
@@ -319,5 +312,5 @@ def monotone_violation(
             v = 1.0 - np.exp(min(logs[i + 1] - logs[i], 50.0))
         else:  # both large negative: need magnitude decrease
             v = np.exp(min(logs[i + 1] - logs[i], 50.0)) - 1.0
-        worst = max(worst, v - rel_tol)
+        worst = max(worst, v)
     return float(worst)

@@ -4,7 +4,10 @@ Configuration lives in one YAML file (nested sections mirroring the
 library objects); command-line flags override file values.  All file
 outputs are deterministic for a fixed config and RNG seed: floats are
 written with 17 significant digits (round-trip exact), JSON keys are
-sorted, and wall-clock timing goes to stderr only.
+sorted, and wall-clock timing goes to stderr only.  JSON files are
+standard JSON: a non-finite float (a slope of -inf, the witness order of
+one resolution) is written as null; CSV cells keep inf and nan.  The
+lemma suite's random fields and witness study come from analysis.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
 1 property-suite violation (lemmas), 2 usage or configuration error (an
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -36,6 +40,8 @@ from .analysis import (
     check_criterion_dgh2,
     full_kernel_gap,
     one_sided_gaps,
+    peakon_witness_study,
+    random_band_limited,
     sobolev_gap,
 )
 from .characteristics import advect
@@ -69,9 +75,19 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _finite_or_null(x):
+    """The payload x with every non-finite float replaced by None."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_json(path: Path, payload: dict) -> None:
+    """Standard JSON (RFC 8259): a NaN or an infinity is written as null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -378,17 +394,6 @@ def cmd_criterion(cfg: RunConfig) -> int:
     return 0
 
 
-def _random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int, max_mode: int) -> np.ndarray:
-    """Unit-amplitude random field with spectrum confined to low modes."""
-    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
-    modes = rng.integers(1, max_mode + 1, size=n_modes)
-    coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
-    vals = np.fft.irfft(coeffs, n=grid.n_points)
-    peak = np.max(np.abs(vals))
-    return vals / peak if peak > 0 else vals
-
-
 def _gap_entries(u: Field, op: NonlocalOperator, params: Parameters) -> dict:
     gm, gp = one_sided_gaps(u, op, params)
     fk = full_kernel_gap(u, op, params)
@@ -425,7 +430,7 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     for i in range(n_random):
         kv = float(rng.uniform(-1.0, 1.0))
         pk = make_parameters(params.alpha, 0.0, 2.0 * kv, params.sigma)
-        vals = _random_band_limited(rng, grid, n_modes, max_mode)
+        vals = random_band_limited(rng, grid, n_modes, max_mode)
         fields.append((f"random_{i:03d}", ic_preset("from_samples", grid, values=vals), pk))
 
     results = {}
@@ -435,7 +440,7 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         results[name] = entry
         worst = min(worst, *(e["min_gap"] for e in entry.values()))
 
-    witness = _witness_study(params, resolutions)
+    witness = peakon_witness_study(params, resolutions)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -462,45 +467,6 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         print(f"FAIL: min gap {worst:.3e} below -{GAP_TOLERANCE:.0e}", file=sys.stderr)
         return 1
     return 0
-
-
-def _witness_study(params: Parameters, resolutions: list[int]) -> dict:
-    """Sharpness study: the peakon profile attains equality in the
-    one-sided inequality on one side of its peak.  The peak carries a
-    slope jump, so the gap right at it shrinks only linearly in N, while
-    on the equality region away from the kink the gap converges at
-    order ~2; both are reported."""
-    levels = []
-    exclusion = 0.25 * params.alpha
-    for n in resolutions:
-        grid = make_grid(20.0 * params.alpha, n)
-        op = make_operator(grid, params)
-        u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
-        gm, _ = one_sided_gaps(u, op, params)
-        x = grid.nodes
-        ipk = int(np.argmin(np.abs(x)))
-        region = x <= -exclusion
-        levels.append(
-            {
-                "n_points": n,
-                "gap_at_peak": float(gm.field.values[ipk]),
-                "gap_equality_region": float(np.max(np.abs(gm.field.values[region]))),
-                "min_gap": gm.min_gap,
-                "sup_embedding_gap": float(sobolev_gap(u, params)),
-            }
-        )
-    order = np.nan
-    if len(levels) >= 2:
-        g0 = abs(levels[0]["gap_equality_region"])
-        g1 = abs(levels[-1]["gap_equality_region"])
-        steps = np.log2(levels[-1]["n_points"] / levels[0]["n_points"])
-        if g1 > 0 and steps > 0:
-            order = float(np.log2(g0 / g1) / steps)
-    return {
-        "equality_region_excludes": f"|x - y| < {exclusion}",
-        "levels": levels,
-        "equality_region_order": order,
-    }
 
 
 def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, float, float]]:
@@ -640,27 +606,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    command = {"simulate": cmd_simulate, "criterion": cmd_criterion,
+               "lemmas": cmd_lemmas, "sweep": cmd_sweep}[args.command]
     try:
-        cfg = load_config(args.config, args)
-    except ConfigError as exc:
+        return command(load_config(args.config, args))
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "criterion":
-            return cmd_criterion(cfg)
-        if args.command == "lemmas":
-            return cmd_lemmas(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -20,8 +20,6 @@ __all__ = [
     "make_parameters",
     "make_grid",
     "ic_preset",
-    "derivative",
-    "spectral_interpolate",
     "Spectral",
     "PRESET_NAMES",
 ]
@@ -88,10 +86,6 @@ class Grid:
         nodes.setflags(write=False)
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "nodes", nodes)
-
-    def wavenumbers(self) -> np.ndarray:
-        """Angular wavenumbers matching numpy's rfft layout (xi_k = pi*k/L)."""
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n_points, d=self.dx)
 
     @cached_property
     def spectral(self) -> Spectral:
@@ -206,18 +200,6 @@ def ic_preset(
     return Field(grid, vals)
 
 
-def derivative(f: Field) -> Field:
-    """Spectral derivative on the periodic grid; exact for resolved modes."""
-    return Field(f.grid, f.grid.spectral.ddx(f.values), f.allow_nonfinite)
-
-
-def spectral_interpolate(f: Field, x) -> np.ndarray | float:
-    """Trigonometric interpolation of a Field at off-grid points."""
-    sp = f.grid.spectral
-    out = sp.values(np.fft.rfft(f.values), sp.basis(x))
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 class Spectral:
     """Fourier bookkeeping of one grid, built once per Grid (``grid.spectral``).
 
@@ -237,7 +219,9 @@ class Spectral:
     def __init__(self, grid: Grid):
         self.half_length = grid.half_length
         self.n = grid.n_points
-        self.xi = grid.wavenumbers()
+        # xi_k = pi k/L, formed as 2 pi rfftfreq: the direct pi k/L can differ
+        # in the last bit, and every symbol below is built on these bits
+        self.xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=grid.dx)
         self.ik = 1j * self.xi
         self.ik[-1] = 0.0
         # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _energy_e, _energy_f
+from .analysis import _criterion_nodes, _energy_e, _energy_f
 from .core import Field, Grid, Parameters, State
 from .helmholtz import NonlocalOperator
 
@@ -188,8 +188,8 @@ class _SlopeTracker:
     predictor in the fields of the step's start and the corrector in those
     of its end (the linear blend in time at weights 0 and 1).  g crosses -M
     at the first sign change of phi = w' + (M/2) w on phi's cubic Hermite
-    interpolant over the step.  A seed leaving [safe_lo, safe_hi) is
-    deactivated.
+    interpolant over the step.  A seed leaving the safe box (_in_safe_box)
+    is deactivated.
     """
 
     def __init__(
@@ -198,16 +198,11 @@ class _SlopeTracker:
     ):
         self.sp = grid.spectral
         self.params = params
-        self.safe_lo = -grid.half_length + 2.0 * params.alpha
-        self.safe_hi = grid.half_length - 2.0 * params.alpha
 
-        margin = params.alpha * ux0 + np.abs(u0 + params.k)
+        margin, vacuum = _criterion_nodes(ux0, u0, params, rho0)
         idx = [int(np.argmin(ux0)), int(np.argmin(margin))]
-        if rho0 is not None:
-            near = np.abs(rho0 + 1.0) <= 1e-10
-            if np.any(near):
-                cand = np.where(near)[0]
-                idx.append(int(cand[np.argmin(margin[cand])]))
+        if vacuum is not None:
+            idx.append(vacuum)
         seeds: list[int] = []
         for i in idx:
             if all(abs(i - j) > 4 for j in seeds):
@@ -234,7 +229,7 @@ class _SlopeTracker:
         y = self.y
         r0 = self._rate(ev0, y)
         y1 = y + (0.5 * dt) * (r0 + self._rate(ev1, y + dt * r0))
-        inside = (self.safe_lo <= y1[0]) & (y1[0] < self.safe_hi)
+        inside = _in_safe_box(y1[0], self.sp.half_length, self.params.alpha)
         phi = np.array([0.0, 0.5 * threshold, 1.0])  # w' + (M/2) w as a row vector
         cross = inside & (phi @ y1 < 0.0)
         crossing = None
@@ -252,6 +247,12 @@ class _SlopeTracker:
 
     def min_slope(self) -> float:
         return float(np.min(_slope(self.y), initial=np.inf))
+
+
+def _in_safe_box(q: np.ndarray, L: float, alpha: float) -> np.ndarray:
+    """Which of the points q lie in [-L + 2 alpha, L - 2 alpha): closer to
+    the ends of the periodic box [-L, L) it no longer approximates the line."""
+    return (-L + 2.0 * alpha <= q) & (q < L - 2.0 * alpha)
 
 
 def _slope(y: np.ndarray) -> np.ndarray:
@@ -290,7 +291,6 @@ class TrajectoryRecord:
     state: State
     diagnostics: RecordDiagnostics
     du_dt: Field
-    drho_dt: Field | None = None
     at_detection: bool = False
 
 
@@ -310,13 +310,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return np.array([r.state.t for r in self.records])
 
-    def pre_detection_records(self) -> list[TrajectoryRecord]:
-        return [r for r in self.records if not r.at_detection]
-
-    @property
-    def final_state(self) -> State:
-        return self.records[-1].state
-
 
 @dataclass(frozen=True)
 class BlowupReport:
@@ -327,7 +320,8 @@ class BlowupReport:
     end of the step in which it crossed the threshold (the honest estimate
     of inf_x u_x; the per-record grid minimum in the trajectory diagnostics
     saturates at O(sqrt(N)) across a forming cusp); it is -inf when w <= 0
-    there, i.e. the characteristic broke inside that step.  t_detect is the
+    there, i.e. the characteristic broke inside that step, and summary.json,
+    which is standard JSON, writes that -inf as null.  t_detect is the
     crossing time inside the step.  detector_x0 is the seed of the
     characteristic that fired.
     """
@@ -374,7 +368,7 @@ def simulate(
             rho_tilde=Field(grid, y[1], allow_nonfinite=at_detection) if two else None,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            dy = np.fft.irfft(ev.k_hat, n=grid.n_points)
+            du_dt = np.fft.irfft(ev.k_hat[0], n=grid.n_points)
             rho, rf = (y[1], ev.phys[3]) if two else (None, None)
             diag = RecordDiagnostics(
                 min_ux=float(np.min(ev.phys[2])),
@@ -387,8 +381,7 @@ def simulate(
             TrajectoryRecord(
                 state=state,
                 diagnostics=diag,
-                du_dt=Field(grid, dy[0], allow_nonfinite=True),
-                drho_dt=Field(grid, dy[1], allow_nonfinite=True) if two else None,
+                du_dt=Field(grid, du_dt, allow_nonfinite=True),
                 at_detection=at_detection,
             )
         )

@@ -5,6 +5,10 @@ kernel p(x) = exp(-|x|/alpha)/(2*alpha).  On the periodic grid the
 Fourier-symbol implementation below is exactly the convolution with the
 periodized kernel; for L >> alpha that is indistinguishable from the
 whole-line operator.
+
+The solver reads the NonlocalOperator's symbols of Q and d_x Q; the
+inequality checks apply Q and the one-sided kernel pair to grid samples.
+green_kernel evaluates p in real space, as an independent check of them.
 """
 from __future__ import annotations
 
@@ -49,26 +53,11 @@ class NonlocalOperator:
         object.__setattr__(self, "symbol_q", sym_q)
         object.__setattr__(self, "symbol_dq", sym_dq)
 
-    # array-level hot paths -------------------------------------------------
-
     def apply_q_values(self, values: np.ndarray) -> np.ndarray:
+        """Q f of grid samples f, i.e. (1 - alpha^2 d_xx) g = f in the
+        discrete Fourier sense; equivalently the periodized convolution p * f."""
         n = self.grid.n_points
         return np.fft.irfft(self.symbol_q * np.fft.rfft(values), n=n)
-
-    def apply_dq_values(self, values: np.ndarray) -> np.ndarray:
-        n = self.grid.n_points
-        return np.fft.irfft(self.symbol_dq * np.fft.rfft(values), n=n)
-
-    # Field-level API --------------------------------------------------------
-
-    def apply_q(self, f: Field) -> Field:
-        """g = Q f, i.e. (1 - alpha^2 d_xx) g = f in the discrete Fourier
-        sense; equivalently the periodized convolution p * f."""
-        return Field(self.grid, self.apply_q_values(f.values), f.allow_nonfinite)
-
-    def apply_dq(self, f: Field) -> Field:
-        """d_x (p * f), the Fourier multiplier i*xi/(1 + alpha^2 xi^2)."""
-        return Field(self.grid, self.apply_dq_values(f.values), f.allow_nonfinite)
 
     def one_sided_convolutions(self, f: Field) -> tuple[Field, Field]:
         """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f).

@@ -5,7 +5,6 @@ the module tests and the acceptance suite.
 """
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import dghlab as dg
@@ -128,15 +127,3 @@ def bump_run(runs):
     """Smooth pre-breaking run: unit gaussian bump, t <= 1, N = 4096."""
     return runs.get("bump", 4096)
 
-
-def seeded_band_limited(rng: np.random.Generator, grid: dg.Grid,
-                        n_modes: int = 30, max_mode: int = 80) -> np.ndarray:
-    """Random smooth periodic field, spectrum within the quarter band,
-    normalized to unit amplitude."""
-    coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
-    modes = rng.integers(1, max_mode + 1, size=n_modes)
-    coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
-    vals = np.fft.irfft(coeffs, n=grid.n_points)
-    peak = np.max(np.abs(vals))
-    return vals / peak if peak > 0 else vals

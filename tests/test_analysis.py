@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 import dghlab as dg
-from dghlab.analysis import _golden_refine, full_kernel_gap, one_sided_gaps, sobolev_gap
-from tests.conftest import seeded_band_limited
+from dghlab.analysis import _golden_refine, _margin, full_kernel_gap, one_sided_gaps, sobolev_gap
+from dghlab.analysis import random_band_limited
 
 
 def zeros_state(grid):
@@ -81,24 +81,6 @@ class TestEnergyF:
         assert errs[0] > errs[-1]
 
 
-class TestNorm:
-    def test_zero(self, grid1024, params_ch):
-        u = dg.ic_preset("from_samples", grid1024, values=np.zeros(1024))
-        assert dg.h_alpha_norm(u, params_ch) == 0.0
-
-    def test_peakon_norm(self, grid4096, params_ch):
-        # ||e^{-|x|}||_{H1,1} = sqrt(2)
-        nrm = dg.h_alpha_norm(peakon(grid4096, params_ch), params_ch)
-        assert nrm == pytest.approx(np.sqrt(2.0), abs=5e-3)
-
-    def test_norm_squared_is_twice_energy(self, grid1024):
-        p = dg.make_parameters(1.7)
-        u = dg.ic_preset("sech_bump", grid1024, center=1.0)
-        assert dg.h_alpha_norm(u, p) ** 2 == pytest.approx(
-            2.0 * dg.energy_E(dg.State(0.0, u), p), rel=1e-12
-        )
-
-
 class TestOneSidedGaps:
     def test_zero_datum_zero_gap_when_k_zero(self, grid1024, params_ch):
         op = dg.make_operator(grid1024, params_ch)
@@ -156,7 +138,7 @@ class TestOneSidedGaps:
             p = dg.make_parameters(1.0, 0.0, 2.0 * kv)
             op = dg.make_operator(grid2048, p)
             u = dg.ic_preset(
-                "from_samples", grid2048, values=seeded_band_limited(rng, grid2048)
+                "from_samples", grid2048, values=random_band_limited(rng, grid2048)
             )
             gm, gp = one_sided_gaps(u, op, p)
             assert gm.min_gap > -1e-8
@@ -233,7 +215,7 @@ class TestSobolevGap:
         rng = np.random.default_rng(77)
         for _ in range(100):
             u = dg.ic_preset(
-                "from_samples", grid2048, values=seeded_band_limited(rng, grid2048)
+                "from_samples", grid2048, values=random_band_limited(rng, grid2048)
             )
             assert sobolev_gap(u, params_ch) > -1e-9
 
@@ -297,12 +279,10 @@ class TestCriterionOneComponent:
         grid = grid2048
         sp = grid.spectral
         p = dg.make_parameters(1.0, 0.3 * (seed % 2), 0.4 * (seed // 2))
-        u0 = dg.ic_preset("from_samples", grid, values=amp * seeded_band_limited(rng, grid))
+        u0 = dg.ic_preset("from_samples", grid, values=amp * random_band_limited(rng, grid))
         u_hat = np.fft.rfft(u0.values)
-        ik = 1j * grid.wavenumbers()
-        ik[-1] = 0.0
-        ux_hat = ik * u_hat
-        margins = p.alpha * np.fft.irfft(ux_hat, n=grid.n_points) + np.abs(u0.values + p.k)
+        ux_hat = sp.ik * u_hat
+        margins = _margin(np.fft.irfft(ux_hat, n=grid.n_points), u0.values, p)
         i = int(np.argmin(margins))
 
         def interp(coeffs, x):
@@ -310,7 +290,7 @@ class TestCriterionOneComponent:
             return float(sp.values(coeffs, sp.basis(x))[0])
 
         def margin_at(x):
-            return p.alpha * interp(ux_hat, x) + abs(interp(u_hat, x) + p.k)
+            return _margin(interp(ux_hat, x), interp(u_hat, x), p)
 
         x_ref, m_ref = _golden_refine(margin_at, grid.nodes[i] - grid.dx, grid.nodes[i] + grid.dx)
         x_best, margin = (x_ref, m_ref) if m_ref < margins[i] else (grid.nodes[i], margins[i])

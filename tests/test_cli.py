@@ -34,6 +34,13 @@ def read_all(out: Path) -> bytes:
     return b"".join(p.read_bytes() for p in sorted(out.iterdir()))
 
 
+def strict_json(path: Path):
+    """json.loads refusing NaN and Infinity, as RFC 8259 parsers do."""
+    def refuse(name):
+        raise ValueError(f"{path.name} holds the non-standard constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestSimulateCommand:
     def test_writes_all_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -347,3 +354,33 @@ class TestDeterminism:
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0].count(b"\n") == 7
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestStrictJson:
+    def test_every_json_output_is_standard(self, tmp_path):
+        # the tracked slope of this breaking run ends at -inf, and a lemma
+        # suite on one resolution fits no witness order
+        cfg = write_config(
+            tmp_path,
+            solver={"t_max": 2.0, "record_every": 8},
+            lemmas={"n_random": 2, "resolutions": [1024]},
+            sweep={"amplitudes": [1.0]},
+        )
+        for command in ("simulate", "criterion", "lemmas", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        files = {p.name: p for p in tmp_path.glob("*/*.json")}
+        assert sorted(files) == ["lemmas_report.json", "summary.json", "verdict.json"]
+        reports = {name: strict_json(p) for name, p in files.items()}
+        for name, schema in (
+            ("summary.json", "run_summary.schema.json"),
+            ("verdict.json", "criterion_verdict.schema.json"),
+            ("lemmas_report.json", "lemmas_report.schema.json"),
+        ):
+            jsonschema.validate(reports[name], load_schema(schema))
+        assert reports["summary.json"]["blowup_report"]["min_slope_at_detect"] is None
+        witness = reports["lemmas_report.json"]["peakon_witness_study"]
+        assert witness["equality_region_order"] is None
+        # the CSV keeps the value itself
+        row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[11] == "-inf"

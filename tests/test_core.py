@@ -134,13 +134,13 @@ class TestPresets:
 class TestDerivative:
     def test_annihilates_constants(self, grid1024):
         f = dg.ic_preset("from_samples", grid1024, values=np.full(1024, 3.7))
-        assert np.max(np.abs(dg.derivative(f).values)) < 1e-13
+        assert np.max(np.abs(grid1024.spectral.ddx(f.values))) < 1e-13
 
     def test_single_mode_exact(self, grid1024):
         L = grid1024.half_length
         x = grid1024.nodes
         f = dg.ic_preset("from_samples", grid1024, values=np.sin(np.pi * x / L))
-        df = dg.derivative(f).values
+        df = grid1024.spectral.ddx(f.values)
         assert np.max(np.abs(df - np.pi / L * np.cos(np.pi * x / L))) < 1e-10
 
     def test_matches_finite_differences_at_second_order(self):
@@ -190,18 +190,24 @@ class TestSpectral:
         assert np.array_equal(op.symbol_dq, sp.ik * op.symbol_q)
 
 
+def interpolate(grid, values, x):
+    """The trigonometric interpolant of the grid samples at the points x."""
+    sp = grid.spectral
+    return sp.values(np.fft.rfft(values), sp.basis(x))
+
+
 class TestInterpolation:
     def test_reproduces_samples_at_nodes(self, grid1024):
         u = dg.ic_preset("sech_bump", grid1024, center=-3.0)
         pts = grid1024.nodes[::97]
-        vals = dg.spectral_interpolate(u, pts)
+        vals = interpolate(grid1024, u.values, pts)
         assert np.max(np.abs(vals - u.values[::97])) < 1e-12
 
     def test_spectrally_accurate_off_grid(self, grid1024):
         u = dg.ic_preset("gaussian_bump", grid1024)
         xs = np.array([0.31415, -2.7182, 5.5])
         exact = np.exp(-(xs**2) / 2)
-        assert np.max(np.abs(dg.spectral_interpolate(u, xs) - exact)) < 1e-12
+        assert np.max(np.abs(interpolate(grid1024, u.values, xs) - exact)) < 1e-12
 
     def test_evaluator_matches_field_interpolation(self, grid1024):
         u = dg.ic_preset("gaussian_derivative", grid1024, a=0.7)
@@ -210,9 +216,9 @@ class TestInterpolation:
         x = 1.2345
         basis = ev.basis(x)
         v, d = float(ev.values(coeffs, basis)[0]), float(ev.slopes(coeffs, basis)[0])
-        assert v == pytest.approx(float(dg.spectral_interpolate(u, x)), abs=1e-13)
+        assert v == pytest.approx(float(interpolate(grid1024, u.values, x)[0]), abs=1e-13)
         assert d == pytest.approx(
-            float(dg.spectral_interpolate(dg.derivative(u), x)), abs=1e-12
+            float(interpolate(grid1024, ev.ddx(u.values), x)[0]), abs=1e-12
         )
 
     def test_evaluator_matches_direct_sums(self, grid1024):
@@ -222,7 +228,7 @@ class TestInterpolation:
         ev = grid1024.spectral
         coeffs = np.fft.rfft(u.values)
         xs = np.array([-19.9, -3.3, 1.2345, 7.77, 19.99])
-        xi = grid1024.wavenumbers()
+        xi = grid1024.spectral.xi
         phase = np.outer(xs + grid1024.half_length, xi)
         w = np.full(xi.size, 2.0)
         w[0] = w[-1] = 1.0

@@ -23,11 +23,15 @@ def constant(grid, c):
 
 
 def rhs(state, params):
-    """(du/dt, drho/dt) at the datum: the time derivatives stored on the
-    first record of a one-step run."""
-    traj, _ = dg.simulate(state, dg.SolverConfig(t_max=1e-6), params)
-    r = traj.records[0]
-    return r.du_dt, r.drho_dt
+    """(du/dt, drho~/dt) samples at the datum (drho~/dt None for one
+    component), from the stage evaluation simulate makes at every point
+    it reaches."""
+    grid = state.u.grid
+    rows = [state.u.values] + ([] if state.rho_tilde is None else [state.rho_tilde.values])
+    op = dg.make_operator(grid, params)
+    ev = _evaluate(np.array(rows), op, params, params.lam * grid.spectral.ik)
+    du, *drho = np.fft.irfft(ev.k_hat, n=grid.n_points)
+    return du, (drho[0] if drho else None)
 
 
 def first_dt(state, params, t_max):
@@ -56,13 +60,13 @@ class TestSolverConfig:
 class TestRhsOneComponent:
     def test_zero_datum(self, grid1024, params_ch):
         out, _ = rhs(dg.State(0.0, zeros(grid1024)), params_ch)
-        assert np.max(np.abs(out.values)) == 0.0
+        assert np.max(np.abs(out)) == 0.0
 
     def test_constant_datum_dispersionless(self, grid1024, params_ch):
         # k = lam = 0: transport of a constant vanishes and the nonlocal
         # term of a constant has zero derivative
         out, _ = rhs(dg.State(0.0, constant(grid1024, 0.8)), params_ch)
-        assert np.max(np.abs(out.values)) < 1e-14
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_matches_momentum_form(self, grid4096):
         # independent derivation: m = u - a^2 u_xx evolves by
@@ -71,11 +75,11 @@ class TestRhsOneComponent:
         grid = grid4096
         op = dg.make_operator(grid, p)
         u = dg.ic_preset("gaussian_bump", grid, a=0.7)
-        du = rhs(dg.State(0.0, u), p)[0].values
+        du = rhs(dg.State(0.0, u), p)[0]
 
         n = grid.n_points
         uh = np.fft.rfft(u.values)
-        xi = grid.wavenumbers()
+        xi = grid.spectral.xi
         ik = 1j * xi
         ik[-1] = 0.0
         ux = np.fft.irfft(ik * uh, n=n)
@@ -92,8 +96,8 @@ class TestRhsTwoComponent:
     def test_zero_data(self, grid1024, params_ch):
         st = dg.State(0.0, zeros(grid1024), zeros(grid1024))
         du, dr = rhs(st, params_ch)
-        assert np.max(np.abs(du.values)) == 0.0
-        assert np.max(np.abs(dr.values)) == 0.0
+        assert np.max(np.abs(du)) == 0.0
+        assert np.max(np.abs(dr)) == 0.0
 
     def test_resting_velocity(self, grid1024, params_ch):
         # u = 0: the density only forces u through the convolution term
@@ -104,18 +108,17 @@ class TestRhsTwoComponent:
         n = grid1024.n_points
         mask = (np.arange(n // 2 + 1) <= n // 3).astype(float)
         rf = np.fft.irfft(mask * np.fft.rfft(rho.values), n=n)
-        expected = -op.apply_dq_values(
-            np.fft.irfft(mask * np.fft.rfft(0.5 * rf * rf), n=n) + rho.values
-        )
-        assert np.max(np.abs(du.values - expected)) < 1e-13
-        assert np.max(np.abs(dr.values)) == 0.0
+        conv_arg = np.fft.irfft(mask * np.fft.rfft(0.5 * rf * rf), n=n) + rho.values
+        expected = -np.fft.irfft(op.symbol_dq * np.fft.rfft(conv_arg), n=n)
+        assert np.max(np.abs(du - expected)) < 1e-13
+        assert np.max(np.abs(dr)) == 0.0
 
     def test_rho_at_minus_one_is_stationary(self, grid1024, params_ch):
         # rho~ = -1: the source -u_x rho~ - u_x cancels identically
         u = dg.ic_preset("gaussian_bump", grid1024, a=0.6)
         st = dg.State(0.0, u, constant(grid1024, -1.0))
         _, dr = rhs(st, params_ch)
-        assert np.max(np.abs(dr.values)) < 1e-13
+        assert np.max(np.abs(dr)) < 1e-13
 
     def test_sigma_scales_density_coupling(self, grid1024):
         # sigma = 0 decouples the density from the velocity equation
@@ -124,7 +127,7 @@ class TestRhsTwoComponent:
         rho = dg.ic_preset("gaussian_bump", grid1024, a=0.4, center=1.0)
         du2, _ = rhs(dg.State(0.0, u, rho), p0)
         du1, _ = rhs(dg.State(0.0, u), p0)
-        assert np.max(np.abs(du2.values - du1.values)) < 1e-15
+        assert np.max(np.abs(du2 - du1)) < 1e-15
 
 
 class TestStepRK4:
@@ -166,9 +169,10 @@ class TestStepRK4:
         )
         cfg = dg.SolverConfig(t_max=0.5, record_every=10**6)
         traj, _ = dg.simulate(dg.State(0.0, u0), cfg, p)
-        T = traj.final_state.t
+        final = traj.records[-1].state
+        T = final.t
         ph0 = np.angle(np.fft.rfft(u0.values)[m])
-        ph1 = np.angle(np.fft.rfft(traj.final_state.u.values)[m])
+        ph1 = np.angle(np.fft.rfft(final.u.values)[m])
         c_meas = -np.angle(np.exp(1j * (ph1 - ph0))) / (xi0 * T)
         c_theory = (p.c0 - p.gamma * xi0**2) / (1 + p.alpha**2 * xi0**2)
         assert abs(c_meas - c_theory) / abs(c_theory) < 1e-3
@@ -197,7 +201,7 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_HORIZON
         assert not rep.blew_up
         assert rep.t_detect is None
-        assert traj.final_state.t == pytest.approx(1.0, abs=1e-12)
+        assert traj.records[-1].state.t == pytest.approx(1.0, abs=1e-12)
         for r in traj.records:
             assert np.max(np.abs(r.state.u.values)) == 0.0
 
@@ -218,7 +222,7 @@ class TestSimulate:
         assert times[0] == 0.0
         assert np.all(np.diff(times) > 0)
         assert traj.records[-1].at_detection
-        assert len(traj.pre_detection_records()) == len(traj.records) - 1
+        assert not any(r.at_detection for r in traj.records[:-1])
 
     def test_small_datum_stays_smooth(self, runs):
         traj, rep, _, _ = runs.get("negative_control")
@@ -233,7 +237,7 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_DT
         assert rep.blew_up
         # last finite state retained
-        assert np.all(np.isfinite(traj.final_state.u.values))
+        assert np.all(np.isfinite(traj.records[-1].state.u.values))
         assert traj.records[-1].at_detection
 
     def test_nan_backoff_reports_dt_underflow(self, params_ch):
@@ -244,7 +248,7 @@ class TestSimulate:
         cfg = dg.SolverConfig(t_max=1.0, dt_min=1e-300)
         traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
         assert rep.trigger == TRIGGER_DT
-        assert np.all(np.isfinite(traj.final_state.u.values))
+        assert np.all(np.isfinite(traj.records[-1].state.u.values))
 
 
 class TestConservation:
@@ -269,14 +273,16 @@ class TestConservation:
         assert (max(E) - min(E)) / abs(E[0]) < 1e-6
 
     def test_sup_norm_bound(self, runs, params_ch):
-        # max|u(t)| <= ||u0||_{H1,alpha}/sqrt(2 alpha) + 1e-6 before
-        # detection (energy conservation + the sharp embedding)
+        # max|u(t)| <= sqrt(2 E(u0))/sqrt(2 alpha) + 1e-6 before detection
+        # (energy conservation + the sharp embedding)
         for key in (("bump", 4096), ("breaking", 1.0, 4096)):
             traj, _, _, params = runs.get(*key)
             u0 = traj.records[0].state.u
-            bound = dg.h_alpha_norm(u0, params) / np.sqrt(2 * params.alpha)
-            for r in traj.pre_detection_records():
-                assert r.diagnostics.max_abs_u <= bound + 1e-6
+            norm = np.sqrt(2.0 * dg.energy_E(dg.State(0.0, u0), params))
+            bound = norm / np.sqrt(2 * params.alpha)
+            for r in traj.records:
+                if not r.at_detection:
+                    assert r.diagnostics.max_abs_u <= bound + 1e-6
 
 
 class TestTrajectoryRecords:
@@ -294,7 +300,7 @@ class TestTrajectoryRecords:
         traj, _, _, params = bump_run
         r = traj.records[3]
         du, _ = rhs(dg.State(0.0, r.state.u), params)
-        assert np.max(np.abs(du.values - r.du_dt.values)) < 1e-14
+        assert np.max(np.abs(du - r.du_dt.values)) < 1e-14
 
     def test_record_energies_match_public_functionals(self, runs):
         # the records take E and F from the stage evaluation's samples,

@@ -1,12 +1,19 @@
 """Smoke tests of the study scripts, the only non-test users of the
-library API outside the command line: import each and run its compute
-function at N = 512."""
+library API outside the command line: the breaking-time study's compute
+function at N = 512, and the sharpness study's library function plus one
+run of the script."""
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+import dghlab as dg
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load(name):
@@ -26,10 +33,20 @@ def test_breaking_time_study():
 
 
 def test_sharpness_study():
-    rows = load("sharpness_study").gap_levels(1.0, 0.0, 0.0, [512, 1024])
-    assert [r[0] for r in rows] == [512, 1024]
-    for _, peak, away, min_gap in rows:
-        assert min_gap >= -1e-8
-        assert away < peak
+    study = dg.peakon_witness_study(dg.make_parameters(1.0), [512, 1024])
+    levels = study["levels"]
+    assert [lev["n_points"] for lev in levels] == [512, 1024]
+    for lev in levels:
+        assert lev["min_gap"] >= -1e-8
+        assert lev["gap_equality_region"] < lev["gap_at_peak"]
     # the equality-region gap converges faster than first order
-    assert rows[0][2] / rows[1][2] > 3.0
+    assert levels[0]["gap_equality_region"] / levels[1]["gap_equality_region"] > 3.0
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(SCRIPTS / "sharpness_study.py"), "--resolutions", "512", "1024"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert [line.split()[0] for line in run.stdout.splitlines()[2:]] == ["512", "1024"]
