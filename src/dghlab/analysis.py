@@ -4,8 +4,9 @@ The inequality checks return the pointwise difference LHS - RHS as a
 GapField; validity means the minimum gap is nonnegative up to round-off.
 The local blowup criterion scans the initial datum for a point where
 alpha*u0'(x) + |u0(x) + k| is negative and, when one exists, reports the
-explicit breaking-time bound 2/sqrt(u0'(x0)^2 - (u0(x0)+k)^2/alpha^2);
-the slope tracker seeds from the same node-level test (_criterion_nodes).
+explicit breaking-time bound 2/sqrt(u0'(x0)^2 - (u0(x0)+k)^2/alpha^2).
+x0 is found on the interpolant, off the grid too (Spectral.refine_min), and
+the slope tracker seeds at the same vacuum point (_vacuum_point).
 The lemma suite's random fields and peakon witness study live here too.
 """
 from __future__ import annotations
@@ -235,80 +236,65 @@ class CriterionVerdict:
     rho_condition_met: bool | None = None
 
 
-def _golden_refine(f, a: float, b: float, iters: int = 60) -> tuple[float, float]:
-    """Golden-section minimization of a scalar callable on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = c if fc < fd else d
-    return x, min(fc, fd)
-
-
 def _margin(ux, u, params: Parameters):
     """The criterion margin alpha*u_x + |u + k| (scalars or arrays)."""
     return params.alpha * ux + np.abs(u + params.k)
 
 
-def _criterion_nodes(ux, u, params: Parameters, rho=None) -> tuple[np.ndarray, int | None]:
-    """The criterion margin at the nodes and, given rho~, the node that
-    minimizes it among the vacuum nodes, where rho~ is -1 to the tolerance
-    below (None when there is none).  The caller passes its own u_x
-    samples, so each caller keeps the bits of its derivative."""
-    margins = _margin(ux, u, params)
-    if rho is None:
-        return margins, None
-    vacuum = np.flatnonzero(np.abs(rho + 1.0) <= 1e-10)
-    if vacuum.size == 0:
-        return margins, None
-    return margins, int(vacuum[np.argmin(margins[vacuum])])
-
-
-def _margin_minimizer(u0: Field, params: Parameters) -> tuple[float, float, float, float]:
-    """Grid scan plus one golden-section refinement of the criterion margin.
-
-    Returns (x_best, margin, slope, value) at the refined minimizer.
-    """
-    grid = u0.grid
-    sp = grid.spectral
+def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
+    """(x0, margin) at the least criterion margin: the node scan refined on
+    the interpolant, where the margin's slope is alpha u'' + sign(u + k) u'."""
+    sp = u0.grid.spectral
     u_hat = np.fft.rfft(u0.values)
-    ux_hat = sp.ik * u_hat
-    margins, _ = _criterion_nodes(np.fft.irfft(ux_hat, n=grid.n_points), u0.values, params)
-    i = int(np.argmin(margins))
+    margins = _margin(sp.ddx(u0.values), u0.values, params)
+    i = np.argmin(margins, keepdims=True)
 
-    def slope_value(x: float) -> tuple[float, float]:
-        # one cos/sin pass per point; two separate matmuls on it keep the
-        # results bit-identical to one basis per row (one stacked matmul
-        # does not)
-        basis = sp.basis(x)
-        return float(sp.values(ux_hat, basis)[0]), float(sp.values(u_hat, basis)[0])
+    def target(rows):
+        u, ux, uxx = rows
+        return _margin(ux, u, params), params.alpha * uxx + np.sign(u + params.k) * ux
 
-    def margin_at(x: float) -> float:
-        return _margin(*slope_value(x), params)
-
-    # refine over the three cells around the discrete minimizer; the
-    # criterion point need not be a node
-    a = grid.nodes[i] - grid.dx
-    b = grid.nodes[i] + grid.dx
-    x_ref, m_ref = _golden_refine(margin_at, a, b)
-    if m_ref < margins[i]:
-        x_best, margin = float(x_ref), float(m_ref)
-    else:
-        x_best, margin = float(grid.nodes[i]), float(margins[i])
-    slope, value = slope_value(x_best)
-    return x_best, margin, slope, value
+    rows = np.array([u_hat, sp.ik * u_hat, sp.ik**2 * u_hat])
+    x, m, _ = sp.refine_min(rows, target, u0.grid.nodes[i], margins[i])
+    return float(x[0]), float(m[0])
 
 
-def _time_bound(slope: float, value: float, params: Parameters) -> float:
+def _vacuum_point(grid: Grid, u: np.ndarray, rho: np.ndarray, params: Parameters):
+    """(x0, margin) at the vacuum point of least margin, or None.  Each
+    discrete local minimum of rho~ is refined to its tangential minimum on
+    the interpolant unless the node is nearer vacuum (where the interpolant
+    undershoots -1 beside it); a vacuum point has |rho~ + 1| <= 1e-10.  Its
+    margin comes from the samples if the node stays, else the interpolant."""
+    sp = grid.spectral
+    rho_hat = np.fft.rfft(rho)
+    gap = np.abs(rho + 1.0)
+    # within dx of a node the interpolant moves by at most dx (2/N) sum
+    # |xi rho^|, so a node gap beyond that cannot refine to a vacuum point
+    reach = 2.0 * grid.dx * np.sum(sp.xi * np.abs(rho_hat)) / grid.n_points
+    low = gap - reach <= 1e-10
+    i = np.flatnonzero(low & (rho <= np.roll(rho, 1)) & (rho <= np.roll(rho, -1)))
+
+    def target(rows):  # bisect on the slope of rho~, compare the gaps
+        return np.abs(rows[0] + 1.0), rows[1]
+
+    rows = np.array([rho_hat, sp.ik * rho_hat])
+    x, gap_x, moved = sp.refine_min(rows, target, grid.nodes[i], gap[i])
+    vacuum = np.flatnonzero(gap_x <= 1e-10)
+    if vacuum.size == 0:
+        return None
+    x, i, moved = x[vacuum], i[vacuum], moved[vacuum]
+    u_hat = np.fft.rfft(u)
+    uv, uxv = sp.values(np.array([u_hat, sp.ik * u_hat]), sp.basis(x))
+    margins = np.where(moved, _margin(uxv, uv, params), _margin(sp.ddx(u)[i], u[i], params))
+    j = int(np.argmin(margins))
+    return float(x[j]), float(margins[j])
+
+
+def _time_bound(u0: Field, x0: float, params: Parameters) -> float:
+    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant."""
+    sp = u0.grid.spectral
+    u_hat = np.fft.rfft(u0.values)
+    basis = sp.basis(x0)  # one matmul per row: a stacked one can differ in the last bit
+    slope, value = (float(sp.values(c, basis)[0]) for c in (sp.ik * u_hat, u_hat))
     return 2.0 / np.sqrt(slope**2 - ((value + params.k) / params.alpha) ** 2)
 
 
@@ -320,18 +306,17 @@ def check_criterion_dgh(u0: Field, params: Parameters) -> CriterionVerdict:
     A non-holding verdict is a valid result: the criterion is sufficient,
     not necessary.
     """
-    x_best, margin, slope, value = _margin_minimizer(u0, params)
+    x0, margin = _min_margin(u0, params)
     holds = margin < 0.0
-    bound = _time_bound(slope, value, params) if holds else None
-    return CriterionVerdict(
-        holds=holds, x0_best=x_best, margin=margin, time_bound=bound
-    )
+    bound = _time_bound(u0, x0, params) if holds else None
+    return CriterionVerdict(holds=holds, x0_best=x0, margin=margin, time_bound=bound)
 
 
 def check_criterion_dgh2(u0: Field, rho0: Field, params: Parameters) -> CriterionVerdict:
     """Local breaking criterion for the two-component system (gamma = 0):
     requires rho~0(x0) = -1 and u0'(x0) < -|u0(x0) + c0/2|/alpha at a
-    common node.
+    common point.  Without a vacuum point the verdict reports the least
+    margin over the line, as the one-component criterion does.
     """
     if params.gamma != 0.0:
         raise ValueError(
@@ -340,12 +325,9 @@ def check_criterion_dgh2(u0: Field, rho0: Field, params: Parameters) -> Criterio
         )
     if rho0.grid != u0.grid:
         raise ValueError("u0 and rho0 must share one grid")
-    ux = u0.grid.spectral.ddx(u0.values)
-    margins, i = _criterion_nodes(ux, u0.values, params, rho0.values)
-    met = i is not None
-    if not met:  # report the margin minimizer over all nodes
-        i = int(np.argmin(margins))
-    margin = float(margins[i])
+    point = _vacuum_point(u0.grid, u0.values, rho0.values, params)
+    met = point is not None
+    x0, margin = point if met else _min_margin(u0, params)
     holds = met and margin < 0.0
-    bound = _time_bound(float(ux[i]), float(u0.values[i]), params) if holds else None
-    return CriterionVerdict(holds, float(u0.grid.nodes[i]), margin, bound, rho_condition_met=met)
+    bound = _time_bound(u0, x0, params) if holds else None
+    return CriterionVerdict(holds, x0, margin, bound, rho_condition_met=met)

@@ -371,11 +371,9 @@ def cmd_criterion(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     state = cfg.initial_state(grid, params)
-    if cfg.equation == "dgh":
-        verdict = check_criterion_dgh(state.u, params)
-    else:
-        # a ValueError at gamma != 0 exits 2 through main
-        verdict = check_criterion_dgh2(state.u, state.rho_tilde, params)
+    verdict = _criterion_for(cfg.equation, state, params)
+    if verdict is None:
+        raise ConfigError(f"the dgh2 criterion requires gamma = 0; got gamma = {params.gamma}")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

@@ -209,7 +209,8 @@ class Spectral:
     the quarter-band projection, d/dx, and the multi-point trigonometric
     interpolant: ``basis`` makes the one cos/sin pass at a set of points,
     which ``values`` and ``slopes`` share across any number of coefficient
-    rows.  The Nyquist mode is interpolated as a pure cosine, the standard
+    rows, and ``refine_min`` moves discrete minima off the grid on it.
+    The Nyquist mode is interpolated as a pure cosine, the standard
     real-data convention; at the nodes this reproduces the samples to
     round-off.
     """
@@ -219,6 +220,7 @@ class Spectral:
     def __init__(self, grid: Grid):
         self.half_length = grid.half_length
         self.n = grid.n_points
+        self.dx = grid.dx
         # xi_k = pi k/L, formed as 2 pi rfftfreq: the direct pi k/L can differ
         # in the last bit, and every symbol below is built on these bits
         self.xi = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=grid.dx)
@@ -280,3 +282,31 @@ class Spectral:
     def slopes(self, coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
         """x-derivatives of the interpolants, same shape as ``values``."""
         return -(coeffs @ (self.ik.imag * basis).T).imag
+
+    def refine_min(self, coeffs, target, x, f):
+        """Refine discrete local minima of a target onto the interpolant.
+
+        ``target(rows)`` maps the interpolant values of the coefficient rows
+        ``coeffs`` at some points to (f, s) there: f is compared with the
+        node's, and the sign change of s from - to + marks the minimum
+        sought (s is df/dx, or the slope of the quantity f measures).  Each
+        candidate node x_i, with sample value f_i, is bracketed in
+        [x_i - dx, x_i + dx], and the bracket is halved 60 times (to
+        2^-59 dx) on the sign of s, which also converges onto a kink of f;
+        one basis pass per halving serves all candidates.  The refined point
+        replaces its node only where its f is strictly below f_i.  Returns
+        (x, f, moved).
+        """
+        def rows_at(points):  # 256 points at a time bound the basis array
+            return np.concatenate([self.values(coeffs, self.basis(points[s : s + 256]))
+                                   for s in range(0, max(points.size, 1), 256)], axis=-1)
+
+        lo, hi = x - self.dx, x + self.dx
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            falling = target(rows_at(mid))[1] < 0.0
+            lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
+        x_ref = 0.5 * (lo + hi)
+        f_ref = target(rows_at(x_ref))[0]
+        moved = f_ref < f
+        return np.where(moved, x_ref, x), np.where(moved, f_ref, f), moved

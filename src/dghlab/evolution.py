@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import _criterion_nodes, _energy_e, _energy_f
+from .analysis import _energy_e, _energy_f, _margin, _vacuum_point
 from .core import Field, Grid, Parameters, State
 from .helmholtz import NonlocalOperator
 
@@ -180,16 +180,16 @@ def _step(
 class _SlopeTracker:
     """Lagrangian estimate of inf_x u_x along automatically chosen seeds.
 
-    Seeds: the node minimizing u0_x and the node minimizing the criterion
-    margin alpha*u0_x + |u0 + k| (plus, for two-component data, the margin
-    minimizer among nodes with rho~0 = -1).  The slope is g = 2w'/w with
-    w'' = f w/2 (module docstring), w(0) = 1 and w'(0) = g0/2.  Each solver
-    step moves the rows (q, w, w') of all active seeds by one Heun step, the
-    predictor in the fields of the step's start and the corrector in those
-    of its end (the linear blend in time at weights 0 and 1).  g crosses -M
-    at the first sign change of phi = w' + (M/2) w on phi's cubic Hermite
-    interpolant over the step.  A seed leaving the safe box (_in_safe_box)
-    is deactivated.
+    Seeds: the node minimizing u0_x, the node minimizing the criterion
+    margin alpha*u0_x + |u0 + k| and, for two-component data, the node
+    nearest the criterion's vacuum point (analysis._vacuum_point).  The
+    slope is g = 2w'/w with w'' = f w/2 (module docstring), w(0) = 1 and
+    w'(0) = g0/2.  Each solver step moves the rows (q, w, w') of all active
+    seeds by one Heun step, the predictor in the fields of the step's start
+    and the corrector in those of its end (the linear blend in time at
+    weights 0 and 1).  g crosses -M at the first sign change of
+    phi = w' + (M/2) w on phi's cubic Hermite interpolant over the step.
+    A seed leaving the safe box (_in_safe_box) is deactivated.
     """
 
     def __init__(
@@ -199,10 +199,10 @@ class _SlopeTracker:
         self.sp = grid.spectral
         self.params = params
 
-        margin, vacuum = _criterion_nodes(ux0, u0, params, rho0)
-        idx = [int(np.argmin(ux0)), int(np.argmin(margin))]
-        if vacuum is not None:
-            idx.append(vacuum)
+        idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0, params)))]
+        vacuum = None if rho0 is None else _vacuum_point(grid, u0, rho0, params)
+        if vacuum is not None:  # the node nearest the vacuum point
+            idx.append(int(np.rint((vacuum[0] + grid.half_length) / grid.dx)) % grid.n_points)
         seeds: list[int] = []
         for i in idx:
             if all(abs(i - j) > 4 for j in seeds):

@@ -13,9 +13,9 @@ import pytest
 
 import dghlab as dg
 from dghlab.analysis import full_kernel_gap, one_sided_gaps, sobolev_gap
-from dghlab.characteristics import monotone_violation, resolved_count
 from dghlab.cli import main
 from dghlab.analysis import random_band_limited
+from path_checks import monotone_violation, resolved_count
 
 
 def report(criterion: int, text: str) -> None:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import dghlab as dg
-from dghlab.analysis import _golden_refine, _margin, full_kernel_gap, one_sided_gaps, sobolev_gap
+from dghlab.analysis import _margin, full_kernel_gap, one_sided_gaps, sobolev_gap
 from dghlab.analysis import random_band_limited
 
 
@@ -272,37 +273,52 @@ class TestCriterionOneComponent:
         assert v.time_bound == pytest.approx(bound, abs=1e-8)
 
     @pytest.mark.parametrize("seed,amp", [(0, 2.0), (1, 2.0), (2, 2.0), (3, 0.01)])
-    def test_refinement_bit_identical_to_trig_eval_reference(self, grid2048, seed, amp):
-        # reference: the grid scan plus golden-section refinement with its
-        # own cos/sin pass per coefficient row and point
+    def test_refined_margin_on_interpolant(self, grid2048, seed, amp):
+        # the reported margin is the margin at x0_best on the interpolant
+        # and no node margin is below it; the bound is the formula on the
+        # interpolated u0, u0' at x0_best.  Measured: the margin exactly
+        # (each refined point here moved off its node), the bound within
+        # 4.4e-16 relative
         rng = np.random.default_rng(seed)
         grid = grid2048
         sp = grid.spectral
         p = dg.make_parameters(1.0, 0.3 * (seed % 2), 0.4 * (seed // 2))
         u0 = dg.ic_preset("from_samples", grid, values=amp * random_band_limited(rng, grid))
-        u_hat = np.fft.rfft(u0.values)
-        ux_hat = sp.ik * u_hat
-        margins = _margin(np.fft.irfft(ux_hat, n=grid.n_points), u0.values, p)
-        i = int(np.argmin(margins))
-
-        def interp(coeffs, x):
-            # the former trig_eval: a cos/sin pass of its own per row
-            return float(sp.values(coeffs, sp.basis(x))[0])
-
-        def margin_at(x):
-            return _margin(interp(ux_hat, x), interp(u_hat, x), p)
-
-        x_ref, m_ref = _golden_refine(margin_at, grid.nodes[i] - grid.dx, grid.nodes[i] + grid.dx)
-        x_best, margin = (x_ref, m_ref) if m_ref < margins[i] else (grid.nodes[i], margins[i])
-        slope, value = interp(ux_hat, x_best), interp(u_hat, x_best)
-
         v = dg.check_criterion_dgh(u0, p)
-        assert v.x0_best == float(x_best)
-        assert v.margin == float(margin)
-        if margin < 0.0:
-            assert v.time_bound == 2.0 / np.sqrt(slope**2 - ((value + p.k) / p.alpha) ** 2)
+        u_hat = np.fft.rfft(u0.values)
+        value, slope = sp.values(np.array([u_hat, sp.ik * u_hat]), sp.basis(v.x0_best))[:, 0]
+        assert v.margin <= np.min(_margin(sp.ddx(u0.values), u0.values, p))
+        assert v.margin == pytest.approx(_margin(slope, value, p), abs=1e-14)
+        assert v.holds == (v.margin < 0.0)
+        if v.holds:
+            bound = 2.0 / np.sqrt(slope**2 - ((value + p.k) / p.alpha) ** 2)
+            assert v.time_bound == pytest.approx(bound, rel=1e-14)
         else:
             assert v.time_bound is None
+
+    @pytest.mark.parametrize("offset", ["-k", "0"])
+    def test_off_node_minimizer_at_nonzero_k(self, grid1024, offset):
+        # u0 = -(x - c) exp(-(x - c)^2/2) + offset with c = 0.3 dx, k = 0.35.
+        # With offset -k the margin has its kink at x0 = c; with offset 0
+        # its smooth minimum sits at x0 = c + s*, s* the root of the closed
+        # form's slope.  Measured: 1.8e-15 and 3.1e-14 (golden section
+        # left 9.5e-9 in the smooth case)
+        p = dg.make_parameters(1.0, 0.3, 0.4)
+        k = p.k
+        centre = 0.3 * grid1024.dx
+
+        def margin_slope(s):
+            e = np.exp(-s * s / 2.0)
+            return (3.0 * s - s**3) * e + np.sign(-s * e + k) * (s * s - 1.0) * e
+
+        s_star = 0.0 if offset == "-k" else brentq(margin_slope, 0.2, 0.5, xtol=1e-16)
+        u0 = dg.ic_preset(
+            "gaussian_derivative", grid1024, a=1.0, center=centre,
+            offset=-k if offset == "-k" else 0.0,
+        )
+        v = dg.check_criterion_dgh(u0, p)
+        assert v.holds
+        assert v.x0_best - centre == pytest.approx(s_star, abs=1e-13)
 
 
 class TestCriterionTwoComponent:
@@ -315,6 +331,37 @@ class TestCriterionTwoComponent:
         assert v.x0_best == 0.0
         assert v.margin == pytest.approx(-1.0, abs=1e-12)
         assert v.time_bound == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("cells", [0.25, 0.5])
+    def test_holds_at_off_node_vacuum_point(self, grid4096, params_ch, cells):
+        # the datum above shifted by a fraction of a cell: no node is a
+        # vacuum point, the refined minimum of rho~0 is.  Measured: x0_best
+        # within 5.3e-15 of the shift, margin within 9.1e-15 of -1, bound
+        # within 4.9e-15 of 2
+        shift = cells * grid4096.dx
+        u0 = dg.ic_preset("gaussian_derivative", grid4096, a=1.0, center=shift)
+        rho0 = dg.ic_preset("gaussian_bump", grid4096, a=-1.0, center=shift, width=2.0**-0.5)
+        assert np.min(rho0.values) > -1.0 + 1e-6
+        v = dg.check_criterion_dgh2(u0, rho0, params_ch)
+        assert v.holds
+        assert v.rho_condition_met
+        assert v.x0_best == pytest.approx(shift, abs=5e-14)
+        assert v.margin == pytest.approx(-1.0, abs=5e-14)
+        assert v.time_bound == pytest.approx(2.0, abs=5e-14)
+
+    def test_vacuum_interval(self, grid4096, params_ch):
+        # rho~0 = -1 on [-1, 1], joined C^1 to its tails, and u0 steepest at
+        # 0.5: the interpolant undershoots -1 between the interval's nodes
+        # (measured: by up to 1.3e-5 near the joins, 4.9e-7 near 0.5), so
+        # the nodes stay vacuum points, and x0 is the node nearest 0.5
+        x = grid4096.nodes
+        rho0 = dg.ic_preset("from_samples", grid4096,
+                            values=-np.exp(-np.clip(np.abs(x) - 1.0, 0.0, None) ** 2 / 0.1))
+        u0 = dg.ic_preset("gaussian_derivative", grid4096, a=1.5, center=0.5)
+        v = dg.check_criterion_dgh2(u0, rho0, params_ch)
+        assert v.holds and v.rho_condition_met
+        assert abs(v.x0_best - 0.5) <= 0.5 * grid4096.dx
+        assert v.margin < -1.49
 
     def test_fails_without_vacuum_point(self, grid4096, params_ch):
         u0 = dg.ic_preset("gaussian_derivative", grid4096, a=1.0)

@@ -3,11 +3,14 @@
 perfbench/tracer.py replaces named functions of dghlab modules with timing
 wrappers, looked up with getattr, and perfbench/setup_probe.py builds a
 command's set-up through dghlab.cli.  A change that removes or renames one
-of those names fails here instead of in a benchmark run."""
+of those names, or a call path that goes round them, fails here instead of
+in a benchmark run."""
 import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from dghlab import cli
 
@@ -15,10 +18,15 @@ ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
 
-def test_tracer_installs_and_restores():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer_mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_mod)
+    return tracer_mod
+
+
+def test_tracer_installs_and_restores():
+    tracer_mod = load_tracer()
     before = {name: getattr(cli, name) for name in tracer_mod.CLI_NAMES}
     tracer = tracer_mod.Tracer()
     try:
@@ -35,3 +43,13 @@ def test_setup_probe_exits_0():
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.yaml")))
+def test_criterion_command_opens_one_criterion_span(config, tmp_path):
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), tracer.operation("criterion"):
+        code = cli.main(["criterion", "--config", str(ROOT / "configs" / config),
+                         "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert [sp.name for sp in tracer.spans].count("analysis.criterion") == 1

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 import dghlab as dg
-from dghlab.characteristics import (
-    PathPoint,
-    monotone_violation,
-    resolved_count,
-)
+from dghlab.characteristics import PathPoint
+from path_checks import monotone_violation, resolved_count
 
 
 def constant_state(grid, c):

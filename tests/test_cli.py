@@ -125,7 +125,7 @@ class TestCriterionCommand:
         cfg = write_config(tmp_path, initial={"preset": "gaussian_bump", "args": {"a": -0.2}})
         assert main(["criterion", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
-    def test_two_component_with_dispersion_rejected(self, tmp_path):
+    def test_two_component_with_dispersion_rejected(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
             equation="dgh2",
@@ -135,6 +135,7 @@ class TestCriterionCommand:
         out = tmp_path / "o"
         assert main(["criterion", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+        assert "requires gamma = 0" in capsys.readouterr().err
 
 
 class TestLemmasCommand:
