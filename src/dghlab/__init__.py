@@ -20,7 +20,6 @@ from .characteristics import (
     momentum_residual,
     plain_ab,
     rho_invariant_residual,
-    weighted_ab,
     weighted_ab_log,
 )
 from .analysis import (

@@ -129,7 +129,7 @@ def one_sided_gaps(
     # the discrete gap equals the continuum gap of a genuine finite-energy
     # function: nonnegative up to the e^{-2L/alpha} periodization
     # correction even for kinked inputs like the peakon
-    uv, ux = u.grid.spectral.quarter_band(u.values)
+    uv, ux = u.quarter_band
     w = Field(u.grid, 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv)
     minus, plus = op.one_sided_convolutions(w)
     rhs = 0.5 * (uv + params.k) ** 2 - params.k**2
@@ -144,7 +144,7 @@ def full_kernel_gap(
 ) -> GapField:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2."""
     _check_operator(u, op, params)
-    uv, ux = u.grid.spectral.quarter_band(u.values)
+    uv, ux = u.quarter_band
     w = 0.5 * params.alpha**2 * ux * ux + (uv + params.k) ** 2
     conv = op.apply_q_values(w)
     rhs = 0.5 * (uv + params.k) ** 2
@@ -159,7 +159,7 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     maximum is a lower bound on the true sup and the norm is Parseval
     exact, so the reported slack is never spuriously negative.
     """
-    uv, ux = u.grid.spectral.quarter_band(u.values)
+    uv, ux = u.quarter_band
     norm = np.sqrt(
         _quadrature(uv * uv + params.alpha**2 * ux * ux, u.grid.dx)
     )
@@ -241,12 +241,12 @@ def _margin(ux, u, params: Parameters):
     return params.alpha * ux + np.abs(u + params.k)
 
 
-def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
-    """(x0, margin) at the least criterion margin: the node scan refined on
-    the interpolant, where the margin's slope is alpha u'' + sign(u + k) u'."""
+def _min_margin(u0: Field, u_hat: np.ndarray, params: Parameters) -> tuple[float, float]:
+    """(x0, margin) at the least criterion margin of u0 (u_hat = rfft of
+    its samples): the node scan refined on the interpolant, where the
+    margin's slope is alpha u'' + sign(u + k) u'."""
     sp = u0.grid.spectral
-    u_hat = np.fft.rfft(u0.values)
-    margins = _margin(sp.ddx(u0.values), u0.values, params)
+    margins = _margin(np.fft.irfft(sp.ik * u_hat, n=sp.n), u0.values, params)
     i = np.argmin(margins, keepdims=True)
 
     def target(rows):
@@ -258,12 +258,14 @@ def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
     return float(x[0]), float(m[0])
 
 
-def _vacuum_point(grid: Grid, u: np.ndarray, rho: np.ndarray, params: Parameters):
-    """(x0, margin) at the vacuum point of least margin, or None.  Each
-    discrete local minimum of rho~ is refined to its tangential minimum on
-    the interpolant unless the node is nearer vacuum (where the interpolant
-    undershoots -1 beside it); a vacuum point has |rho~ + 1| <= 1e-10.  Its
-    margin comes from the samples if the node stays, else the interpolant."""
+def _vacuum_point(grid: Grid, u: np.ndarray, u_hat: np.ndarray, rho: np.ndarray,
+                  params: Parameters):
+    """(x0, margin) at the vacuum point of least margin, or None (u_hat =
+    rfft(u)).  Each discrete local minimum of rho~ is refined to its
+    tangential minimum on the interpolant unless the node is nearer vacuum
+    (where the interpolant undershoots -1 beside it); a vacuum point has
+    |rho~ + 1| <= 1e-10.  Its margin comes from the samples if the node
+    stays, else the interpolant."""
     sp = grid.spectral
     rho_hat = np.fft.rfft(rho)
     gap = np.abs(rho + 1.0)
@@ -277,22 +279,24 @@ def _vacuum_point(grid: Grid, u: np.ndarray, rho: np.ndarray, params: Parameters
         return np.abs(rows[0] + 1.0), rows[1]
 
     rows = np.array([rho_hat, sp.ik * rho_hat])
-    x, gap_x, moved = sp.refine_min(rows, target, grid.nodes[i], gap[i])
+    x, gap_x, moved = grid.nodes[i], gap[i], np.zeros(i.size, dtype=bool)
+    far = gap_x > 0.0  # a node at exact vacuum stays: nothing is strictly better
+    x[far], gap_x[far], moved[far] = sp.refine_min(rows, target, x[far], gap_x[far])
     vacuum = np.flatnonzero(gap_x <= 1e-10)
     if vacuum.size == 0:
         return None
     x, i, moved = x[vacuum], i[vacuum], moved[vacuum]
-    u_hat = np.fft.rfft(u)
     uv, uxv = sp.values(np.array([u_hat, sp.ik * u_hat]), sp.basis(x))
-    margins = np.where(moved, _margin(uxv, uv, params), _margin(sp.ddx(u)[i], u[i], params))
+    ux = np.fft.irfft(sp.ik * u_hat, n=sp.n)
+    margins = np.where(moved, _margin(uxv, uv, params), _margin(ux[i], u[i], params))
     j = int(np.argmin(margins))
     return float(x[j]), float(margins[j])
 
 
-def _time_bound(u0: Field, x0: float, params: Parameters) -> float:
-    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant."""
-    sp = u0.grid.spectral
-    u_hat = np.fft.rfft(u0.values)
+def _time_bound(grid: Grid, u_hat: np.ndarray, x0: float, params: Parameters) -> float:
+    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant of
+    u_hat = rfft(u0)."""
+    sp = grid.spectral
     basis = sp.basis(x0)  # one matmul per row: a stacked one can differ in the last bit
     slope, value = (float(sp.values(c, basis)[0]) for c in (sp.ik * u_hat, u_hat))
     return 2.0 / np.sqrt(slope**2 - ((value + params.k) / params.alpha) ** 2)
@@ -306,9 +310,10 @@ def check_criterion_dgh(u0: Field, params: Parameters) -> CriterionVerdict:
     A non-holding verdict is a valid result: the criterion is sufficient,
     not necessary.
     """
-    x0, margin = _min_margin(u0, params)
+    u_hat = np.fft.rfft(u0.values)
+    x0, margin = _min_margin(u0, u_hat, params)
     holds = margin < 0.0
-    bound = _time_bound(u0, x0, params) if holds else None
+    bound = _time_bound(u0.grid, u_hat, x0, params) if holds else None
     return CriterionVerdict(holds=holds, x0_best=x0, margin=margin, time_bound=bound)
 
 
@@ -325,9 +330,10 @@ def check_criterion_dgh2(u0: Field, rho0: Field, params: Parameters) -> Criterio
         )
     if rho0.grid != u0.grid:
         raise ValueError("u0 and rho0 must share one grid")
-    point = _vacuum_point(u0.grid, u0.values, rho0.values, params)
+    u_hat = np.fft.rfft(u0.values)
+    point = _vacuum_point(u0.grid, u0.values, u_hat, rho0.values, params)
     met = point is not None
-    x0, margin = point if met else _min_margin(u0, params)
+    x0, margin = point if met else _min_margin(u0, u_hat, params)
     holds = met and margin < 0.0
-    bound = _time_bound(u0, x0, params) if holds else None
+    bound = _time_bound(u0.grid, u_hat, x0, params) if holds else None
     return CriterionVerdict(holds, x0, margin, bound, rho_condition_met=met)

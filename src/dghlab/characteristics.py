@@ -33,7 +33,6 @@ __all__ = [
     "PathPoint",
     "CharacteristicPath",
     "advect",
-    "weighted_ab",
     "weighted_ab_log",
     "plain_ab",
     "collapse_rate",
@@ -60,23 +59,15 @@ class PathPoint:
     rho0: float | np.ndarray | None = None
 
 
-def weighted_ab(point: PathPoint, params: Parameters):
-    """Exponentially weighted monotone pair
+def weighted_ab_log(point: PathPoint, params: Parameters):
+    """Exponentially weighted monotone pair in sign + log-magnitude form,
 
         A = exp(q/alpha + (k-lam) t/alpha) * ((u+k)/alpha - u_x)
-        B = exp(-q/alpha + (lam-k) t/alpha) * ((u+k)/alpha + u_x)
+        B = exp(-q/alpha + (lam-k) t/alpha) * ((u+k)/alpha + u_x),
 
-    A is nondecreasing and B nonincreasing in t along every path.  Values
-    may overflow to +-inf for large t*|k-lam|/alpha; use weighted_ab_log
-    for overflow-safe comparisons.
+    as (sign_A, log|A|, sign_B, log|B|); log|.| is -inf for exact zeros.
+    A is nondecreasing and B nonincreasing in t along every path.
     """
-    sa, la, sb, lb = weighted_ab_log(point, params)
-    with np.errstate(over="ignore"):
-        return sa * np.exp(la), sb * np.exp(lb)
-
-
-def weighted_ab_log(point: PathPoint, params: Parameters):
-    """(sign_A, log|A|, sign_B, log|B|); log|.| is -inf for exact zeros."""
     a = params.alpha
     base_a = (point.u + params.k) / a - point.ux
     base_b = (point.u + params.k) / a + point.ux
@@ -248,7 +239,7 @@ def advect(traj: Trajectory, x0, params: Parameters):
             rho=rho_j if two else None, rho0=rho_j[0] if two else None,
         )
         sa, la, sb, lb = weighted_ab_log(pt, params)
-        with np.errstate(over="ignore"):  # weighted_ab from the one log-form pair
+        with np.errstate(over="ignore"):  # the weighted pair from its log form
             aw, bw = sa * np.exp(la), sb * np.exp(lb)
         ap, bp = plain_ab(pt, params)
         paths.append(CharacteristicPath(

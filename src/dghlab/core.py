@@ -102,7 +102,9 @@ class Field:
     """Real samples of a function on a Grid.
 
     Values must be finite unless the field is explicitly tagged as a
-    post-breaking snapshot via ``allow_nonfinite``.
+    post-breaking snapshot via ``allow_nonfinite``.  The values are a
+    read-only copy, so spectral data cached on the field (``quarter_band``)
+    stays valid for its lifetime.
     """
 
     grid: Grid
@@ -119,6 +121,18 @@ class Field:
             raise ValueError("field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def quarter_band(self) -> np.ndarray:
+        """Rows (u, u_x) of the samples band-limited to wavenumber bins
+        <= N/4, where every quadratic product is alias-free on the grid;
+        built on first use with one rfft and one 2-row irfft, read-only."""
+        sp = self.grid.spectral
+        u_hat = np.fft.rfft(self.values)
+        u_hat[sp.n // 4 + 1 :] = 0.0
+        band = np.fft.irfft(np.array([u_hat, sp.ik * u_hat]), n=sp.n)
+        band.setflags(write=False)
+        return band
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,10 +220,10 @@ class Spectral:
     Owns the wavenumbers ``xi`` on rfft bins, the derivative symbol ``ik``
     (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
     antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
-    the quarter-band projection, d/dx, and the multi-point trigonometric
-    interpolant: ``basis`` makes the one cos/sin pass at a set of points,
-    which ``values`` and ``slopes`` share across any number of coefficient
-    rows, and ``refine_min`` moves discrete minima off the grid on it.
+    d/dx, and the multi-point trigonometric interpolant: ``basis`` makes
+    the one cos/sin pass at a set of points, which ``values`` and
+    ``slopes`` share across any number of coefficient rows, and
+    ``refine_min`` moves discrete minima off the grid on it.
     The Nyquist mode is interpolated as a pure cosine, the standard
     real-data convention; at the nodes this reproduces the samples to
     round-off.
@@ -250,13 +264,6 @@ class Spectral:
     def ddx(self, values: np.ndarray) -> np.ndarray:
         """Spectral d/dx of grid samples."""
         return np.fft.irfft(self.ik * np.fft.rfft(values), n=self.n)
-
-    def quarter_band(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(u, u_x) of the samples band-limited to wavenumber bins <= N/4,
-        where every quadratic product is alias-free on the grid."""
-        u_hat = np.fft.rfft(values)
-        u_hat[self.n // 4 + 1 :] = 0.0
-        return np.fft.irfft(u_hat, n=self.n), np.fft.irfft(self.ik * u_hat, n=self.n)
 
     def basis(self, x) -> np.ndarray:
         """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),

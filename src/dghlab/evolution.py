@@ -200,7 +200,7 @@ class _SlopeTracker:
         self.params = params
 
         idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0, params)))]
-        vacuum = None if rho0 is None else _vacuum_point(grid, u0, rho0, params)
+        vacuum = None if rho0 is None else _vacuum_point(grid, u0, np.fft.rfft(u0), rho0, params)
         if vacuum is not None:  # the node nearest the vacuum point
             idx.append(int(np.rint((vacuum[0] + grid.half_length) / grid.dx)) % grid.n_points)
         seeds: list[int] = []

@@ -64,13 +64,14 @@ class NonlocalOperator:
 
         These combinations are the one-sided exponential kernels
         2*p*1_{x>0} and 2*p*1_{x<0}; assembling them from Q and d_x Q keeps
-        a single code path for all convolutions.
+        a single code path for all convolutions.  Q f and d_x Q f come from
+        one rfft and one 2-row irfft.
         """
         fh = np.fft.rfft(f.values)
         a = self.alpha
-        n = self.grid.n_points
-        qf = np.fft.irfft(self.symbol_q * fh, n=n)
-        dqf = np.fft.irfft(self.symbol_dq * fh, n=n)
+        qf, dqf = np.fft.irfft(
+            np.array([self.symbol_q * fh, self.symbol_dq * fh]), n=self.grid.n_points
+        )
         minus = Field(self.grid, qf - a * dqf, f.allow_nonfinite)
         plus = Field(self.grid, qf + a * dqf, f.allow_nonfinite)
         return minus, plus

@@ -1,8 +1,10 @@
 """Checks the tests make along characteristic paths: the resolved window
-of a path and the monotonicity of a signed log-magnitude series."""
+of a path, the monotonicity of a signed log-magnitude series and the
+weighted pair in linear form."""
 import numpy as np
 
-from dghlab.characteristics import CharacteristicPath
+from dghlab.characteristics import CharacteristicPath, PathPoint, weighted_ab_log
+from dghlab.core import Parameters
 
 
 def resolved_count(path: CharacteristicPath, qx_floor: float = 0.1) -> int:
@@ -52,3 +54,11 @@ def monotone_violation(signs: np.ndarray, logs: np.ndarray, direction: str) -> f
             v = np.exp(min(logs[i + 1] - logs[i], 50.0)) - 1.0
         worst = max(worst, v)
     return float(worst)
+
+
+def weighted_ab(point: PathPoint, params: Parameters):
+    """The weighted pair (A, B) of weighted_ab_log in linear form; values
+    may overflow to +-inf for large t*|k-lam|/alpha."""
+    sa, la, sb, lb = weighted_ab_log(point, params)
+    with np.errstate(over="ignore"):
+        return sa * np.exp(la), sb * np.exp(lb)

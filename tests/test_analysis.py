@@ -363,6 +363,27 @@ class TestCriterionTwoComponent:
         assert abs(v.x0_best - 0.5) <= 0.5 * grid4096.dx
         assert v.margin < -1.49
 
+    def test_exact_vacuum_nodes_are_not_refined(self, grid4096, params_ch, monkeypatch):
+        # a node with |rho~ + 1| = 0 cannot move (the refined point must be
+        # strictly better), so only the nodes beside the interval's 205
+        # exact-vacuum nodes are bisected
+        x = grid4096.nodes
+        rho0 = dg.ic_preset("from_samples", grid4096,
+                            values=-np.exp(-np.clip(np.abs(x) - 1.0, 0.0, None) ** 2 / 0.1))
+        u0 = dg.ic_preset("gaussian_derivative", grid4096, a=1.5, center=0.5)
+        sp = grid4096.spectral
+        refine_min = sp.refine_min
+        gaps = []
+
+        def recording(coeffs, target, x, f):
+            gaps.append(np.array(f))
+            return refine_min(coeffs, target, x, f)
+
+        monkeypatch.setattr(sp, "refine_min", recording)
+        dg.check_criterion_dgh2(u0, rho0, params_ch)
+        assert np.sum(np.abs(rho0.values + 1.0) == 0.0) == 205
+        assert len(gaps) == 1 and np.all(gaps[0] > 0.0)
+
     def test_fails_without_vacuum_point(self, grid4096, params_ch):
         u0 = dg.ic_preset("gaussian_derivative", grid4096, a=1.0)
         rho0 = dg.ic_preset("from_samples", grid4096, values=np.zeros(4096))

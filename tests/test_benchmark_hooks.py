@@ -6,11 +6,13 @@ command's set-up through dghlab.cli.  A change that removes or renames one
 of those names, or a call path that goes round them, fails here instead of
 in a benchmark run."""
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from dghlab import cli
 
@@ -53,3 +55,18 @@ def test_criterion_command_opens_one_criterion_span(config, tmp_path):
                          "--out", str(tmp_path / "o")])
     assert code == 0
     assert [sp.name for sp in tracer.spans].count("analysis.criterion") == 1
+
+
+def test_lemmas_command_opens_three_gap_spans_per_field(tmp_path):
+    # cli must call one_sided_gaps, full_kernel_gap and sobolev_gap by name
+    # for every field, or the benchmark's analysis.gaps_s reads 0
+    cfg = tmp_path / "lemmas.yaml"
+    cfg.write_text(yaml.safe_dump({"grid": {"half_length": 20.0, "n_points": 1024},
+                                   "lemmas": {"n_random": 3, "resolutions": [512]}}))
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), tracer.operation("lemmas"):
+        code = cli.main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0
+    fields = json.loads((tmp_path / "o" / "lemmas_report.json").read_text())["fields"]
+    assert len(fields) == 4 + 3
+    assert [sp.name for sp in tracer.spans].count("analysis.gaps") == 3 * len(fields)

@@ -3,7 +3,7 @@ import pytest
 
 import dghlab as dg
 from dghlab.characteristics import PathPoint
-from path_checks import monotone_violation, resolved_count
+from path_checks import monotone_violation, resolved_count, weighted_ab
 
 
 def constant_state(grid, c):
@@ -111,20 +111,20 @@ class TestPathFunctionals:
         # A(0) = e^{x0/a}((u0+k)/a - u0'), B(0) = e^{-x0/a}((u0+k)/a + u0')
         p = dg.make_parameters(2.0, 1.0, 0.5)
         pt = PathPoint(t=0.0, q=1.3, qx=1.0, u=0.7, ux=-0.4, m=0.0, m0=0.0)
-        a, b = dg.weighted_ab(pt, p)
+        a, b = weighted_ab(pt, p)
         base = (0.7 + p.k) / p.alpha
         assert a == pytest.approx(np.exp(1.3 / 2.0) * (base + 0.4), rel=1e-14)
         assert b == pytest.approx(np.exp(-1.3 / 2.0) * (base - 0.4), rel=1e-14)
 
     def test_weighted_pair_zero_velocity(self, params_ch):
         pt = PathPoint(t=0.5, q=0.2, qx=1.0, u=0.0, ux=0.0, m=0.0, m0=0.0)
-        a, b = dg.weighted_ab(pt, params_ch)
+        a, b = weighted_ab(pt, params_ch)
         assert a == 0.0 and b == 0.0
 
     def test_steep_seed_values(self, params_ch):
         # u0 = -x e^{-x^2/2} at x0 = 0: u0 = 0, u0' = -1
         pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.0, ux=-1.0, m=0.0, m0=0.0)
-        assert dg.weighted_ab(pt, params_ch) == (1.0, -1.0)
+        assert weighted_ab(pt, params_ch) == (1.0, -1.0)
         a, b = dg.plain_ab(pt, params_ch)
         assert (a, b) == (1.0, -1.0)
         assert dg.collapse_rate(a, b) == 1.0
@@ -140,7 +140,7 @@ class TestPathFunctionals:
         # pick k - lam > 0: gamma = 4, c0 = 0 -> lam = -4, k = 2, k-lam = 6
         p = dg.make_parameters(1.0, 4.0, 0.0)
         pt = PathPoint(t=150.0, q=0.0, qx=1.0, u=0.3, ux=-0.2, m=0.0, m0=0.0)
-        a, b = dg.weighted_ab(pt, p)
+        a, b = weighted_ab(pt, p)
         assert np.isinf(a)
         sa, la, sb, lb = dg.weighted_ab_log(pt, p)
         assert sa > 0 and np.isfinite(la)
@@ -162,7 +162,7 @@ class TestPathFunctionals:
 
         def functionals(pt):
             return (
-                *dg.weighted_ab_log(pt, p), *dg.weighted_ab(pt, p), *dg.plain_ab(pt, p),
+                *dg.weighted_ab_log(pt, p), *weighted_ab(pt, p), *dg.plain_ab(pt, p),
                 dg.momentum_residual(pt, p), dg.rho_invariant_residual(pt),
             )
 

@@ -1,7 +1,9 @@
 import json
+import weakref
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
 
@@ -166,6 +168,48 @@ class TestLemmasCommand:
         assert code == 1
         report = json.loads((out / "lemmas_report.json").read_text())
         assert report["passed"] is False
+
+    def test_fft_calls_per_random_field(self, tmp_path, monkeypatch):
+        # runs differing only in n_random differ only by their random
+        # fields: each costs one irfft for its samples, one rfft and one
+        # 2-row irfft for its quarter band, and two of each for the
+        # one-sided pair and the full-kernel convolution
+        calls = []
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("rfft", "irfft", "fft", "ifft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        counts = []
+        for n_random in (2, 6):
+            cfg = write_config(tmp_path, lemmas={"n_random": n_random, "resolutions": [512]})
+            calls.clear()
+            assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                         "--seed", "11"]) == 0
+            counts.append(len(calls))
+        assert counts[1] - counts[0] <= 7 * 4
+
+    def test_fields_freed_as_checked(self, tmp_path, monkeypatch):
+        # each field (and the quarter band cached on it) is freed once its
+        # entry is made, and none outlives the command
+        refs, alive = [], []
+        gap_entries = cli._gap_entries
+
+        def tracked(u, op, params):
+            alive.append(sum(r() is not None for r in refs))
+            refs.append(weakref.ref(u))
+            return gap_entries(u, op, params)
+
+        monkeypatch.setattr(cli, "_gap_entries", tracked)
+        cfg = write_config(tmp_path, lemmas={"n_random": 5, "resolutions": [512]})
+        assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(refs) == 4 + 5
+        assert alive == [0] * len(refs)
+        assert all(r() is None for r in refs)
 
     def test_seed_changes_fields_not_verdict(self, tmp_path):
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})

@@ -80,6 +80,34 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_quarter_band_equals_per_row_transforms(self, grid1024):
+        # one rfft and one 2-row irfft give the bits of the two separate
+        # inverse transforms of the band-limited coefficients
+        f = dg.Field(grid1024, np.random.default_rng(7).standard_normal(1024))
+        u_hat = np.fft.rfft(f.values)
+        u_hat[1024 // 4 + 1 :] = 0.0
+        uv, ux = f.quarter_band
+        assert np.array_equal(uv, np.fft.irfft(u_hat, n=1024))
+        assert np.array_equal(ux, np.fft.irfft(grid1024.spectral.ik * u_hat, n=1024))
+        assert f.quarter_band is f.quarter_band
+        with pytest.raises(ValueError):
+            f.quarter_band[0, 0] = 1.0
+
+    def test_quarter_band_never_shared(self, grid1024):
+        samples = np.exp(-grid1024.nodes**2)
+        f = dg.Field(grid1024, samples)
+        band = f.quarter_band.copy()
+        samples *= 3.0  # the field holds its own copy of the samples
+        g = dg.Field(grid1024, samples)
+        assert np.array_equal(f.quarter_band, band)
+        assert np.array_equal(g.quarter_band, dg.Field(grid1024, samples).quarter_band)
+        assert not np.array_equal(g.quarter_band, band)
+        assert not np.shares_memory(f.quarter_band, g.quarter_band)
+        # the same samples on a grid of another length have another u_x
+        h = dg.Field(dg.make_grid(10.0, 1024), f.values)
+        assert np.array_equal(h.quarter_band[0], band[0])
+        assert not np.array_equal(h.quarter_band[1], band[1])
+
     def test_state_requires_shared_grid(self, grid1024, grid2048):
         u = dg.Field(grid1024, np.zeros(1024))
         rho = dg.Field(grid2048, np.zeros(2048))

@@ -135,6 +135,16 @@ class TestOneSided:
         assert np.max(np.abs(minus.values - 1.5)) < 1e-13
         assert np.max(np.abs(plus.values - 1.5)) < 1e-13
 
+    def test_batched_pair_equals_per_row_transforms(self, grid1024):
+        op = dg.make_operator(grid1024, dg.make_parameters(1.7))
+        f = dg.Field(grid1024, np.random.default_rng(3).standard_normal(1024))
+        minus, plus = op.one_sided_convolutions(f)
+        fh = np.fft.rfft(f.values)
+        qf = np.fft.irfft(op.symbol_q * fh, n=1024)
+        dqf = np.fft.irfft(op.symbol_dq * fh, n=1024)
+        assert np.array_equal(minus.values, qf - 1.7 * dqf)
+        assert np.array_equal(plus.values, qf + 1.7 * dqf)
+
     def test_sum_recovers_full_kernel(self, grid1024):
         p = dg.make_parameters(2.3)
         op = dg.make_operator(grid1024, p)
