@@ -48,7 +48,8 @@ def _energy_e(u, ux, rho, params: Parameters, dx: float) -> float:
 
 def _energy_f(uf, uxf, rf, params: Parameters, dx: float) -> float:
     """F from the 2/3-filtered samples u, u_x [and rho~]."""
-    dens = uf**3 + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
+    # uf * uf * uf, not uf**3: numpy's float power takes a slow pow path
+    dens = uf * uf * uf + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
     if rf is not None:
         dens = dens + 2.0 * uf * rf + uf * rf * rf
     return 0.5 * _quadrature(dens, dx)
@@ -63,9 +64,10 @@ def energy_E(state: State, params: Parameters) -> float:
     conserved, so its drift is the meaningful diagnostic.
     """
     grid = state.u.grid
-    u = state.u.values
+    sp = grid.spectral
+    ux = np.fft.irfft(sp.ik * state.u.spectrum, n=sp.n)
     rho = None if state.rho_tilde is None else state.rho_tilde.values
-    return _energy_e(u, grid.spectral.ddx(u), rho, params, grid.dx)
+    return _energy_e(state.u.values, ux, rho, params, grid.dx)
 
 
 def energy_F(state: State, params: Parameters) -> float:
@@ -78,10 +80,10 @@ def energy_F(state: State, params: Parameters) -> float:
     """
     grid = state.u.grid
     sp = grid.spectral
-    uf, uxf = np.fft.irfft(sp.filters[:2] * np.fft.rfft(state.u.values), n=sp.n)
+    uf, uxf = np.fft.irfft(sp.filters[:2] * state.u.spectrum, n=sp.n)
     rf = None
     if state.rho_tilde is not None:
-        rf = np.fft.irfft(sp.filters[0] * np.fft.rfft(state.rho_tilde.values), n=sp.n)
+        rf = np.fft.irfft(sp.filters[0] * state.rho_tilde.spectrum, n=sp.n)
     return _energy_f(uf, uxf, rf, params, grid.dx)
 
 
@@ -241,11 +243,12 @@ def _margin(ux, u, params: Parameters):
     return params.alpha * ux + np.abs(u + params.k)
 
 
-def _min_margin(u0: Field, u_hat: np.ndarray, params: Parameters) -> tuple[float, float]:
-    """(x0, margin) at the least criterion margin of u0 (u_hat = rfft of
-    its samples): the node scan refined on the interpolant, where the
-    margin's slope is alpha u'' + sign(u + k) u'."""
+def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
+    """(x0, margin) at the least criterion margin of u0: the node scan
+    refined on the interpolant, where the margin's slope is
+    alpha u'' + sign(u + k) u'."""
     sp = u0.grid.spectral
+    u_hat = u0.spectrum
     margins = _margin(np.fft.irfft(sp.ik * u_hat, n=sp.n), u0.values, params)
     i = np.argmin(margins, keepdims=True)
 
@@ -258,16 +261,17 @@ def _min_margin(u0: Field, u_hat: np.ndarray, params: Parameters) -> tuple[float
     return float(x[0]), float(m[0])
 
 
-def _vacuum_point(grid: Grid, u: np.ndarray, u_hat: np.ndarray, rho: np.ndarray,
-                  params: Parameters):
-    """(x0, margin) at the vacuum point of least margin, or None (u_hat =
-    rfft(u)).  Each discrete local minimum of rho~ is refined to its
-    tangential minimum on the interpolant unless the node is nearer vacuum
-    (where the interpolant undershoots -1 beside it); a vacuum point has
+def _vacuum_point(u0: Field, rho0: Field, params: Parameters):
+    """(x0, margin) at the vacuum point of least margin, or None.  Each
+    discrete local minimum of rho~ is refined to its tangential minimum on
+    the interpolant unless the node is nearer vacuum (where the
+    interpolant undershoots -1 beside it); a vacuum point has
     |rho~ + 1| <= 1e-10.  Its margin comes from the samples if the node
     stays, else the interpolant."""
+    grid = u0.grid
     sp = grid.spectral
-    rho_hat = np.fft.rfft(rho)
+    u, u_hat = u0.values, u0.spectrum
+    rho, rho_hat = rho0.values, rho0.spectrum
     gap = np.abs(rho + 1.0)
     # within dx of a node the interpolant moves by at most dx (2/N) sum
     # |xi rho^|, so a node gap beyond that cannot refine to a vacuum point
@@ -293,10 +297,10 @@ def _vacuum_point(grid: Grid, u: np.ndarray, u_hat: np.ndarray, rho: np.ndarray,
     return float(x[j]), float(margins[j])
 
 
-def _time_bound(grid: Grid, u_hat: np.ndarray, x0: float, params: Parameters) -> float:
-    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant of
-    u_hat = rfft(u0)."""
-    sp = grid.spectral
+def _time_bound(u0: Field, x0: float, params: Parameters) -> float:
+    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant of u0."""
+    sp = u0.grid.spectral
+    u_hat = u0.spectrum
     basis = sp.basis(x0)  # one matmul per row: a stacked one can differ in the last bit
     slope, value = (float(sp.values(c, basis)[0]) for c in (sp.ik * u_hat, u_hat))
     return 2.0 / np.sqrt(slope**2 - ((value + params.k) / params.alpha) ** 2)
@@ -310,10 +314,9 @@ def check_criterion_dgh(u0: Field, params: Parameters) -> CriterionVerdict:
     A non-holding verdict is a valid result: the criterion is sufficient,
     not necessary.
     """
-    u_hat = np.fft.rfft(u0.values)
-    x0, margin = _min_margin(u0, u_hat, params)
+    x0, margin = _min_margin(u0, params)
     holds = margin < 0.0
-    bound = _time_bound(u0.grid, u_hat, x0, params) if holds else None
+    bound = _time_bound(u0, x0, params) if holds else None
     return CriterionVerdict(holds=holds, x0_best=x0, margin=margin, time_bound=bound)
 
 
@@ -330,10 +333,9 @@ def check_criterion_dgh2(u0: Field, rho0: Field, params: Parameters) -> Criterio
         )
     if rho0.grid != u0.grid:
         raise ValueError("u0 and rho0 must share one grid")
-    u_hat = np.fft.rfft(u0.values)
-    point = _vacuum_point(u0.grid, u0.values, u_hat, rho0.values, params)
+    point = _vacuum_point(u0, rho0, params)
     met = point is not None
-    x0, margin = point if met else _min_margin(u0, u_hat, params)
+    x0, margin = point if met else _min_margin(u0, params)
     holds = met and margin < 0.0
-    bound = _time_bound(u0.grid, u_hat, x0, params) if holds else None
+    bound = _time_bound(u0, x0, params) if holds else None
     return CriterionVerdict(holds, x0, margin, bound, rho_condition_met=met)

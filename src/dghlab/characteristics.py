@@ -4,8 +4,9 @@ The flow map solves dq/dt = u(t, q) + lam from a recorded trajectory:
 cubic Hermite interpolation in time (each record stores the instantaneous
 time derivative of the fields) combined with trigonometric interpolation
 in space, so the diagnostics keep spectral accuracy without re-running
-the solver.  The Hermite coefficients are built once per call and all
-seeds advance together through one multi-point value+derivative
+the solver.  Both read the rfft rows the records carry (the fields'
+``spectrum`` and ``du_dt_hat``), record by record, so a call makes no FFT.
+All seeds advance together through one multi-point value+derivative
 evaluator; one cos/sin pass at a record gives u, u_x, m and rho~ for every
 seed and doubles as the first RK4 stage, so each recorded interval costs
 four trig passes.  Along each path we evaluate the slope g = u_x(t, q), the
@@ -146,8 +147,8 @@ def advect(traj: Trajectory, x0, params: Parameters):
 
     x0 is one seed, which gives one CharacteristicPath, or a sequence of
     seeds, which gives a list of paths in seed order.  All seeds advance
-    together: the space-time coefficients are built once, and one trig
-    pass per evaluation point set serves every seed.  q and q_x are
+    together: one trig pass per evaluation point set serves every seed,
+    on the rfft rows the records carry.  q and q_x are
     advanced with RK4 over each recorded interval (the stretch solves
     dq_x/dt = u_x(t, q) q_x); the values at a record are the first RK4
     stage.  If a path approaches the domain boundary closer than 2*alpha
@@ -164,18 +165,7 @@ def advect(traj: Trajectory, x0, params: Parameters):
     ev = grid.spectral
     records = traj.records
     two = records[0].state.rho_tilde is not None
-    # rfft rows at every record: u and du/dt for the Hermite blend in time,
-    # rho~ only at the records themselves; one row at a time, so no
-    # records-by-N temporary is allocated
     n_rec = len(records)
-    u_coef = np.empty((n_rec, ev.xi.size), dtype=complex)
-    u_dot = np.empty_like(u_coef)
-    rho_coef = np.empty_like(u_coef) if two else None
-    for i, r in enumerate(records):
-        u_coef[i] = np.fft.rfft(r.state.u.values)
-        u_dot[i] = np.fft.rfft(r.du_dt.values)
-        if two:
-            rho_coef[i] = np.fft.rfft(r.state.rho_tilde.values)
     times = traj.times()
     lam = params.lam
     # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
@@ -195,7 +185,8 @@ def advect(traj: Trajectory, x0, params: Parameters):
     live = np.arange(seeds.size)
     for i in range(n_rec):
         basis = ev.basis(q[live])
-        c0 = u_coef[i]
+        r = records[i]
+        c0 = r.state.u.spectrum
         u_val = ev.values(c0, basis)
         ux_val = ev.slopes(c0, basis)
         series[i, live, 0] = q[live]
@@ -204,21 +195,23 @@ def advect(traj: Trajectory, x0, params: Parameters):
         series[i, live, 3] = ux_val
         series[i, live, 4] = ev.values(helm * c0, basis)
         if two:
-            series[i, live, 5] = ev.values(rho_coef[i], basis)
+            series[i, live, 5] = ev.values(r.state.rho_tilde.spectrum, basis)
         length[live] += 1
         if i == n_rec - 1:
             break
 
         # one RK4 step across the recorded interval
         dt = times[i + 1] - times[i]
+        nxt = records[i + 1]
+        c1 = nxt.state.u.spectrum
         # cubic Hermite blend at the interval midpoint (weights 1/2, 1/2,
         # dt/8, -dt/8)
-        cm = 0.5 * u_coef[i] + 0.5 * u_coef[i + 1] + dt * (0.125 * u_dot[i] - 0.125 * u_dot[i + 1])
+        cm = 0.5 * c0 + 0.5 * c1 + dt * (0.125 * r.du_dt_hat - 0.125 * nxt.du_dt_hat)
         qq, qqx = q[live], qx[live]
         k1 = (u_val + lam, ux_val * qqx)
         k2 = rhs(cm, qq + 0.5 * dt * k1[0], qqx + 0.5 * dt * k1[1])
         k3 = rhs(cm, qq + 0.5 * dt * k2[0], qqx + 0.5 * dt * k2[1])
-        k4 = rhs(u_coef[i + 1], qq + dt * k3[0], qqx + dt * k3[1])
+        k4 = rhs(c1, qq + dt * k3[0], qqx + dt * k3[1])
         qq = qq + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         q[live] = qq

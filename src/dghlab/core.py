@@ -7,7 +7,7 @@ at the boundary.  All containers are immutable value objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -99,19 +99,22 @@ def make_grid(half_length: float, n_points: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples of a function on a Grid.
+    """Real samples of a function on a Grid, with their rfft row.
 
     Values must be finite unless the field is explicitly tagged as a
     post-breaking snapshot via ``allow_nonfinite``.  The values are a
-    read-only copy, so spectral data cached on the field (``quarter_band``)
-    stays valid for its lifetime.
+    read-only copy, so spectral data cached on the field (``spectrum``,
+    ``quarter_band``) stays valid for its lifetime.  ``rfft_row``, if given,
+    fills ``spectrum``: the solver passes its state row, whose irfft are
+    the samples, so nothing downstream transforms a recorded field again.
     """
 
     grid: Grid
     values: np.ndarray
     allow_nonfinite: bool = False
+    rfft_row: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, rfft_row: np.ndarray | None) -> None:
         vals = np.array(self.values, dtype=float, copy=True)
         if vals.ndim != 1 or vals.shape[0] != self.grid.n_points:
             raise ValueError(
@@ -121,6 +124,20 @@ class Field:
             raise ValueError("field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if rfft_row is not None:
+            row = np.array(rfft_row, dtype=complex, copy=True)
+            if row.shape != (self.grid.n_points // 2 + 1,):
+                raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
+            row.setflags(write=False)
+            self.__dict__["spectrum"] = row  # the cached value of spectrum
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft row of the field, read-only: rfft(values) unless the field
+        was built with its row (a recorded solver state)."""
+        row = np.fft.rfft(self.values)
+        row.setflags(write=False)
+        return row
 
     @cached_property
     def quarter_band(self) -> np.ndarray:

@@ -9,18 +9,24 @@ Fourier multiplier; time stepping is classical RK4 with a CFL-adaptive
 step based on the transport speed |u| + |lam| (the nonlocal term is
 smoothing and never stiff before breaking).
 
-One stage function, _stage, is the only place the right-hand side is
-computed: it takes the rfft rows (u[, rho~]), makes one batched irfft of
-the filtered fields and slopes and one batched rfft of the quadratic
-products, and returns the time derivatives as rfft rows.  RK4 stages 2-4
-stay in Fourier space.  Each point the integration reaches is evaluated
-once, from rfft(u_new), and that evaluation serves as the next step's
-first stage (also across NaN backoff), as the record's du/dt, min u_x, E
-and F, as the slope tracker's endpoint fields and as the grid-slope
-trigger.  The grid's Fourier bookkeeping (derivative symbol, 2/3 filter
-rows, trigonometric interpolant) comes from grid.spectral, the Helmholtz
-symbols from the NonlocalOperator that simulate builds from the initial
-datum's grid and alpha.
+The solver's state is the rfft rows (u[, rho~]); it starts from the
+initial fields' rows (Field.spectrum, one rfft each unless the caller's
+criterion already made it), and RK4 adds its increment to the rows.  One stage
+function, _stage, is the only place the right-hand side is computed: it
+takes the rows, makes one batched irfft of the filtered fields and slopes
+and one batched rfft of the quadratic products, and returns the time
+derivatives as rfft rows.  Each point the integration reaches is
+evaluated once (_evaluate), with the grid values u[, rho~] as extra rows
+of the same irfft, so a step costs 8 batched FFT calls; that evaluation
+serves as the next step's first stage (also across NaN backoff), as the
+finiteness test, as the record's samples, du/dt, min u_x, E and F, as the
+slope tracker's endpoint fields and as the grid-slope trigger.  A record
+keeps the state rows on its fields (Field.spectrum) and du/dt as an rfft
+row, so the path integration (characteristics.advect) and the public E
+and F read them without a transform.  The grid's Fourier bookkeeping
+(derivative symbol, 2/3 filter rows, trigonometric interpolant) comes
+from grid.spectral, the Helmholtz symbols from the NonlocalOperator that
+simulate builds from the initial datum's grid and alpha.
 
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
@@ -97,14 +103,20 @@ class SolverConfig:
 
 class _Eval(NamedTuple):
     """Stage evaluation at a point the integration has reached: the next
-    step's first stage, the record's du/dt, min u_x, E and F, the slope
-    tracker's endpoint fields and the grid-slope trigger."""
+    step's first stage, the finiteness test, the record's samples, du/dt,
+    min u_x, E and F, the slope tracker's endpoint fields and the
+    grid-slope trigger."""
 
     # rfft rows u[, rho~] and p*(alpha^2/2 u_x^2 + u^2 + 2ku [+ rho~^2/2 + rho~])
     coef: np.ndarray
     k_hat: np.ndarray  # time derivatives of the rows u[, rho~]
-    # samples u_f, u_x,f, u_x[, rho~_f, rho~_x,f] (f: 2/3-filtered)
+    # samples u_f, u_x,f, u_x, u[, rho~][, rho~_f, rho~_x,f] (f: 2/3-filtered)
     phys: np.ndarray
+
+    @property
+    def y(self) -> np.ndarray:
+        """The grid values u[, rho~] of the reached point."""
+        return self.phys[3 : 3 + self.k_hat.shape[0]]
 
 
 def _stage(
@@ -112,19 +124,20 @@ def _stage(
     op: NonlocalOperator,
     params: Parameters,
     lam_ik: np.ndarray,
-    ux_row: bool = False,
+    grid_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(time derivatives, convolution argument, samples) of the rfft rows
     y_hat = (u[, rho~]) with one batched irfft and one batched rfft; the
-    samples are u_f, u_x,f[, u_x][, rho~_f, rho~_x,f], the unfiltered u_x
-    row only with ux_row=True.  lam_ik = lam * i*xi, formed once per run."""
+    samples are u_f, u_x,f[, u_x, u[, rho~]][, rho~_f, rho~_x,f], the rows
+    in brackets only with grid_rows=True.  lam_ik = lam * i*xi, formed once
+    per run."""
     sp = op.grid.spectral
     two = y_hat.shape[0] == 2
     u_hat = y_hat[0]
-    rows = sp.filters * u_hat if ux_row else sp.filters[:2] * u_hat
+    parts = [sp.filters * u_hat, y_hat] if grid_rows else [sp.filters[:2] * u_hat]
     if two:
-        rows = np.concatenate((rows, sp.filters[:2] * y_hat[1]))
-    phys = np.fft.irfft(rows, n=sp.n)
+        parts.append(sp.filters[:2] * y_hat[1])
+    phys = np.fft.irfft(np.concatenate(parts) if len(parts) > 1 else parts[0], n=sp.n)
     uf, uxf = phys[0], phys[1]
     quad = 0.5 * params.alpha**2 * uxf * uxf + uf * uf
     if two:
@@ -147,34 +160,29 @@ def _stage(
 
 
 def _evaluate(
-    y: np.ndarray, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
+    y_hat: np.ndarray, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
 ) -> _Eval:
-    """Stage evaluation at a reached point y (grid rows u[, rho~])."""
-    c = y.shape[0]
+    """Stage evaluation at a reached point, the rfft rows y_hat = (u[, rho~])."""
+    c = y_hat.shape[0]
     coef = np.empty((c + 1, op.symbol_q.size), dtype=complex)
-    coef[:c] = np.fft.rfft(y)
-    k_hat, conv_hat, phys = _stage(coef[:c], op, params, lam_ik, ux_row=True)
+    coef[:c] = y_hat
+    k_hat, conv_hat, phys = _stage(coef[:c], op, params, lam_ik, grid_rows=True)
     np.multiply(op.symbol_q, conv_hat, out=coef[c])
     return _Eval(coef, k_hat, phys)
 
 
 def _step(
-    y: np.ndarray,
-    ev: _Eval,
-    dt: float,
-    op: NonlocalOperator,
-    params: Parameters,
-    lam_ik: np.ndarray,
+    ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
 ) -> np.ndarray:
-    """One classical RK4 step from y, whose evaluation ev is the first
-    stage; stages 2-4 stay in Fourier space and the increment returns to
-    grid values in one irfft."""
+    """The rfft rows one classical RK4 step after the point evaluated as
+    ev, which is the first stage; all stages and the increment stay in
+    Fourier space."""
     y_hat = ev.coef[:-1]
     k1 = ev.k_hat
     k2 = _stage(y_hat + (0.5 * dt) * k1, op, params, lam_ik)[0]
     k3 = _stage(y_hat + (0.5 * dt) * k2, op, params, lam_ik)[0]
     k4 = _stage(y_hat + dt * k3, op, params, lam_ik)[0]
-    return y + (dt / 6.0) * np.fft.irfft(k1 + 2.0 * k2 + 2.0 * k3 + k4, n=y.shape[1])
+    return y_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class _SlopeTracker:
@@ -182,7 +190,8 @@ class _SlopeTracker:
 
     Seeds: the node minimizing u0_x, the node minimizing the criterion
     margin alpha*u0_x + |u0 + k| and, for two-component data, the node
-    nearest the criterion's vacuum point (analysis._vacuum_point).  The
+    nearest the criterion's vacuum point (analysis._vacuum_point, which
+    reads the rows the initial record's fields carry).  The
     slope is g = 2w'/w with w'' = f w/2 (module docstring), w(0) = 1 and
     w'(0) = g0/2.  Each solver step moves the rows (q, w, w') of all active
     seeds by one Heun step, the predictor in the fields of the step's start
@@ -192,15 +201,14 @@ class _SlopeTracker:
     A seed leaving the safe box (_in_safe_box) is deactivated.
     """
 
-    def __init__(
-        self, grid: Grid, params: Parameters, ux0: np.ndarray, u0: np.ndarray,
-        rho0: np.ndarray | None,
-    ):
+    def __init__(self, state: State, ux0: np.ndarray, params: Parameters):
+        grid = state.u.grid
         self.sp = grid.spectral
         self.params = params
 
-        idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0, params)))]
-        vacuum = None if rho0 is None else _vacuum_point(grid, u0, np.fft.rfft(u0), rho0, params)
+        u0, rho0 = state.u, state.rho_tilde
+        idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0.values, params)))]
+        vacuum = None if rho0 is None else _vacuum_point(u0, rho0, params)
         if vacuum is not None:  # the node nearest the vacuum point
             idx.append(int(np.rint((vacuum[0] + grid.half_length) / grid.dx)) % grid.n_points)
         seeds: list[int] = []
@@ -288,9 +296,15 @@ class RecordDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
+    """One recorded point.  The fields of ``state`` carry the solver's rfft
+    rows as their ``spectrum``, and their samples are the irfft of those
+    rows (the first record keeps the initial samples exactly, whose rfft
+    the rows are); ``du_dt_hat`` is the rfft row of du/dt there, read-only.
+    """
+
     state: State
     diagnostics: RecordDiagnostics
-    du_dt: Field
+    du_dt_hat: np.ndarray
     at_detection: bool = False
 
 
@@ -351,12 +365,15 @@ def simulate(
     lam_ik = params.lam * grid.spectral.ik
     two = initial.rho_tilde is not None
 
-    # grid rows (u[, rho~]); ev is the stage evaluation at y
-    y = np.array([initial.u.values] + ([initial.rho_tilde.values] if two else []))
+    # ev is the stage evaluation at the reached point, y its grid rows
+    # (u[, rho~]): the initial samples, then the rows of each evaluation
+    fields = [initial.u] + ([initial.rho_tilde] if two else [])
+    y = np.array([f.values for f in fields])
     if not _finite(y):
         raise ValueError("initial datum must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
-        ev = _evaluate(y, op, params, lam_ik)
+        # the initial fields' rows, cached there for the caller's criterion
+        ev = _evaluate(np.array([f.spectrum for f in fields]), op, params, lam_ik)
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
@@ -364,12 +381,13 @@ def simulate(
     def snapshot(dt_used: float, at_detection: bool = False) -> None:
         state = State(
             t=t,
-            u=Field(grid, y[0], allow_nonfinite=at_detection),
-            rho_tilde=Field(grid, y[1], allow_nonfinite=at_detection) if two else None,
+            u=Field(grid, y[0], at_detection, rfft_row=ev.coef[0]),
+            rho_tilde=Field(grid, y[1], at_detection, rfft_row=ev.coef[1]) if two else None,
         )
+        du_dt_hat = ev.k_hat[0].copy()
+        du_dt_hat.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            du_dt = np.fft.irfft(ev.k_hat[0], n=grid.n_points)
-            rho, rf = (y[1], ev.phys[3]) if two else (None, None)
+            rho, rf = (y[1], ev.phys[-2]) if two else (None, None)
             diag = RecordDiagnostics(
                 min_ux=float(np.min(ev.phys[2])),
                 max_abs_u=float(np.max(np.abs(y[0]))),
@@ -381,14 +399,14 @@ def simulate(
             TrajectoryRecord(
                 state=state,
                 diagnostics=diag,
-                du_dt=Field(grid, du_dt, allow_nonfinite=True),
+                du_dt_hat=du_dt_hat,
                 at_detection=at_detection,
             )
         )
 
     snapshot(dt_used=0.0)
 
-    tracker = _SlopeTracker(grid, params, ev.phys[2], y[0], y[1] if two else None)
+    tracker = _SlopeTracker(records[0].state, ev.phys[2], params)
 
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
@@ -421,23 +439,24 @@ def simulate(
 
         # overflow inside a trial step is the breakdown signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            y_new = _step(y, ev, dt, op, params, lam_ik)
-            while not _finite(y_new):
+            ev_new = _evaluate(_step(ev, dt, op, params, lam_ik), op, params, lam_ik)
+            finite = _finite(ev_new.y)
+            while not finite:
                 dt *= 0.5
                 if dt < config.dt_min:
                     break
-                y_new = _step(y, ev, dt, op, params, lam_ik)
+                ev_new = _evaluate(_step(ev, dt, op, params, lam_ik), op, params, lam_ik)
+                finite = _finite(ev_new.y)
 
-        if not _finite(y_new):
+        if not finite:
             # NaN even at the minimum step
             mark_breakdown(dt_used=dt)
             break
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            ev_new = _evaluate(y_new, op, params, lam_ik)
         crossing = tracker.advance(ev, ev_new, t, dt, threshold)
 
-        y, ev = y_new, ev_new
+        ev = ev_new
+        y = ev.y
         t += dt
         steps += 1
 

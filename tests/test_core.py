@@ -80,6 +80,24 @@ class TestField:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_spectrum_is_the_cached_rfft_or_the_given_row(self, grid1024):
+        samples = np.random.default_rng(3).standard_normal(1024)
+        f = dg.Field(grid1024, samples)
+        assert np.array_equal(f.spectrum, np.fft.rfft(samples))
+        assert f.spectrum is f.spectrum
+        with pytest.raises(ValueError):
+            f.spectrum[0] = 1.0
+        # a given row is kept as a read-only copy, not checked against the
+        # samples: the solver's state row differs from rfft(irfft(row)) in
+        # the last bits
+        row = np.fft.rfft(samples) * 2.0
+        g = dg.Field(grid1024, samples, rfft_row=row)
+        assert np.array_equal(g.spectrum, row) and not np.shares_memory(g.spectrum, row)
+        with pytest.raises(ValueError):
+            g.spectrum[0] = 1.0
+        with pytest.raises(ValueError):
+            dg.Field(grid1024, samples, rfft_row=row[:-1])
+
     def test_quarter_band_equals_per_row_transforms(self, grid1024):
         # one rfft and one 2-row irfft give the bits of the two separate
         # inverse transforms of the band-limited coefficients

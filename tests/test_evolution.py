@@ -27,7 +27,7 @@ def rhs(state, params):
     component), from the stage evaluation simulate makes at every point
     it reaches."""
     grid = state.u.grid
-    rows = [state.u.values] + ([] if state.rho_tilde is None else [state.rho_tilde.values])
+    rows = [state.u.spectrum] + ([] if state.rho_tilde is None else [state.rho_tilde.spectrum])
     op = dg.make_operator(grid, params)
     ev = _evaluate(np.array(rows), op, params, params.lam * grid.spectral.ik)
     du, *drho = np.fft.irfft(ev.k_hat, n=grid.n_points)
@@ -135,22 +135,22 @@ class TestStepRK4:
         op = dg.make_operator(grid1024, params_ch)
         lam_ik = params_ch.lam * grid1024.spectral.ik
         for rows in (1, 2):
-            y = np.zeros((rows, grid1024.n_points))
-            ev = _evaluate(y, op, params_ch, lam_ik)
-            assert np.max(np.abs(_step(y, ev, 0.05, op, params_ch, lam_ik))) == 0.0
+            y_hat = np.zeros((rows, grid1024.n_points // 2 + 1), dtype=complex)
+            ev = _evaluate(y_hat, op, params_ch, lam_ik)
+            assert np.max(np.abs(_step(ev, 0.05, op, params_ch, lam_ik))) == 0.0
 
     def test_fourth_order_self_convergence(self, grid1024, params_ch):
         # halving dt must shrink the final-state error ~16x (Richardson
         # against a dt/4 reference)
         op = dg.make_operator(grid1024, params_ch)
         lam_ik = params_ch.lam * grid1024.spectral.ik
-        u0 = dg.ic_preset("gaussian_bump", grid1024).values[None]
+        u0_hat = dg.ic_preset("gaussian_bump", grid1024).spectrum[None]
 
         def integrate(dt, T=0.4):
-            y = u0.copy()
+            y_hat = u0_hat
             for _ in range(round(T / dt)):
-                y = _step(y, _evaluate(y, op, params_ch, lam_ik), dt, op, params_ch, lam_ik)
-            return y
+                y_hat = _step(_evaluate(y_hat, op, params_ch, lam_ik), dt, op, params_ch, lam_ik)
+            return np.fft.irfft(y_hat, n=grid1024.n_points)
 
         ref = integrate(0.005)
         e1 = np.max(np.abs(integrate(0.02) - ref))
@@ -294,13 +294,26 @@ class TestTrajectoryRecords:
         expected = np.exp(-(traj.grid.nodes**2) / 2)
         assert np.array_equal(r0.state.u.values, expected)
 
+    def test_record_fields_carry_the_state_rows(self, runs):
+        # the first record's rows are the rfft of the initial samples; later
+        # samples are the irfft of the rows the solver stepped
+        traj, _, _, _ = runs.get("two_smooth")
+        n = traj.grid.n_points
+        r0 = traj.records[0].state
+        for f in (r0.u, r0.rho_tilde):
+            assert np.array_equal(f.spectrum, np.fft.rfft(f.values))
+        for r in traj.records[1::7]:
+            for f in (r.state.u, r.state.rho_tilde):
+                assert np.array_equal(f.values, np.fft.irfft(f.spectrum, n=n))
+
     def test_records_carry_time_derivatives(self, bump_run):
-        # each record stores the instantaneous RHS for dense-in-time
-        # reconstruction by the characteristics module
+        # each record stores the instantaneous RHS as an rfft row for
+        # dense-in-time reconstruction by the characteristics module
         traj, _, _, params = bump_run
         r = traj.records[3]
         du, _ = rhs(dg.State(0.0, r.state.u), params)
-        assert np.max(np.abs(du - r.du_dt.values)) < 1e-14
+        du_rec = np.fft.irfft(r.du_dt_hat, n=traj.grid.n_points)
+        assert np.max(np.abs(du - du_rec)) < 1e-14
 
     def test_record_energies_match_public_functionals(self, runs):
         # the records take E and F from the stage evaluation's samples,
@@ -322,22 +335,18 @@ class TestTrajectoryRecords:
 
 
 class TestFftBudget:
-    """Every stage is one batched irfft plus one batched rfft, and each
-    reached point is evaluated once for the next step, the tracker, the
-    grid-slope trigger and the record's E and F; per-stage transform pairs
-    plus separate tracker and slope transforms cost about 29 (one
-    component) and 52 (two components) calls per step, and energies
-    recomputed from the recorded state about 16 and 18 per recorded step."""
+    """The state stays as rfft rows: a step is three stages (one batched
+    irfft and one batched rfft each) and the evaluation of the reached
+    point, whose irfft also gives the grid values: 8 batched calls for one
+    component and two.  A run adds the rfft of each initial field and the
+    initial point's evaluation.  Records copy rows the evaluation holds,
+    so they cost no call, and advect reads those rows.  Transforming the
+    increment back to the grid and the new point forward again cost 10
+    per step, and advect re-transformed 2 rows per record (3 with the
+    density)."""
 
     @staticmethod
-    def calls_per_step(grid, params, two, monkeypatch, record_every=None):
-        u0 = dg.ic_preset("gaussian_bump", grid, a=0.5)
-        rho0 = dg.ic_preset("gaussian_bump", grid, a=0.3, center=1.0) if two else None
-        state = dg.State(0.0, u0, rho0)
-        # the step sequence does not depend on the record cadence
-        traj, _ = dg.simulate(state, dg.SolverConfig(t_max=0.5, record_every=1), params)
-        steps = len(traj.records) - 1
-
+    def count_calls(monkeypatch) -> list[int]:
         calls = [0]
 
         def counted(fn):
@@ -348,19 +357,66 @@ class TestFftBudget:
 
         monkeypatch.setattr(np.fft, "rfft", counted(np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", counted(np.fft.irfft))
+        return calls
+
+    @staticmethod
+    def datum(grid, two):
+        u0 = dg.ic_preset("gaussian_bump", grid, a=0.5)
+        rho0 = dg.ic_preset("gaussian_bump", grid, a=0.3, center=1.0) if two else None
+        return dg.State(0.0, u0, rho0)
+
+    def calls_and_steps(self, grid, params, two, monkeypatch, record_every=None):
+        # the step sequence does not depend on the record cadence
+        cfg = dg.SolverConfig(t_max=0.5, record_every=1)
+        traj, _ = dg.simulate(self.datum(grid, two), cfg, params)
+        steps = len(traj.records) - 1
+
+        state = self.datum(grid, two)  # fields whose rows are not yet made
+        calls = self.count_calls(monkeypatch)
         cfg = dg.SolverConfig(t_max=0.5, record_every=record_every or 10 * steps)
         traj, rep = dg.simulate(state, cfg, params)
         assert rep.trigger == TRIGGER_HORIZON
         assert len(traj.records) == (steps + 1 if record_every == 1 else 2) and steps > 10
-        return calls[0] / steps
+        return calls[0], steps
 
-    @pytest.mark.parametrize("two, budget", [(False, 12), (True, 14)])
+    @pytest.mark.parametrize("two, budget", [(False, 8), (True, 8)])
     def test_fft_calls_per_step(self, grid1024, params_ch, monkeypatch, two, budget):
-        assert self.calls_per_step(grid1024, params_ch, two, monkeypatch) <= budget
+        calls, steps = self.calls_and_steps(grid1024, params_ch, two, monkeypatch)
+        assert calls <= budget * steps + 2 + (2 if two else 1)
 
-    @pytest.mark.parametrize("two, budget", [(False, 12), (True, 14)])
+    @pytest.mark.parametrize("two, budget", [(False, 8), (True, 8)])
     def test_fft_calls_per_recorded_step(self, grid1024, params_ch, monkeypatch, two, budget):
-        assert self.calls_per_step(grid1024, params_ch, two, monkeypatch, 1) <= budget
+        calls, steps = self.calls_and_steps(grid1024, params_ch, two, monkeypatch, 1)
+        assert calls <= budget * steps + 2 + (2 if two else 1)
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_criterion_reuses_the_rows_simulate_made(self, grid1024, params_ch, monkeypatch, two):
+        # one rfft of u0 (and of rho~0) per simulate command: the criterion
+        # on the same initial fields reads the rows simulate cached there
+        state = self.datum(grid1024, two)
+        dg.simulate(state, dg.SolverConfig(t_max=0.1), params_ch)
+        calls = [0]
+        rfft = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        if two:
+            dg.check_criterion_dgh2(state.u, state.rho_tilde, params_ch)
+        else:
+            dg.check_criterion_dgh(state.u, params_ch)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_advect_makes_no_fft_calls(self, grid1024, params_ch, monkeypatch, two):
+        cfg = dg.SolverConfig(t_max=0.5, record_every=1)
+        traj, _ = dg.simulate(self.datum(grid1024, two), cfg, params_ch)
+        calls = self.count_calls(monkeypatch)
+        paths = dg.advect(traj, [0.0, 1.0], params_ch)
+        assert calls[0] == 0
+        assert all(len(p.t) == len(traj.records) for p in paths)
 
 
 class TestSlopeTracker:
@@ -382,7 +438,8 @@ class TestSlopeTracker:
         u0 = dg.ic_preset("gaussian_derivative", grid1024, a=2.0, center=-5.0).values
         rho0 = -np.exp(-(grid1024.nodes**2))
         ux0 = grid1024.spectral.ddx(u0)
-        tracker = _SlopeTracker(grid1024, params_ch, ux0, u0, rho0)
+        state = dg.State(0.0, dg.Field(grid1024, u0), dg.Field(grid1024, rho0))
+        tracker = _SlopeTracker(state, ux0, params_ch)
         assert tracker.seeds_x0[0] == pytest.approx(-5.0)
         assert tracker.seeds_x0[1] == 0.0
 
@@ -393,7 +450,8 @@ class TestSlopeTracker:
         # 1.8e-15 of the shift, far from the half-cell tie)
         u0 = dg.ic_preset("gaussian_derivative", grid1024, a=2.0, center=-5.0).values
         rho0 = -np.exp(-((grid1024.nodes - cells * grid1024.dx) ** 2))
-        tracker = _SlopeTracker(grid1024, params_ch, grid1024.spectral.ddx(u0), u0, rho0)
+        state = dg.State(0.0, dg.Field(grid1024, u0), dg.Field(grid1024, rho0))
+        tracker = _SlopeTracker(state, grid1024.spectral.ddx(u0), params_ch)
         assert node * grid1024.dx in tracker.seeds_x0
 
     def test_threshold_consistency(self):
