@@ -89,20 +89,19 @@ def energy_F(state: State, params: Parameters) -> float:
 
 @dataclass(frozen=True, eq=False)
 class GapField:
-    """LHS - RHS of one pointwise inequality; min_gap >= -tol certifies it."""
+    """LHS - RHS of one pointwise inequality at the grid nodes, a read-only
+    array (an intermediate, not a checked Field); min_gap >= -tol
+    certifies the inequality."""
 
-    field: Field
+    values: np.ndarray
     min_gap: float
     argmin_x: float
 
 
-def _gap_field(values: np.ndarray, grid) -> GapField:
+def _gap_field(values: np.ndarray, grid: Grid) -> GapField:
     i = int(np.argmin(values))
-    return GapField(
-        field=Field(grid, values),
-        min_gap=float(values[i]),
-        argmin_x=float(grid.nodes[i]),
-    )
+    values.setflags(write=False)
+    return GapField(values, min_gap=float(values[i]), argmin_x=float(grid.nodes[i]))
 
 
 def _check_operator(u: Field, op: NonlocalOperator, params: Parameters) -> None:
@@ -132,13 +131,10 @@ def one_sided_gaps(
     # function: nonnegative up to the e^{-2L/alpha} periodization
     # correction even for kinked inputs like the peakon
     uv, ux = u.quarter_band
-    w = Field(u.grid, 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv)
+    w = 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv
     minus, plus = op.one_sided_convolutions(w)
     rhs = 0.5 * (uv + params.k) ** 2 - params.k**2
-    return (
-        _gap_field(minus.values - rhs, u.grid),
-        _gap_field(plus.values - rhs, u.grid),
-    )
+    return _gap_field(minus - rhs, u.grid), _gap_field(plus - rhs, u.grid)
 
 
 def full_kernel_gap(
@@ -201,8 +197,8 @@ def peakon_witness_study(params: Parameters, resolutions, c: float = 1.0, y: flo
         levels.append(
             {
                 "n_points": n,
-                "gap_at_peak": float(gm.field.values[ipk]),
-                "gap_equality_region": float(np.max(np.abs(gm.field.values[region]))),
+                "gap_at_peak": float(gm.values[ipk]),
+                "gap_equality_region": float(np.max(np.abs(gm.values[region]))),
                 "min_gap": gm.min_gap,
                 "sup_embedding_gap": float(sobolev_gap(u, params)),
             }

@@ -99,19 +99,20 @@ def make_grid(half_length: float, n_points: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Real samples of a function on a Grid, with their rfft row.
+    """Real samples of a function on a Grid, with their rfft row: the one
+    checked datum of the package (initial data and recorded states).
 
-    Values must be finite unless the field is explicitly tagged as a
-    post-breaking snapshot via ``allow_nonfinite``.  The values are a
-    read-only copy, so spectral data cached on the field (``spectrum``,
-    ``quarter_band``) stays valid for its lifetime.  ``rfft_row``, if given,
-    fills ``spectrum``: the solver passes its state row, whose irfft are
-    the samples, so nothing downstream transforms a recorded field again.
+    Construction checks that there is one finite sample per node, so no
+    caller repeats either check; intermediates stay plain arrays.  The
+    values are a read-only copy, so spectral data cached on the field
+    (``spectrum``, ``quarter_band``) stays valid for its lifetime.
+    ``rfft_row``, if given, fills ``spectrum``: the solver passes its state
+    row, whose irfft are the samples, so nothing downstream transforms a
+    recorded field again.
     """
 
     grid: Grid
     values: np.ndarray
-    allow_nonfinite: bool = False
     rfft_row: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, rfft_row: np.ndarray | None) -> None:
@@ -120,7 +121,7 @@ class Field:
             raise ValueError(
                 f"expected {self.grid.n_points} samples, got shape {vals.shape}"
             )
-        if not self.allow_nonfinite and not np.all(np.isfinite(vals)):
+        if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -218,12 +219,7 @@ def ic_preset(
         width = float(kwargs.pop("width", 1.0))
         vals = a / np.cosh((x - center) / width)
     elif name == "from_samples":
-        samples = kwargs.pop("values")
-        vals = np.asarray(samples, dtype=float)
-        if vals.shape != (grid.n_points,):
-            raise ValueError(
-                f"from_samples: expected {grid.n_points} values, got shape {vals.shape}"
-            )
+        vals = kwargs.pop("values")
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if kwargs:
@@ -237,7 +233,7 @@ class Spectral:
     Owns the wavenumbers ``xi`` on rfft bins, the derivative symbol ``ik``
     (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
     antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
-    d/dx, and the multi-point trigonometric interpolant: ``basis`` makes
+    and the multi-point trigonometric interpolant: ``basis`` makes
     the one cos/sin pass at a set of points, which ``values`` and
     ``slopes`` share across any number of coefficient rows, and
     ``refine_min`` moves discrete minima off the grid on it.
@@ -277,10 +273,6 @@ class Spectral:
         rows = np.array([mask, self.ik * mask, self.ik])
         rows.setflags(write=False)
         return rows
-
-    def ddx(self, values: np.ndarray) -> np.ndarray:
-        """Spectral d/dx of grid samples."""
-        return np.fft.irfft(self.ik * np.fft.rfft(values), n=self.n)
 
     def basis(self, x) -> np.ndarray:
         """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),

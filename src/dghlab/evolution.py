@@ -313,8 +313,6 @@ class Trajectory:
     """Recorded (state, diagnostics) series of one run; times strictly
     increase and the first record holds the initial datum."""
 
-    params: Parameters
-    config: SolverConfig
     records: list[TrajectoryRecord]
 
     @property
@@ -369,8 +367,6 @@ def simulate(
     # (u[, rho~]): the initial samples, then the rows of each evaluation
     fields = [initial.u] + ([initial.rho_tilde] if two else [])
     y = np.array([f.values for f in fields])
-    if not _finite(y):
-        raise ValueError("initial datum must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         # the initial fields' rows, cached there for the caller's criterion
         ev = _evaluate(np.array([f.spectrum for f in fields]), op, params, lam_ik)
@@ -381,8 +377,8 @@ def simulate(
     def snapshot(dt_used: float, at_detection: bool = False) -> None:
         state = State(
             t=t,
-            u=Field(grid, y[0], at_detection, rfft_row=ev.coef[0]),
-            rho_tilde=Field(grid, y[1], at_detection, rfft_row=ev.coef[1]) if two else None,
+            u=Field(grid, y[0], rfft_row=ev.coef[0]),
+            rho_tilde=Field(grid, y[1], rfft_row=ev.coef[1]) if two else None,
         )
         du_dt_hat = ev.k_hat[0].copy()
         du_dt_hat.setflags(write=False)
@@ -490,7 +486,7 @@ def simulate(
         min_slope_at_detect=min_slope_at_detect,
         detector_x0=detector_x0,
     )
-    return Trajectory(params=params, config=config, records=records), report
+    return Trajectory(records=records), report
 
 
 def _finite(y: np.ndarray) -> bool:

@@ -7,7 +7,8 @@ periodized kernel; for L >> alpha that is indistinguishable from the
 whole-line operator.
 
 The solver reads the NonlocalOperator's symbols of Q and d_x Q; the
-inequality checks apply Q and the one-sided kernel pair to grid samples.
+inequality checks apply Q and the one-sided kernel pair to grid samples,
+plain arrays in and out (core.Field checks the datum they come from).
 green_kernel evaluates p in real space, as an independent check of them.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .core import Field, Grid, Parameters
+from .core import Grid, Parameters
 
 __all__ = ["NonlocalOperator", "make_operator", "green_kernel"]
 
@@ -59,22 +60,19 @@ class NonlocalOperator:
         n = self.grid.n_points
         return np.fft.irfft(self.symbol_q * np.fft.rfft(values), n=n)
 
-    def one_sided_convolutions(self, f: Field) -> tuple[Field, Field]:
-        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f).
+    def one_sided_convolutions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f) of grid samples f.
 
         These combinations are the one-sided exponential kernels
         2*p*1_{x>0} and 2*p*1_{x<0}; assembling them from Q and d_x Q keeps
         a single code path for all convolutions.  Q f and d_x Q f come from
         one rfft and one 2-row irfft.
         """
-        fh = np.fft.rfft(f.values)
-        a = self.alpha
+        fh = np.fft.rfft(values)
         qf, dqf = np.fft.irfft(
             np.array([self.symbol_q * fh, self.symbol_dq * fh]), n=self.grid.n_points
         )
-        minus = Field(self.grid, qf - a * dqf, f.allow_nonfinite)
-        plus = Field(self.grid, qf + a * dqf, f.allow_nonfinite)
-        return minus, plus
+        return qf - self.alpha * dqf, qf + self.alpha * dqf
 
 
 def make_operator(grid: Grid, params: Parameters) -> NonlocalOperator:

@@ -3,6 +3,7 @@ import pytest
 
 import dghlab as dg
 from dghlab.characteristics import PathPoint
+from derivative import ddx
 from path_checks import monotone_violation, resolved_count, weighted_ab
 
 
@@ -183,7 +184,7 @@ class TestMomentumIdentity:
         traj, _, _, params = bump_run
         grid = traj.grid
         u0 = traj.records[0].state.u.values
-        uxx0 = grid.spectral.ddx(grid.spectral.ddx(u0))
+        uxx0 = ddx(grid, ddx(grid, u0))
         for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0):
             path = dg.advect(traj, x0, params)
             i = int(np.argmin(np.abs(grid.nodes - x0)))

@@ -9,6 +9,7 @@ import yaml
 
 from dghlab import cli
 from dghlab.cli import main
+from dghlab.core import Field
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dghlab" / "schemas"
 
@@ -211,6 +212,22 @@ class TestLemmasCommand:
         assert alive == [0] * len(refs)
         assert all(r() is None for r in refs)
 
+    def test_one_field_per_checked_datum(self, tmp_path, monkeypatch):
+        # a Field (a copy and a finiteness scan) is built for each lemma
+        # field and each witness level only: the gaps and the convolutions
+        # behind them stay arrays
+        built = []
+        post_init = Field.__post_init__
+
+        def counted(self, rfft_row=None):
+            built.append(self.grid.n_points)
+            post_init(self, rfft_row)
+
+        monkeypatch.setattr(Field, "__post_init__", counted)
+        cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
+        assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert built == [1024] * (4 + 3) + [512]
+
     def test_seed_changes_fields_not_verdict(self, tmp_path):
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
         outs = []
@@ -243,8 +260,10 @@ class TestSweepCommand:
         bounds = [float(r[7]) for r in rows]
         assert bounds == pytest.approx([4.0, 2.0, 1.0], abs=1e-8)
         for r in rows:
+            assert float(r[6]) < 0.0  # margin
             assert r[8] == "true"  # blew_up
-            assert float(r[10]) < float(r[7])  # t_detect < time_bound
+            assert 0.5 * float(r[7]) < float(r[10]) < float(r[7])  # t_detect vs time_bound
+            assert float(r[11]) < -1e4  # min_slope_at_detect
             assert r[12] == "ok"
 
     def test_cell_breakdown_recorded_in_row(self, tmp_path):

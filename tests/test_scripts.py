@@ -1,35 +1,15 @@
-"""Smoke tests of the study scripts, the only non-test users of the
-library API outside the command line: the breaking-time study's compute
-function at N = 512, and the sharpness study's library function plus one
-run of the script."""
-import importlib.util
+"""Smoke test of the study script, the only non-test user of the library
+API outside the command line: the sharpness study's library function
+plus one run of the script."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import dghlab as dg
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_breaking_time_study():
-    rows = load("breaking_time_study").run_family([1.0, 2.0], 512, 20.0)
-    for a, margin, bound, t_detect, slope in rows:
-        assert margin < 0.0
-        assert bound == pytest.approx(2.0 / a, abs=1e-6)
-        assert 0.5 * bound < t_detect < bound
-        assert slope < -1e4
 
 
 def test_sharpness_study():
