@@ -12,6 +12,7 @@ The lemma suite's random fields and peakon witness study live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -257,13 +258,18 @@ def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
     return float(x[0]), float(m[0])
 
 
+@lru_cache(maxsize=1)
 def _vacuum_point(u0: Field, rho0: Field, params: Parameters):
     """(x0, margin) at the vacuum point of least margin, or None.  Each
     discrete local minimum of rho~ is refined to its tangential minimum on
     the interpolant unless the node is nearer vacuum (where the
     interpolant undershoots -1 beside it); a vacuum point has
     |rho~ + 1| <= 1e-10.  Its margin comes from the samples if the node
-    stays, else the interpolant."""
+    stays, else the interpolant.
+
+    The last answer is kept: a two-component run asks twice for the same
+    datum, for the slope tracker's seed and for the criterion.  Fields
+    hash by identity and are immutable, so a kept answer cannot go stale."""
     grid = u0.grid
     sp = grid.spectral
     u, u_hat = u0.values, u0.spectrum

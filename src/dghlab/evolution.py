@@ -5,17 +5,22 @@ Two-component:   the same u equation with 1/2 rho~^2 + rho~ added under the
 convolution, coupled to  rho~_t + u rho~_x = -u_x rho~ - u_x.
 
 Quadratic products are dealiased with the 2/3 rule before entering any
-Fourier multiplier; time stepping is classical RK4 with a CFL-adaptive
-step based on the transport speed |u| + |lam| (the nonlocal term is
-smoothing and never stiff before breaking).
+Fourier multiplier.  Time stepping is Lawson RK4 (RK4 on the integrating
+factor of the transport lam u_x) with a CFL-adaptive step on the speed
+|u| alone: lam u_x has constant coefficients, so the Fourier phase
+exp(-lam i xi dt) carries it exactly on the u row, and RK4 only has to
+resolve the Galilean-invariant rest (the nonlocal term is smoothing and
+never stiff before breaking).  At lam = 0 the phase is 1 and is skipped,
+so the step is classical RK4 bit for bit.
 
 The solver's state is the rfft rows (u[, rho~]); it starts from the
 initial fields' rows (Field.spectrum, one rfft each unless the caller's
-criterion already made it), and RK4 adds its increment to the rows.  One stage
+criterion already made it), and each step returns the new rows.  One stage
 function, _stage, is the only place the right-hand side is computed: it
 takes the rows, makes one batched irfft of the filtered fields and slopes
 and one batched rfft of the quadratic products, and returns the time
-derivatives as rfft rows.  Each point the integration reaches is
+derivatives as rfft rows, without the transport lam u_x that the step's
+phase carries.  Each point the integration reaches is
 evaluated once (_evaluate), with the grid values u[, rho~] as extra rows
 of the same irfft, so a step costs 8 batched FFT calls; that evaluation
 serves as the next step's first stage (also across NaN backoff), as the
@@ -109,7 +114,8 @@ class _Eval(NamedTuple):
 
     # rfft rows u[, rho~] and p*(alpha^2/2 u_x^2 + u^2 + 2ku [+ rho~^2/2 + rho~])
     coef: np.ndarray
-    k_hat: np.ndarray  # time derivatives of the rows u[, rho~]
+    # time derivatives of the rows u[, rho~] without the transport lam u_x
+    k_hat: np.ndarray
     # samples u_f, u_x,f, u_x, u[, rho~][, rho~_f, rho~_x,f] (f: 2/3-filtered)
     phys: np.ndarray
 
@@ -123,14 +129,12 @@ def _stage(
     y_hat: np.ndarray,
     op: NonlocalOperator,
     params: Parameters,
-    lam_ik: np.ndarray,
     grid_rows: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(time derivatives, convolution argument, samples) of the rfft rows
-    y_hat = (u[, rho~]) with one batched irfft and one batched rfft; the
-    samples are u_f, u_x,f[, u_x, u[, rho~]][, rho~_f, rho~_x,f], the rows
-    in brackets only with grid_rows=True.  lam_ik = lam * i*xi, formed once
-    per run."""
+    """(time derivatives without lam u_x, convolution argument, samples)
+    of the rfft rows y_hat = (u[, rho~]) with one batched irfft and one
+    batched rfft; the samples are u_f, u_x,f[, u_x, u[, rho~]][, rho~_f,
+    rho~_x,f], the rows in brackets only with grid_rows=True."""
     sp = op.grid.spectral
     two = y_hat.shape[0] == 2
     u_hat = y_hat[0]
@@ -153,36 +157,61 @@ def _stage(
     if two:
         conv_hat = conv_hat + params.sigma * y_hat[1]
     k_hat = np.empty_like(y_hat)
-    k_hat[0] = -prod_hat[0] - lam_ik * u_hat - op.symbol_dq * conv_hat
+    k_hat[0] = -prod_hat[0] - op.symbol_dq * conv_hat
     if two:
         k_hat[1] = -prod_hat[2] - sp.ik * u_hat
     return k_hat, conv_hat, phys
 
 
-def _evaluate(
-    y_hat: np.ndarray, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
-) -> _Eval:
+def _evaluate(y_hat: np.ndarray, op: NonlocalOperator, params: Parameters) -> _Eval:
     """Stage evaluation at a reached point, the rfft rows y_hat = (u[, rho~])."""
     c = y_hat.shape[0]
     coef = np.empty((c + 1, op.symbol_q.size), dtype=complex)
     coef[:c] = y_hat
-    k_hat, conv_hat, phys = _stage(coef[:c], op, params, lam_ik, grid_rows=True)
+    k_hat, conv_hat, phys = _stage(coef[:c], op, params, grid_rows=True)
     np.multiply(op.symbol_q, conv_hat, out=coef[c])
     return _Eval(coef, k_hat, phys)
 
 
-def _step(
-    ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters, lam_ik: np.ndarray
-) -> np.ndarray:
-    """The rfft rows one classical RK4 step after the point evaluated as
-    ev, which is the first stage; all stages and the increment stay in
-    Fourier space."""
-    y_hat = ev.coef[:-1]
-    k1 = ev.k_hat
-    k2 = _stage(y_hat + (0.5 * dt) * k1, op, params, lam_ik)[0]
-    k3 = _stage(y_hat + (0.5 * dt) * k2, op, params, lam_ik)[0]
-    k4 = _stage(y_hat + dt * k3, op, params, lam_ik)[0]
-    return y_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _step(ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters) -> np.ndarray:
+    """The rfft rows one Lawson RK4 step after the point evaluated as ev,
+    which is the first stage.  With N the stage function and E(s) the
+    phase exp(-lam i xi s) on the u row only (rho~ moves at u, not at
+    u + lam):
+
+        k2 = N(E(dt/2) (y + dt/2 k1)),   k3 = N(E(dt/2) y + dt/2 k2),
+        k4 = N(E(dt) y + dt E(dt/2) k3),
+        y1 = E(dt) y + dt/6 (E(dt) k1 + 2 E(dt/2) k2 + 2 E(dt/2) k3 + k4).
+
+    E carries lam u_x exactly, so the transport neither limits dt nor adds
+    time-stepping error; N is translation-equivariant (2/3-dealiased
+    products of band-limited rows), so a run at lam is the lam = 0 run at
+    the same k shifted by lam t, up to the time-stepping error of its
+    slightly different CFL steps (the node maximum of |u| moves with the
+    shift).  At lam = 0 the phase is skipped and this is classical RK4,
+    bit for bit.  All stages and the increment stay in Fourier space."""
+    y_hat, k1 = ev.coef[:-1], ev.k_hat
+    half = full = None  # the phases E(dt/2) and E(dt); none at lam = 0
+    if params.lam != 0.0:
+        half = np.exp((-0.5 * dt * params.lam) * op.grid.spectral.ik)
+        full = half * half
+    k2 = _stage(_transported(y_hat + (0.5 * dt) * k1, half), op, params)[0]
+    k3 = _stage(_transported(y_hat, half) + (0.5 * dt) * k2, op, params)[0]
+    k3 = _transported(k3, half)  # E(dt/2) k3 enters k4's point and the sum
+    y_full = _transported(y_hat, full)
+    k4 = _stage(y_full + dt * k3, op, params)[0]
+    k1, k2 = _transported(k1, full), _transported(k2, half)
+    return y_full + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _transported(rows: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """A copy of rows with the u row multiplied by the transport phase;
+    rows itself where there is no phase (lam = 0)."""
+    if phase is None:
+        return rows
+    out = rows.copy()
+    out[0] *= phase
+    return out
 
 
 class _SlopeTracker:
@@ -191,7 +220,7 @@ class _SlopeTracker:
     Seeds: the node minimizing u0_x, the node minimizing the criterion
     margin alpha*u0_x + |u0 + k| and, for two-component data, the node
     nearest the criterion's vacuum point (analysis._vacuum_point, which
-    reads the rows the initial record's fields carry).  The
+    reads the rows cached on the initial fields).  The
     slope is g = 2w'/w with w'' = f w/2 (module docstring), w(0) = 1 and
     w'(0) = g0/2.  Each solver step moves the rows (q, w, w') of all active
     seeds by one Heun step, the predictor in the fields of the step's start
@@ -360,7 +389,6 @@ def simulate(
     """
     grid = initial.u.grid
     op = NonlocalOperator(grid, params.alpha)
-    lam_ik = params.lam * grid.spectral.ik
     two = initial.rho_tilde is not None
 
     # ev is the stage evaluation at the reached point, y its grid rows
@@ -369,7 +397,7 @@ def simulate(
     y = np.array([f.values for f in fields])
     with np.errstate(over="ignore", invalid="ignore"):
         # the initial fields' rows, cached there for the caller's criterion
-        ev = _evaluate(np.array([f.spectrum for f in fields]), op, params, lam_ik)
+        ev = _evaluate(np.array([f.spectrum for f in fields]), op, params)
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
@@ -380,7 +408,10 @@ def simulate(
             u=Field(grid, y[0], rfft_row=ev.coef[0]),
             rho_tilde=Field(grid, y[1], rfft_row=ev.coef[1]) if two else None,
         )
+        # the stages leave out lam u_x, which the step's phase carries
         du_dt_hat = ev.k_hat[0].copy()
+        if params.lam != 0.0:
+            du_dt_hat -= params.lam * grid.spectral.ik * ev.coef[0]
         du_dt_hat.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
             rho, rf = (y[1], ev.phys[-2]) if two else (None, None)
@@ -402,11 +433,14 @@ def simulate(
 
     snapshot(dt_used=0.0)
 
-    tracker = _SlopeTracker(records[0].state, ev.phys[2], params)
+    # the initial fields, not the first record's copies: the criterion asks
+    # _vacuum_point about the same objects and gets the kept answer
+    tracker = _SlopeTracker(initial, ev.phys[2], params)
 
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
     steps = 0
+    dt_lo, dt_hi = np.inf, 0.0  # the smallest and largest step taken
     trigger = None
     t_detect = None
     min_slope_at_detect = None
@@ -425,7 +459,8 @@ def simulate(
             records[-1] = replace(records[-1], at_detection=True)
 
     while t < horizon - eps:
-        speed = max(float(np.max(np.abs(y[0]))) + abs(params.lam), _SPEED_FLOOR)
+        # only |u|: the step's phase carries the transport at lam exactly
+        speed = max(float(np.max(np.abs(y[0]))), _SPEED_FLOOR)
         dt_cfl = config.cfl * grid.dx / speed
         if dt_cfl < config.dt_min:
             # amplitude blowup drove the CFL step under the floor
@@ -435,13 +470,13 @@ def simulate(
 
         # overflow inside a trial step is the breakdown signal, not an error
         with np.errstate(over="ignore", invalid="ignore"):
-            ev_new = _evaluate(_step(ev, dt, op, params, lam_ik), op, params, lam_ik)
+            ev_new = _evaluate(_step(ev, dt, op, params), op, params)
             finite = _finite(ev_new.y)
             while not finite:
                 dt *= 0.5
                 if dt < config.dt_min:
                     break
-                ev_new = _evaluate(_step(ev, dt, op, params, lam_ik), op, params, lam_ik)
+                ev_new = _evaluate(_step(ev, dt, op, params), op, params)
                 finite = _finite(ev_new.y)
 
         if not finite:
@@ -455,6 +490,7 @@ def simulate(
         y = ev.y
         t += dt
         steps += 1
+        dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
 
         min_ux_grid = float(np.min(ev.phys[2]))
         if crossing is not None or min_ux_grid < -threshold:
@@ -476,8 +512,9 @@ def simulate(
             snapshot(dt_used=records[-1].diagnostics.dt)
 
     _log.debug(
-        "simulate: %d steps, trigger %s; tracker seeds %s, %d active at the end",
-        steps, trigger, tracker.seeds_x0, tracker.x0.size,
+        "simulate: %d steps, dt %.4g to %.4g, trigger %s; tracker seeds %s, "
+        "%d active at the end",
+        steps, dt_lo, dt_hi, trigger, tracker.seeds_x0, tracker.x0.size,
     )
     report = BlowupReport(
         blew_up=trigger != TRIGGER_HORIZON,

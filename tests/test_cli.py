@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from dghlab import cli
+from dghlab.analysis import _vacuum_point
 from dghlab.cli import main
 from dghlab.core import Field
 
@@ -80,6 +81,24 @@ class TestSimulateCommand:
         assert header == "t,q,g,qx,A_w,B_w,A_p,B_p,mom_res,rho_res"
         summary = json.loads((out / "summary.json").read_text())
         jsonschema.validate(summary, load_schema("run_summary.schema.json"))
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_one_vacuum_search_per_run(self, tmp_path, command):
+        # the slope tracker's seed and the criterion ask about the same
+        # initial fields; the second asking gets the kept answer
+        cfg = write_config(
+            tmp_path,
+            equation="dgh2",
+            rho_initial={"preset": "gaussian_bump", "args": {"a": -1.0, "width": 0.7071067811865476}},
+            solver={"t_max": 0.3, "record_every": 4},
+            sweep={"amplitudes": [1.0, 2.0]},
+        )
+        _vacuum_point.cache_clear()
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv + (["--workers", "1"] if command == "sweep" else [])) == 0
+        runs = 2 if command == "sweep" else 1
+        info = _vacuum_point.cache_info()
+        assert (info.misses, info.hits) == (runs, runs)
 
     def test_missing_config_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "out"

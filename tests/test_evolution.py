@@ -23,15 +23,23 @@ def constant(grid, c):
     return dg.ic_preset("from_samples", grid, values=np.full(grid.n_points, c))
 
 
+def full_rhs(y_hat, op, params):
+    """The time derivatives of the rfft rows y_hat = (u[, rho~]), from the
+    stage evaluation simulate makes at every point it reaches; its u row
+    leaves out the transport lam u_x, which the step carries, so it is
+    added back here."""
+    k_hat = _evaluate(y_hat, op, params).k_hat.copy()
+    k_hat[0] -= params.lam * op.grid.spectral.ik * y_hat[0]
+    return k_hat
+
+
 def rhs(state, params):
     """(du/dt, drho~/dt) samples at the datum (drho~/dt None for one
-    component), from the stage evaluation simulate makes at every point
-    it reaches."""
+    component)."""
     grid = state.u.grid
     rows = [state.u.spectrum] + ([] if state.rho_tilde is None else [state.rho_tilde.spectrum])
-    op = dg.make_operator(grid, params)
-    ev = _evaluate(np.array(rows), op, params, params.lam * grid.spectral.ik)
-    du, *drho = np.fft.irfft(ev.k_hat, n=grid.n_points)
+    k_hat = full_rhs(np.array(rows), dg.make_operator(grid, params), params)
+    du, *drho = np.fft.irfft(k_hat, n=grid.n_points)
     return du, (drho[0] if drho else None)
 
 
@@ -134,23 +142,21 @@ class TestRhsTwoComponent:
 class TestStepRK4:
     def test_zero_fixed_point(self, grid1024, params_ch):
         op = dg.make_operator(grid1024, params_ch)
-        lam_ik = params_ch.lam * grid1024.spectral.ik
         for rows in (1, 2):
             y_hat = np.zeros((rows, grid1024.n_points // 2 + 1), dtype=complex)
-            ev = _evaluate(y_hat, op, params_ch, lam_ik)
-            assert np.max(np.abs(_step(ev, 0.05, op, params_ch, lam_ik))) == 0.0
+            ev = _evaluate(y_hat, op, params_ch)
+            assert np.max(np.abs(_step(ev, 0.05, op, params_ch))) == 0.0
 
     def test_fourth_order_self_convergence(self, grid1024, params_ch):
         # halving dt must shrink the final-state error ~16x (Richardson
         # against a dt/4 reference)
         op = dg.make_operator(grid1024, params_ch)
-        lam_ik = params_ch.lam * grid1024.spectral.ik
         u0_hat = dg.ic_preset("gaussian_bump", grid1024).spectrum[None]
 
         def integrate(dt, T=0.4):
             y_hat = u0_hat
             for _ in range(round(T / dt)):
-                y_hat = _step(_evaluate(y_hat, op, params_ch, lam_ik), dt, op, params_ch, lam_ik)
+                y_hat = _step(_evaluate(y_hat, op, params_ch), dt, op, params_ch)
             return np.fft.irfft(y_hat, n=grid1024.n_points)
 
         ref = integrate(0.005)
@@ -158,6 +164,54 @@ class TestStepRK4:
         e2 = np.max(np.abs(integrate(0.01) - ref))
         order = np.log2(e1 / e2)
         assert 3.6 < order < 4.5
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_lawson_step_matches_classical_rk4(self, grid1024, two):
+        # at lam = -0.7 the step's phase carries lam u_x on the u row only;
+        # classical RK4 on the full right-hand side integrates the same
+        # equations, so the two agree to the fourth-order stepping error.
+        # Measured at dt = 0.01, t = 0.4: 7.4e-11 and 4.8e-10 (8.1e-2 with
+        # the phase on the density row too)
+        p = dg.make_parameters(1.0, 0.7, 0.4)
+        op = dg.make_operator(grid1024, p)
+        rows = [dg.ic_preset("gaussian_bump", grid1024, a=0.5).spectrum]
+        if two:
+            rows.append(dg.ic_preset("gaussian_bump", grid1024, a=0.3, center=1.0).spectrum)
+        y_hat = classical = np.array(rows)
+        dt = 0.01
+        for _ in range(40):
+            y_hat = _step(_evaluate(y_hat, op, p), dt, op, p)
+            k1 = full_rhs(classical, op, p)
+            k2 = full_rhs(classical + (0.5 * dt) * k1, op, p)
+            k3 = full_rhs(classical + (0.5 * dt) * k2, op, p)
+            k4 = full_rhs(classical + dt * k3, op, p)
+            classical = classical + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        diff = np.fft.irfft(y_hat - classical, n=grid1024.n_points)
+        assert np.max(np.abs(diff)) < 1e-8
+
+    @pytest.mark.parametrize("two", [False, True])
+    def test_transport_step_matches_small_cfl(self, grid1024, two):
+        # at gamma != 0 the default cfl 0.3 takes steps on |u| alone; a
+        # cfl 0.02 reference bounds the time-stepping error in t_detect.
+        # Measured at N = 1024: 3.5e-6 (dgh, the metamorphic datum at
+        # gamma = 0.3, c0 = 0.4) and 4.7e-6 relative (dgh2, the vacuum
+        # datum at gamma = 0.5, c0 = 0.3); classical RK4 on |u| + |lam|
+        # read 2.0e-6 and 1.3e-6
+        x = grid1024.nodes
+        if two:
+            p = dg.make_parameters(1.0, 0.5, 0.3)
+            u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
+            rho0 = dg.Field(grid1024, -np.exp(-(x**2)))
+        else:
+            p = dg.make_parameters(1.0, 0.3, 0.4)
+            u0, rho0 = dg.Field(grid1024, TestMetamorphic.asymmetric(grid1024)), None
+        t = []
+        for cfl in (0.3, 0.02):
+            cfg = dg.SolverConfig(t_max=3.0, cfl=cfl, record_every=10**6)
+            _, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, p)
+            assert rep.trigger == TRIGGER_SLOPE
+            t.append(rep.t_detect)
+        assert t[0] == pytest.approx(t[1], rel=1e-5)
 
     def test_linearized_phase_speed(self, grid1024):
         # amplitude-1e-8 single mode travels at the linear phase speed
@@ -189,10 +243,14 @@ class TestAdaptiveDt:
         assert dt1 == pytest.approx(2.0 * dt2, rel=1e-15)
         assert dt2 == pytest.approx(0.3 * grid1024.dx, rel=1e-15)
 
-    def test_lam_contributes_to_speed(self, grid1024):
+    def test_lam_does_not_limit_dt(self, grid1024, params_ch):
+        # the step's phase carries the transport lam u_x exactly, so only
+        # |u| sets the CFL step: lam = 2 on a zero field takes the horizon
+        # cap, as lam = 0 does
         p = dg.make_parameters(1.0, -2.0, 2.0)  # lam = 2
-        dt = first_dt(dg.State(0.0, zeros(grid1024)), p, 0.1)
-        assert dt == pytest.approx(0.3 * grid1024.dx / 2.0, rel=1e-15)
+        zero = dg.State(0.0, zeros(grid1024))
+        assert p.lam == 2.0
+        assert first_dt(zero, p, 2.5) == first_dt(zero, params_ch, 2.5) == 2.5
 
 
 class TestSimulate:
@@ -373,9 +431,19 @@ class TestFftBudget:
         assert len(traj.records) == (steps + 1 if record_every == 1 else 2) and steps > 10
         return calls[0], steps
 
-    @pytest.mark.parametrize("two, budget", [(False, 8), (True, 8)])
-    def test_fft_calls_per_step(self, grid1024, params_ch, monkeypatch, two, budget):
-        calls, steps = self.calls_and_steps(grid1024, params_ch, two, monkeypatch)
+    @pytest.mark.parametrize(
+        "two, budget, gamma",
+        [
+            pytest.param(False, 8, 0.0, id="False-8"),
+            pytest.param(True, 8, 0.0, id="True-8"),
+            # the transport phase at lam != 0 is a multiplier, not a transform
+            pytest.param(False, 8, 0.7, id="False-8-lam"),
+            pytest.param(True, 8, 0.7, id="True-8-lam"),
+        ],
+    )
+    def test_fft_calls_per_step(self, grid1024, monkeypatch, two, budget, gamma):
+        params = dg.make_parameters(1.0, gamma, 0.4 if gamma else 0.0)
+        calls, steps = self.calls_and_steps(grid1024, params, two, monkeypatch)
         assert calls <= budget * steps + 2 + (2 if two else 1)
 
     @pytest.mark.parametrize("two, budget", [(False, 8), (True, 8)])
@@ -550,6 +618,25 @@ class TestMetamorphic:
         assert (v2.holds, v2.margin) == (v1.holds, v1.margin)
         assert v2.x0_best == 2.0 * v1.x0_best
         assert v2.time_bound == 2.0 * v1.time_bound
+
+    @pytest.mark.parametrize("gamma, c0", [(0.3, 0.4), (1.0, 1.0)])
+    def test_galilean_shift(self, grid1024, gamma, c0):
+        # the run at lam = -gamma/alpha^2 is the run at (0, c0 +
+        # gamma/alpha^2), which has the same k and lam = 0, moved by lam t.
+        # The step carries lam u_x exactly, so the two differ only through
+        # the node maximum of |u| in the CFL step.  Measured at N = 1024:
+        # t_detect within 9.6e-10 and 8.7e-9 relative (1.5e-6 and 2.6e-6,
+        # with unequal record counts, when RK4 stepped the transport too),
+        # equal record counts, the detector seed exact.
+        p = dg.make_parameters(1.0, gamma, c0)
+        p0 = dg.make_parameters(1.0, 0.0, c0 + gamma / p.alpha**2)
+        assert (p0.k, p0.lam) == (p.k, 0.0)
+        vals = self.asymmetric(grid1024)
+        traj, rep, _ = self.run(grid1024, p, vals)
+        traj0, rep0, _ = self.run(grid1024, p0, vals)
+        assert len(traj.records) == len(traj0.records)
+        assert rep.detector_x0 == rep0.detector_x0
+        assert rep.t_detect == pytest.approx(rep0.t_detect, rel=3e-8)
 
     @pytest.mark.parametrize("gamma, c0", [(0.3, 0.4), (0.0, 1.0), (0.5, -0.3)])
     def test_reduction_to_zero_offset(self, grid1024, gamma, c0):
