@@ -139,15 +139,27 @@ def one_sided_gaps(
 
 
 def full_kernel_gap(
-    u: Field, op: NonlocalOperator, params: Parameters
+    u: Field,
+    op: NonlocalOperator,
+    params: Parameters,
+    pair: tuple[GapField, GapField] | None = None,
 ) -> GapField:
-    """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2."""
+    """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2, as the mean of
+    the one-sided pair: pass the pair one_sided_gaps made for the same u,
+    op and params, or leave it out to have it made here.
+
+    The one-sided kernels p -+ alpha p_x are 2p 1_{x>0} and 2p 1_{x<0}, so
+    p is their mean, and with w = alpha^2/2 u_x^2 + u^2 + 2k u
+
+        (gap_- + gap_+)/2 = p * w - ((u+k)^2/2 - k^2)
+                          = p * (w + k^2) - (u+k)^2/2,
+
+    the full-kernel gap, because p has unit mass: p * k^2 = k^2, on the
+    grid too, where the symbol of Q is 1 at xi = 0 (symbol_q[0] = 1).
+    """
     _check_operator(u, op, params)
-    uv, ux = u.quarter_band
-    w = 0.5 * params.alpha**2 * ux * ux + (uv + params.k) ** 2
-    conv = op.apply_q_values(w)
-    rhs = 0.5 * (uv + params.k) ** 2
-    return _gap_field(conv - rhs, u.grid)
+    gm, gp = one_sided_gaps(u, op, params) if pair is None else pair
+    return _gap_field(0.5 * (gm.values + gp.values), u.grid)
 
 
 def sobolev_gap(u: Field, params: Parameters) -> float:
@@ -168,11 +180,14 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
 def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> np.ndarray:
     """Random smooth periodic samples, unit amplitude: n_modes random
     coefficients on the wavenumber bins 1..max_mode, damped by
-    exp(-bin/(max_mode/2))."""
+    exp(-bin/(max_mode/2)); ValueError unless 1 <= max_mode <= N/2."""
+    if not 1 <= max_mode <= grid.n_points // 2:
+        raise ValueError(f"max_mode must lie in 1..{grid.n_points // 2}, got {max_mode}")
     coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
     modes = rng.integers(1, max_mode + 1, size=n_modes)
     coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
+    # the bins above max_mode hold zeros: damp only the drawn band
+    coeffs[: max_mode + 1] *= np.exp(-np.arange(max_mode + 1) / (max_mode / 2.0))
     vals = np.fft.irfft(coeffs, n=grid.n_points)
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals

@@ -394,7 +394,7 @@ def cmd_criterion(cfg: RunConfig) -> int:
 
 def _gap_entries(u: Field, op: NonlocalOperator, params: Parameters) -> dict:
     gm, gp = one_sided_gaps(u, op, params)
-    fk = full_kernel_gap(u, op, params)
+    fk = full_kernel_gap(u, op, params, (gm, gp))
     return {
         "one_sided_minus": {"min_gap": gm.min_gap, "argmin_x": gm.argmin_x},
         "one_sided_plus": {"min_gap": gp.min_gap, "argmin_x": gp.argmin_x},
@@ -423,13 +423,22 @@ def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
 def cmd_lemmas(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
-    op = make_operator(grid, params)
-
     lem = cfg.lemmas
     n_random = lem.get("n_random", 50)
     n_modes = lem.get("n_modes", 30)
     max_mode = lem.get("max_mode", 80)
     resolutions = lem.get("resolutions", [1024, 2048, 4096])
+    # a mode above N/4 would be cut by the quarter band the gaps are
+    # checked on, so the checked field would not be the drawn one
+    if not 1 <= max_mode <= grid.n_points // 4:
+        raise ConfigError(
+            f"lemmas.max_mode must lie in 1..N/4 = {grid.n_points // 4}, got {max_mode}"
+        )
+    if not resolutions:
+        raise ConfigError("lemmas.resolutions must name at least one grid size")
+    if n_random < 0:
+        raise ConfigError(f"lemmas.n_random must be at least 0, got {n_random}")
+    op = make_operator(grid, params)
     rng = np.random.default_rng(cfg.rng_seed)
 
     results = {}

@@ -56,7 +56,11 @@ class NonlocalOperator:
 
     def apply_q_values(self, values: np.ndarray) -> np.ndarray:
         """Q f of grid samples f, i.e. (1 - alpha^2 d_xx) g = f in the
-        discrete Fourier sense; equivalently the periodized convolution p * f."""
+        discrete Fourier sense; equivalently the periodized convolution p * f.
+
+        The lemma suite does not call it (the full-kernel gap is the mean
+        of the one-sided pair); the tests use it as the independent oracle
+        of that gap, and the benchmark's tracer wraps it by name."""
         n = self.grid.n_points
         return np.fft.irfft(self.symbol_q * np.fft.rfft(values), n=n)
 

@@ -189,6 +189,59 @@ class TestFullKernelGap:
         gap = full_kernel_gap(u, op, p)
         assert np.max(np.abs(gap.values - combined)) < 1e-10
 
+    @staticmethod
+    def direct_gap(u, op, p):
+        # independent oracle: Q(alpha^2/2 u_x^2 + (u+k)^2) - (u+k)^2/2 on
+        # the quarter band, with Q applied by its own transform
+        uv, ux = u.quarter_band
+        conv = op.apply_q_values(0.5 * p.alpha**2 * ux * ux + (uv + p.k) ** 2)
+        return conv - 0.5 * (uv + p.k) ** 2
+
+    def assert_matches_oracle(self, u, p):
+        op = dg.make_operator(u.grid, p)
+        oracle = self.direct_gap(u, op, p)
+        for gap in (full_kernel_gap(u, op, p),
+                    full_kernel_gap(u, op, p, one_sided_gaps(u, op, p))):
+            assert np.max(np.abs(gap.values - oracle)) < 1e-12
+
+    @pytest.mark.parametrize("c0", [0.0, 0.7])
+    @pytest.mark.parametrize("name", ["gaussian_bump", "gaussian_derivative", "sech_bump"])
+    def test_presets_match_direct_oracle(self, grid4096, name, c0):
+        self.assert_matches_oracle(dg.ic_preset(name, grid4096), dg.make_parameters(1.0, 0.0, c0))
+
+    @pytest.mark.parametrize("c0", [0.0, 0.7])
+    def test_witness_matches_direct_oracle(self, grid4096, c0):
+        p = dg.make_parameters(1.0, 0.0, c0)
+        self.assert_matches_oracle(peakon(grid4096, p, k=p.k), p)
+
+    def test_random_fields_match_direct_oracle(self, grid4096):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            p = dg.make_parameters(1.0, 0.0, 2.0 * float(rng.uniform(-1.0, 1.0)))
+            vals = random_band_limited(rng, grid4096)
+            self.assert_matches_oracle(dg.ic_preset("from_samples", grid4096, values=vals), p)
+
+
+class TestRandomBandLimited:
+    @pytest.mark.parametrize("seed, max_mode", [(0, 1), (5, 80), (2024, 1024), (7, 2048)])
+    def test_matches_full_row_damping(self, grid4096, seed, max_mode):
+        # damping only the drawn band leaves the samples bit for bit as
+        # damping every bin of the row did
+        rng = np.random.default_rng(seed)
+        coeffs = np.zeros(grid4096.n_points // 2 + 1, dtype=complex)
+        modes = rng.integers(1, max_mode + 1, size=30)
+        coeffs[modes] = rng.normal(size=30) + 1j * rng.normal(size=30)
+        coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
+        vals = np.fft.irfft(coeffs, n=grid4096.n_points)
+        expected = vals / np.max(np.abs(vals))
+        got = random_band_limited(np.random.default_rng(seed), grid4096, 30, max_mode)
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("max_mode", [0, 513])
+    def test_band_outside_grid_rejected(self, grid1024, max_mode):
+        with pytest.raises(ValueError, match="max_mode"):
+            random_band_limited(np.random.default_rng(0), grid1024, max_mode=max_mode)
+
 
 class TestOperatorMismatch:
     """A gap under an operator of another grid or another alpha is a

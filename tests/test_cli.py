@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import yaml
 
+import dghlab as dg
 from dghlab import cli
-from dghlab.analysis import _vacuum_point
+from dghlab.analysis import _vacuum_point, full_kernel_gap
 from dghlab.cli import main
 from dghlab.core import Field
 
@@ -191,9 +192,9 @@ class TestLemmasCommand:
 
     def test_fft_calls_per_random_field(self, tmp_path, monkeypatch):
         # runs differing only in n_random differ only by their random
-        # fields: each costs one irfft for its samples, one rfft and one
-        # 2-row irfft for its quarter band, and two of each for the
-        # one-sided pair and the full-kernel convolution
+        # fields: each costs one irfft for its samples, plus one rfft and
+        # one 2-row irfft each for its quarter band and for the one-sided
+        # pair, whose mean is the full-kernel gap
         calls = []
 
         def counted(fn):
@@ -211,7 +212,22 @@ class TestLemmasCommand:
             assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out"),
                          "--seed", "11"]) == 0
             counts.append(len(calls))
-        assert counts[1] - counts[0] <= 7 * 4
+        assert counts[1] - counts[0] <= 5 * 4
+
+    @pytest.mark.parametrize("lemmas", [
+        {"max_mode": 513},
+        {"max_mode": 300},
+        {"resolutions": []},
+        {"n_random": -3},
+    ], ids=["max_mode_above_half", "max_mode_above_quarter", "no_resolutions", "negative_n_random"])
+    def test_bad_lemma_config_exits_2_without_outputs(self, tmp_path, capsys, lemmas):
+        # N = 1024: a mode above N/2 = 512 has no bin, one above N/4 = 256
+        # is cut from the quarter band the gaps are checked on
+        cfg = write_config(tmp_path, lemmas={"n_random": 2, "resolutions": [512], **lemmas})
+        out = tmp_path / "out"
+        assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "lemmas." in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fields_freed_as_checked(self, tmp_path, monkeypatch):
         # each field (and the quarter band cached on it) is freed once its
@@ -246,6 +262,20 @@ class TestLemmasCommand:
         cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
         assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert built == [1024] * (4 + 3) + [512]
+
+    def test_full_kernel_entries_from_each_fields_own_pair(self, tmp_path):
+        # the report's full-kernel gap of every field is the one
+        # full_kernel_gap computes for that field without a pair
+        cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
+        out = tmp_path / "out"
+        assert main(["lemmas", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+        fields = json.loads((out / "lemmas_report.json").read_text())["fields"]
+        grid, params = dg.make_grid(20.0, 1024), dg.make_parameters(1.0)
+        lemma_fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 4, 30, 80)
+        for name, u, p in lemma_fields:
+            fk = full_kernel_gap(u, dg.make_operator(grid, p), p)
+            assert fields[name]["full_kernel"] == {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x}
+        assert len(fields) == 4 + 4
 
     def test_seed_changes_fields_not_verdict(self, tmp_path):
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
