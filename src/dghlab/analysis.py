@@ -43,7 +43,7 @@ def _energy_e(u, ux, rho, params: Parameters, dx: float) -> float:
     """E from the samples u, u_x [and rho~]."""
     dens = u * u + params.alpha**2 * ux * ux
     if rho is not None:
-        dens = dens + rho * rho
+        dens = dens + params.sigma * (rho * rho)
     return 0.5 * _quadrature(dens, dx)
 
 
@@ -52,12 +52,12 @@ def _energy_f(uf, uxf, rf, params: Parameters, dx: float) -> float:
     # uf * uf * uf, not uf**3: numpy's float power takes a slow pow path
     dens = uf * uf * uf + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
     if rf is not None:
-        dens = dens + 2.0 * uf * rf + uf * rf * rf
+        dens = dens + params.sigma * (2.0 * uf * rf) + params.sigma * (uf * rf * rf)
     return 0.5 * _quadrature(dens, dx)
 
 
 def energy_E(state: State, params: Parameters) -> float:
-    """E = 1/2 int (u^2 + alpha^2 u_x^2) [+ 1/2 int rho~^2], conserved.
+    """E = 1/2 int (u^2 + alpha^2 u_x^2) [+ sigma/2 int rho~^2], conserved.
 
     The two-component density term uses rho~ = rho - 1: with rho -> 1 at
     infinity the un-shifted integral diverges on the line, while the
@@ -73,7 +73,7 @@ def energy_E(state: State, params: Parameters) -> float:
 
 def energy_F(state: State, params: Parameters) -> float:
     """F = 1/2 int (u^3 + alpha^2 u u_x^2 + c0 u^2 - gamma u_x^2)
-    [+ 1/2 int (2 u rho~ + u rho~^2)].
+    [+ sigma/2 int (2 u rho~ + u rho~^2)], conserved.
 
     The alpha power on the u u_x^2 term is quadratic, as dimensional
     consistency and the Camassa-Holm limit require; products are formed

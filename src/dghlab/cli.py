@@ -434,6 +434,9 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         raise ConfigError(
             f"lemmas.max_mode must lie in 1..N/4 = {grid.n_points // 4}, got {max_mode}"
         )
+    if n_modes < 1:
+        # no mode draws the zero field, so no random field would be tested
+        raise ConfigError(f"lemmas.n_modes must be at least 1, got {n_modes}")
     if not resolutions:
         raise ConfigError("lemmas.resolutions must name at least one grid size")
     if n_random < 0:
@@ -576,7 +579,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = _collect(cells, pool.map(run, cells))
-    rows.sort(key=lambda r: r[0])
     _write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     print(f"sweep: {len(rows)} cells -> {out / 'sweep.csv'}")
     print(f"wall time: {time.perf_counter() - t0:.2f}s", file=sys.stderr)

@@ -145,7 +145,7 @@ def _stage(
     uf, uxf = phys[0], phys[1]
     quad = 0.5 * params.alpha**2 * uxf * uxf + uf * uf
     if two:
-        # sigma scales the density coupling; only sigma = 1 is exercised
+        # sigma scales the density coupling, as it does the density terms of E and F
         rf, rxf = phys[-2], phys[-1]
         prods = [uf * uxf, quad + params.sigma * 0.5 * rf * rf, uf * rxf + uxf * rf]
     else:
@@ -378,14 +378,20 @@ def simulate(
     initial: State, config: SolverConfig, params: Parameters
 ) -> tuple[Trajectory, BlowupReport]:
     """Integrate until the horizon, a slope-threshold crossing, or dt
-    underflow; record at the configured cadence plus initial, final and
-    trigger states.  The Helmholtz operator is built here, on the grid of
-    the initial datum with params.alpha, so the two cannot disagree.
+    underflow; record the initial state, every record_every-th step and the
+    point where the run stops.  The Helmholtz operator is built here, on
+    the grid of the initial datum with params.alpha, so the two cannot
+    disagree.
 
-    Breaking is declared when either the characteristic-tracked slope or
-    the grid minimum of u_x falls below -slope_blowup_threshold, or when
-    NaN backoff pushes dt under dt_min (reported as dt_underflow with the
-    last finite state retained).
+    Each step is tried at the CFL step (cut to end at the horizon) and
+    halved until it is finite.  Breaking is declared when the
+    characteristic-tracked slope or the grid minimum of u_x falls below
+    -slope_blowup_threshold (slope_threshold), or when the tried step is
+    under dt_min: the CFL step itself, after amplitude blowup, or the
+    halved one, after NaN backoff (dt_underflow, the last finite state
+    retained).  The final record is the point the run stopped at, tagged
+    at_detection iff the run blew up; its dt is the step that reached it
+    (the cut last step at the horizon), or at dt underflow the refused one.
     """
     grid = initial.u.grid
     op = NonlocalOperator(grid, params.alpha)
@@ -440,52 +446,30 @@ def simulate(
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
     steps = 0
+    dt = 0.0  # the step that reached t
     dt_lo, dt_hi = np.inf, 0.0  # the smallest and largest step taken
-    trigger = None
-    t_detect = None
-    min_slope_at_detect = None
-    detector_x0 = None
     eps = 1e-12 * max(horizon, 1.0)
-
-    def mark_breakdown(dt_used: float) -> None:
-        # keep the last finite state and tag it as the breakdown record
-        nonlocal trigger, t_detect, min_slope_at_detect
-        trigger = TRIGGER_DT
-        t_detect = t
-        min_slope_at_detect = min(float(np.min(ev.phys[2])), tracker.min_slope())
-        if records[-1].state.t < t - eps:
-            snapshot(dt_used=dt_used, at_detection=True)
-        else:
-            records[-1] = replace(records[-1], at_detection=True)
 
     while t < horizon - eps:
         # only |u|: the step's phase carries the transport at lam exactly
-        speed = max(float(np.max(np.abs(y[0]))), _SPEED_FLOOR)
-        dt_cfl = config.cfl * grid.dx / speed
-        if dt_cfl < config.dt_min:
-            # amplitude blowup drove the CFL step under the floor
-            mark_breakdown(dt_used=dt_cfl)
-            break
-        dt = min(dt_cfl, horizon - t)
-
-        # overflow inside a trial step is the breakdown signal, not an error
+        dt = config.cfl * grid.dx / max(float(np.max(np.abs(y[0]))), _SPEED_FLOOR)
+        # overflow inside a trial step is the breakdown signal, not an error;
+        # the floor holds for the CFL step and for each halving of it
         with np.errstate(over="ignore", invalid="ignore"):
-            ev_new = _evaluate(_step(ev, dt, op, params), op, params)
-            finite = _finite(ev_new.y)
-            while not finite:
-                dt *= 0.5
-                if dt < config.dt_min:
-                    break
+            while dt >= config.dt_min:
+                dt = min(dt, horizon - t)
                 ev_new = _evaluate(_step(ev, dt, op, params), op, params)
-                finite = _finite(ev_new.y)
-
-        if not finite:
-            # NaN even at the minimum step
-            mark_breakdown(dt_used=dt)
-            break
+                if np.all(np.isfinite(ev_new.y)):
+                    break
+                dt *= 0.5
+            else:
+                # the CFL step under the floor (amplitude blowup) or NaN
+                # even at the floor: the last finite state is kept
+                min_slope = min(float(np.min(ev.phys[2])), tracker.min_slope())
+                report = BlowupReport(True, TRIGGER_DT, t, min_slope)
+                break
 
         crossing = tracker.advance(ev, ev_new, t, dt, threshold)
-
         ev = ev_new
         y = ev.y
         t += dt
@@ -493,38 +477,26 @@ def simulate(
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
 
         min_ux_grid = float(np.min(ev.phys[2]))
-        if crossing is not None or min_ux_grid < -threshold:
-            trigger = TRIGGER_SLOPE
-            if crossing is not None:
-                t_detect, min_slope_at_detect, detector_x0 = crossing
-            else:
-                t_detect = t
-                min_slope_at_detect = min_ux_grid
-            snapshot(dt_used=dt, at_detection=True)
+        if crossing is not None:
+            report = BlowupReport(True, TRIGGER_SLOPE, *crossing)
             break
-
+        if min_ux_grid < -threshold:
+            report = BlowupReport(True, TRIGGER_SLOPE, t, min_ux_grid)
+            break
         if steps % config.record_every == 0:
             snapshot(dt_used=dt)
+    else:  # no exit above: the horizon
+        report = BlowupReport(False, TRIGGER_HORIZON)
 
-    if trigger is None:
-        trigger = TRIGGER_HORIZON
-        if records[-1].state.t < t - eps:
-            snapshot(dt_used=records[-1].diagnostics.dt)
+    # the point the run stopped at, recorded once
+    if records[-1].state.t < t - eps:
+        snapshot(dt_used=dt, at_detection=report.blew_up)
+    elif report.blew_up:
+        records[-1] = replace(records[-1], at_detection=True)
 
     _log.debug(
         "simulate: %d steps, dt %.4g to %.4g, trigger %s; tracker seeds %s, "
         "%d active at the end",
-        steps, dt_lo, dt_hi, trigger, tracker.seeds_x0, tracker.x0.size,
-    )
-    report = BlowupReport(
-        blew_up=trigger != TRIGGER_HORIZON,
-        trigger=trigger,
-        t_detect=t_detect,
-        min_slope_at_detect=min_slope_at_detect,
-        detector_x0=detector_x0,
+        steps, dt_lo, dt_hi, report.trigger, tracker.seeds_x0, tracker.x0.size,
     )
     return Trajectory(records=records), report
-
-
-def _finite(y: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(y)))

@@ -219,7 +219,10 @@ class TestLemmasCommand:
         {"max_mode": 300},
         {"resolutions": []},
         {"n_random": -3},
-    ], ids=["max_mode_above_half", "max_mode_above_quarter", "no_resolutions", "negative_n_random"])
+        {"n_modes": 0},
+        {"n_modes": -1},
+    ], ids=["max_mode_above_half", "max_mode_above_quarter", "no_resolutions", "negative_n_random",
+            "no_modes", "negative_n_modes"])
     def test_bad_lemma_config_exits_2_without_outputs(self, tmp_path, capsys, lemmas):
         # N = 1024: a mode above N/2 = 512 has no bin, one above N/4 = 256
         # is cut from the quarter band the gaps are checked on

@@ -302,6 +302,27 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_DT
         assert np.all(np.isfinite(traj.records[-1].state.u.values))
 
+    def test_final_record_dt_is_the_step_that_reached_it(self, params_ch):
+        # a horizon run of 7 steps recorded at every step gives the true
+        # step times; at record_every=4 the last step is not a cadence
+        # step, so only the final-record rule writes that record
+        grid = dg.make_grid(20.0, 256)
+        u0 = dg.State(0.0, dg.ic_preset("gaussian_bump", grid, a=1.0))
+        every, _ = dg.simulate(u0, dg.SolverConfig(t_max=0.3, record_every=1), params_ch)
+        traj, rep = dg.simulate(u0, dg.SolverConfig(t_max=0.3, record_every=4), params_ch)
+        assert rep.trigger == TRIGGER_HORIZON
+        t = every.times()
+        steps = np.diff(t)
+        assert steps.size % 4 != 0
+        # the last step is cut to end at the horizon, so it differs from
+        # the step of the record before it
+        assert steps[-1] < 0.5 * steps[-2]
+        final = traj.records[-1]
+        assert final.state.t == t[-1]
+        assert not final.at_detection
+        assert final.diagnostics.dt == pytest.approx(steps[-1], rel=1e-12)
+        assert final.diagnostics.dt == every.records[-1].diagnostics.dt
+
 
 class TestConservation:
     def test_energy_drift_pre_breaking(self, runs):
@@ -323,6 +344,23 @@ class TestConservation:
         assert rep.trigger == TRIGGER_HORIZON
         E = [r.diagnostics.energy_e for r in traj.records]
         assert (max(E) - min(E)) / abs(E[0]) < 1e-6
+
+    @pytest.mark.parametrize("sigma", [0.5, 2.0])
+    def test_two_component_drift_at_sigma(self, sigma):
+        # sigma scales the density coupling, so it weights the density
+        # terms of E and F; unweighted, E drifted by 0.31 at sigma = 0.5
+        grid = dg.make_grid(20.0, 1024)
+        params = dg.make_parameters(1.0, sigma=sigma)
+        u0 = dg.ic_preset("gaussian_bump", grid, a=0.3)
+        rho0 = dg.ic_preset("gaussian_bump", grid, a=0.2)
+        traj, rep = dg.simulate(dg.State(0.0, u0, rho0), dg.SolverConfig(t_max=2.0), params)
+        assert rep.trigger == TRIGGER_HORIZON
+        for recorded, public in (
+            ([r.diagnostics.energy_e for r in traj.records], dg.energy_E),
+            ([r.diagnostics.energy_f for r in traj.records], dg.energy_F),
+        ):
+            assert [public(r.state, params) for r in traj.records] == recorded
+            assert (max(recorded) - min(recorded)) / abs(recorded[0]) < 1e-6
 
     def test_sup_norm_bound(self, runs, params_ch):
         # max|u(t)| <= sqrt(2 E(u0))/sqrt(2 alpha) + 1e-6 before detection
