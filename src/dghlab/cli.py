@@ -27,8 +27,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -100,17 +101,9 @@ class RunConfig:
     """Everything needed to set up one run; mirrors the YAML layout."""
 
     equation: str = "dgh"
-    alpha: float = 1.0
-    gamma: float = 0.0
-    c0: float = 0.0
-    sigma: float = 1.0
-    half_length: float | None = None  # defaults to 20*alpha
-    n_points: int = 4096
-    t_max: float = 2.0
-    cfl: float = 0.3
-    dt_min: float = 1e-9
-    slope_blowup_threshold: float = 1e4
-    record_every: int = 4
+    # the keys of the parameters, grid and solver sections that the file
+    # or a flag set; every other key takes the library object's default
+    sections: dict = dc_field(default_factory=lambda: {"parameters": {}, "grid": {}, "solver": {}})
     initial: dict = dc_field(default_factory=lambda: {"preset": "gaussian_derivative", "args": {"a": 1.0}})
     rho_initial: dict | None = None
     seeds: list[float] = dc_field(default_factory=lambda: [0.0])
@@ -120,21 +113,17 @@ class RunConfig:
     lemmas: dict = dc_field(default_factory=dict)
     sweep: dict = dc_field(default_factory=dict)
 
+    # The four defaults below are the arguments the library objects leave
+    # without one: alpha 1, n_points 4096, half_length 20*alpha, t_max 2.
     def parameters(self) -> Parameters:
-        return make_parameters(self.alpha, self.gamma, self.c0, self.sigma)
+        return make_parameters(**{"alpha": 1.0, **self.sections["parameters"]})
 
     def grid(self) -> Grid:
-        L = self.half_length if self.half_length is not None else 20.0 * self.alpha
-        return make_grid(L, self.n_points)
+        alpha = self.sections["parameters"].get("alpha", 1.0)
+        return make_grid(**{"half_length": 20.0 * alpha, "n_points": 4096, **self.sections["grid"]})
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(
-            t_max=self.t_max,
-            cfl=self.cfl,
-            dt_min=self.dt_min,
-            slope_blowup_threshold=self.slope_blowup_threshold,
-            record_every=self.record_every,
-        )
+        return SolverConfig(**{"t_max": 2.0, **self.sections["solver"]})
 
     def build_field(self, spec: dict, grid: Grid, params: Parameters) -> Field:
         if "samples_file" not in spec and "preset" not in spec:
@@ -178,9 +167,9 @@ def _floats(value) -> list[float]:
 _FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
 
 # Every key a config file may hold: a dict is a section whose own keys are
-# checked, anything else converts the value.  The keys of the sections
-# parameters, grid and solver, and the top-level keys outside sections,
-# are RunConfig attributes of the same name.
+# checked, anything else converts the value.  The sections parameters,
+# grid and solver are kept in RunConfig.sections; every other top-level
+# key is the RunConfig attribute of the same name.
 CONFIG_KEYS = {
     "equation": _text,
     "parameters": {"alpha": float, "gamma": float, "c0": float, "sigma": float},
@@ -209,7 +198,21 @@ CONFIG_KEYS = {
         "c0_gamma": lambda v: [(float(c), float(g)) for c, g in v],
     },
 }
-_FLAT_SECTIONS = ("parameters", "grid", "solver")
+
+# Every flag that overrides a config value: flag -> (section, or None for
+# a top-level key; key; type; help), in the order --help lists them.
+FLAGS = {
+    "out": (None, "out_dir", str, "output directory"),
+    "seed": (None, "rng_seed", int, "RNG seed (randomized suites)"),
+    "workers": (None, "workers", int, "sweep worker processes (default: min(cells, usable CPUs))"),
+    "alpha": ("parameters", "alpha", float, None),
+    "gamma": ("parameters", "gamma", float, None),
+    "c0": ("parameters", "c0", float, None),
+    "L": ("grid", "half_length", float, "domain half-length"),
+    "N": ("grid", "n_points", int, "number of grid points"),
+    "tmax": ("solver", "t_max", float, None),
+    "cfl": ("solver", "cfl", float, None),
+}
 
 
 def _convert(raw, keys: dict, path: str) -> dict:
@@ -245,28 +248,18 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
         for key, value in _convert(raw, CONFIG_KEYS, "").items():
-            if key in _FLAT_SECTIONS:
-                for attr, v in value.items():
-                    setattr(cfg, attr, v)
+            if key in cfg.sections:
+                cfg.sections[key] = value
             else:
                 setattr(cfg, key, value)
-
-    flag_map = {
-        "alpha": "alpha",
-        "gamma": "gamma",
-        "c0": "c0",
-        "L": "half_length",
-        "N": "n_points",
-        "tmax": "t_max",
-        "cfl": "cfl",
-        "seed": "rng_seed",
-        "workers": "workers",
-        "out": "out_dir",
-    }
-    for flag, attr in flag_map.items():
-        val = getattr(overrides, flag, None)
-        if val is not None:
-            setattr(cfg, attr, val)
+    for flag, (section, key, _, _) in FLAGS.items():
+        value = getattr(overrides, flag, None)
+        if value is None:
+            continue
+        if section is None:
+            setattr(cfg, key, value)
+        else:
+            cfg.sections[section][key] = value
     if cfg.equation not in ("dgh", "dgh2"):
         raise ConfigError(f"equation must be dgh or dgh2, got {cfg.equation!r}")
     if cfg.equation == "dgh" and cfg.rho_initial is not None:
@@ -480,48 +473,35 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, float, float]]:
+def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, Parameters]]:
+    """(index, amplitude, parameters) of every cell: the (c0, gamma) pairs
+    in order, each over all amplitudes, the other parameters the config's."""
+    params = cfg.parameters()
     sw = cfg.sweep
     amplitudes = sw.get("amplitudes", [])
     pairs = sw.get("c0_gamma", [])
     if not amplitudes and not pairs:
         raise ConfigError("sweep needs a non-empty 'amplitudes' and/or 'c0_gamma' axis")
-    if not amplitudes:
-        amplitudes = [1.0]
-    if not pairs:
-        pairs = [(cfg.c0, cfg.gamma)]
-    cells = []
-    idx = 0
-    for c0, gamma in pairs:
-        for amp in amplitudes:
-            cells.append((idx, amp, c0, gamma))
-            idx += 1
-    return cells
+    cells = product(pairs or [(params.c0, params.gamma)], amplitudes or [1.0])
+    return [(idx, amp, replace(params, c0=c0, gamma=gamma))
+            for idx, ((c0, gamma), amp) in enumerate(cells)]
 
 
-def _run_cell(
-    equation: str,
-    alpha: float,
-    sigma: float,
-    solver: SolverConfig,
-    base: State,
-    cell: tuple[int, float, float, float],
-) -> list:
+def _run_cell(equation: str, solver: SolverConfig, base: State,
+              cell: tuple[int, float, Parameters]) -> list:
     """One sweep row: the base datum scaled by the cell's amplitude, run at
-    the cell's (c0, gamma).  A numerical breakdown is a result and goes in
+    the cell's parameters.  A numerical breakdown is a result and goes in
     the row's status; any other exception propagates."""
-    idx, amp, c0, gamma = cell
-    params = make_parameters(alpha, gamma, c0, sigma)
+    idx, amp, params = cell
+    head = [idx, amp, params.c0, params.gamma, params.alpha]
     u0 = ic_preset("from_samples", base.u.grid, params, values=amp * base.u.values)
     state = State(0.0, u0, base.rho_tilde)
     try:
         v = _criterion_for(equation, state, params)
         _, report = simulate(state, solver, params)
     except ArithmeticError as exc:
-        return [idx, amp, c0, gamma, alpha, "", "", "", "", "", "", "",
-                f"error: {type(exc).__name__}: {exc}"]
-    return [
-        idx, amp, c0, gamma, alpha,
+        return head + ["", "", "", "", "", "", "", f"error: {type(exc).__name__}: {exc}"]
+    return head + [
         v.holds if v else "", v.margin if v else "",
         v.time_bound if v else "",
         report.blew_up, report.trigger, report.t_detect,
@@ -529,7 +509,7 @@ def _run_cell(
     ]
 
 
-def _collect(cells: list[tuple[int, float, float, float]], results) -> list[list]:
+def _collect(cells: list[tuple[int, float, Parameters]], results) -> list[list]:
     """The rows of ``results`` (an iterator in cell order).  A cell that
     raises fails the sweep with its index in the message; a pool's ``map``
     cancels the cells still pending when its iterator raises."""
@@ -561,14 +541,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
     cells = _sweep_cells(cfg)
     # grid, solver and data depend only on alpha, the same in every cell:
     # built once here, a bad preset is a configuration error, not a row
-    _, _, c0, gamma = cells[0]
     grid = cfg.grid()
     solver = cfg.solver()
-    base = cfg.initial_state(grid, make_parameters(cfg.alpha, gamma, c0, cfg.sigma))
+    base = cfg.initial_state(grid, cells[0][2])
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    run = partial(_run_cell, cfg.equation, cfg.alpha, cfg.sigma, solver, base)
+    run = partial(_run_cell, cfg.equation, solver, base)
     workers = min(len(cells), cfg.workers or _usable_cpus())
     if workers == 1:
         rows = _collect(cells, map(run, cells))
@@ -600,17 +579,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", type=str, default=None, help="YAML config file")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="RNG seed (randomized suites)")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="sweep worker processes (default: min(cells, usable CPUs))")
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--gamma", type=float, default=None)
-        sp.add_argument("--c0", type=float, default=None)
-        sp.add_argument("--L", type=float, default=None, help="domain half-length")
-        sp.add_argument("--N", type=int, default=None, help="number of grid points")
-        sp.add_argument("--tmax", type=float, default=None)
-        sp.add_argument("--cfl", type=float, default=None)
+        for flag, (_, _, type_, text) in FLAGS.items():
+            sp.add_argument(f"--{flag}", type=type_, default=None, help=text)
     return parser
 
 

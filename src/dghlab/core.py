@@ -7,6 +7,7 @@ at the boundary.  All containers are immutable value objects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
 
@@ -46,6 +47,9 @@ class Parameters:
     in_band: bool = dc_field(init=False)
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "gamma", "c0", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
             raise ValueError(
                 f"alpha must be strictly positive (got {self.alpha}); "
@@ -75,8 +79,8 @@ class Grid:
     def __post_init__(self) -> None:
         L = float(self.half_length)
         n = int(self.n_points)
-        if L <= 0.0:
-            raise ValueError(f"half_length must be positive, got {L}")
+        if not (0.0 < L < math.inf):
+            raise ValueError(f"half_length must be positive and finite, got {L}")
         if n < 16 or n % 2 != 0:
             raise ValueError(f"n_points must be even and >= 16, got {n}")
         object.__setattr__(self, "half_length", L)

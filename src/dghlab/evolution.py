@@ -53,6 +53,7 @@ depends on M, and it converges in N with the solver.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -96,12 +97,10 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
-        if self.dt_min <= 0.0:
-            raise ValueError("dt_min must be positive")
-        if self.slope_blowup_threshold <= 0.0:
-            raise ValueError("slope_blowup_threshold must be positive")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        # a NaN fails every comparison, so each test is written to fail on it
+        for name in ("t_max", "dt_min", "slope_blowup_threshold"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

@@ -124,6 +124,17 @@ class TestOneSidedGaps:
         order = np.log2(gaps[0] / gaps[-1]) / 2
         assert order >= 1.5
 
+    def test_peakon_witness_study(self):
+        # the per-resolution table lemmas reports as peakon_witness_study
+        study = dg.peakon_witness_study(dg.make_parameters(1.0), [512, 1024])
+        levels = study["levels"]
+        assert [lev["n_points"] for lev in levels] == [512, 1024]
+        for lev in levels:
+            assert lev["min_gap"] >= -1e-8
+            assert lev["gap_equality_region"] < lev["gap_at_peak"]
+        # the equality-region gap converges faster than first order
+        assert levels[0]["gap_equality_region"] / levels[1]["gap_equality_region"] > 3.0
+
     def test_witness_symmetry_between_kernels(self, grid2048, params_ch):
         # the plus kernel mirrors the minus one: equality on x >= y
         op = dg.make_operator(grid2048, params_ch)

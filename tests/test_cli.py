@@ -1,5 +1,8 @@
+import argparse
 import json
+import re
 import weakref
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -13,7 +16,8 @@ from dghlab.analysis import _vacuum_point, full_kernel_gap
 from dghlab.cli import main
 from dghlab.core import Field
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "dghlab" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "dghlab" / "schemas"
 
 
 def write_config(path: Path, **over) -> Path:
@@ -423,7 +427,31 @@ class TestConfigErrors:
 
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         cfg = cli.load_config(str(write_config(tmp_path, grid={"n_points": 512.0})), None)
-        assert cfg.n_points == 512 and isinstance(cfg.n_points, int)
+        n_points = cfg.sections["grid"]["n_points"]
+        assert n_points == 512 and isinstance(n_points, int)
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
+    def test_non_finite_setting_exits_2(self, tmp_path, capsys, command):
+        # a NaN passes every "<= 0" test; each command refuses a non-finite
+        # value in the sections it uses before it writes anything
+        keys = [("parameters", k) for k in ("alpha", "gamma", "c0", "sigma")] + [("grid", "half_length")]
+        if command in ("simulate", "sweep"):
+            keys += [("solver", k) for k in ("t_max", "cfl", "dt_min", "slope_blowup_threshold")]
+        for (section, key), value in product(keys, (np.nan, np.inf)):
+            code, err = self.run(tmp_path, capsys, command, sweep={"amplitudes": [1.0]},
+                                 **{section: {key: value}})
+            assert code == 2 and f"{key} must be" in err, (section, key, value)
+
+    def test_omitted_sections_take_library_defaults(self, tmp_path):
+        cfg_file = tmp_path / "bare.yaml"
+        cfg_file.write_text("equation: dgh\n")
+        cfg = cli.load_config(str(cfg_file), None)
+        assert cfg.solver() == dg.SolverConfig(t_max=2.0)
+        assert cfg.parameters() == dg.make_parameters(1.0)
+        assert cfg.grid() == dg.make_grid(20.0, 4096)
+        # the default half-length follows alpha, from the file or a flag
+        cfg = cli.load_config(str(cfg_file), argparse.Namespace(alpha=2.0))
+        assert cfg.grid() == dg.make_grid(40.0, 4096)
 
     @pytest.mark.parametrize("command", ["simulate", "criterion"])
     def test_bad_preset_argument_exits_2(self, tmp_path, capsys, command):
@@ -433,6 +461,45 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "bogus" in err
+
+
+class TestSamplesFile:
+    @pytest.mark.parametrize("case", ["all", "short", "missing"])
+    def test_samples_file(self, tmp_path, capsys, case):
+        # the breaking_run datum read back from its samples gives the
+        # preset's verdict; N - 1 samples or no file exits 2, writing nothing
+        preset = ROOT / "configs" / "breaking_run.yaml"
+        cfg = cli.load_config(str(preset), None)
+        values = cfg.initial_state(cfg.grid(), cfg.parameters()).u.values
+        if case != "missing":
+            np.savetxt(tmp_path / "u0.txt", values if case == "all" else values[:-1])
+        raw = yaml.safe_load(preset.read_text())
+        raw["initial"] = {"samples_file": str(tmp_path / "u0.txt")}
+        (tmp_path / "samples.yaml").write_text(yaml.safe_dump(raw))
+        argv = ["criterion", "--config", str(tmp_path / "samples.yaml"), "--out", str(tmp_path / "s")]
+        if case != "all":
+            assert main(argv) == 2 and "cannot build the initial data" in capsys.readouterr().err
+            assert not (tmp_path / "s").exists()
+            return
+        assert main(argv) == 0
+        assert main(["criterion", "--config", str(preset), "--out", str(tmp_path / "p")]) == 0
+        verdicts = [(tmp_path / d / "verdict.json").read_bytes() for d in ("s", "p")]
+        assert verdicts[0] == verdicts[1]
+
+
+class TestReadme:
+    """README's command-line and config sections name what cli accepts."""
+
+    def test_flag_line_lists_every_flag(self):
+        text = (ROOT / "README.md").read_text()
+        flags = re.search(r"^Flags `([^`]*)`", text, re.M).group(1).split()
+        assert sorted(flags) == sorted(f"--{flag}" for flag in cli.FLAGS)
+
+    def test_config_layout_keys_are_config_keys(self):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"```yaml\n(.*?)```", text, re.S).group(1)
+        # raises ConfigError on a key path outside CONFIG_KEYS
+        cli._convert(yaml.safe_load(block), cli.CONFIG_KEYS, "")
 
 
 class TestDeterminism:

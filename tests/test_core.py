@@ -63,6 +63,25 @@ class TestGrid:
             dg.make_grid(0.0, 64)
 
 
+@pytest.mark.parametrize("build", [
+    lambda v: dg.make_parameters(v),
+    lambda v: dg.make_parameters(1.0, gamma=v),
+    lambda v: dg.make_parameters(1.0, c0=v),
+    lambda v: dg.make_parameters(1.0, sigma=v),
+    lambda v: dg.make_grid(v, 64),
+    lambda v: dg.SolverConfig(t_max=v),
+    lambda v: dg.SolverConfig(t_max=1.0, cfl=v),
+    lambda v: dg.SolverConfig(t_max=1.0, dt_min=v),
+    lambda v: dg.SolverConfig(t_max=1.0, slope_blowup_threshold=v),
+], ids=["alpha", "gamma", "c0", "sigma", "half_length", "t_max", "cfl", "dt_min",
+        "slope_blowup_threshold"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_settings_reject_non_finite_values(build, value):
+    # a NaN passes every "<= 0" test, so each constructor tests finiteness
+    with pytest.raises(ValueError, match="finite|cfl"):
+        build(value)
+
+
 class TestField:
     def test_rejects_nonfinite(self, grid1024):
         vals = np.zeros(1024)
