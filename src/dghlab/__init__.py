@@ -14,7 +14,6 @@ from .helmholtz import NonlocalOperator, green_kernel, make_operator
 from .evolution import BlowupReport, SolverConfig, Trajectory, simulate
 from .characteristics import (
     CharacteristicPath,
-    PathPoint,
     advect,
     collapse_rate,
     momentum_residual,

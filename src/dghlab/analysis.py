@@ -193,11 +193,11 @@ def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
     return vals / peak if peak > 0 else vals
 
 
-def peakon_witness_study(params: Parameters, resolutions, c: float = 1.0, y: float = 0.0) -> dict:
-    """Sharpness study: the peakon c*exp(-|x - y|/alpha) - k attains
-    equality in the minus one-sided inequality on x <= y.  The peak
+def peakon_witness_study(params: Parameters, resolutions) -> dict:
+    """Sharpness study: the peakon exp(-|x|/alpha) - k attains equality in
+    the minus one-sided inequality on x <= 0 (the peak y = 0).  The peak
     carries a slope jump, so the gap right at it shrinks only linearly in
-    N, while on the equality region away from the kink (x <= y - alpha/4)
+    N, while on the equality region away from the kink (x <= -alpha/4)
     the gap converges at order ~2; both are reported per resolution
     (grids on [-20 alpha, 20 alpha)), with the fitted order between the
     first and the last resolution (NaN with fewer than two)."""
@@ -205,11 +205,11 @@ def peakon_witness_study(params: Parameters, resolutions, c: float = 1.0, y: flo
     exclusion = 0.25 * params.alpha
     for n in resolutions:
         grid = make_grid(20.0 * params.alpha, n)
-        u = ic_preset("peakon_shifted", grid, params, c=c, y=y, k=params.k)
+        u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
         gm, _ = one_sided_gaps(u, make_operator(grid, params), params)
         x = grid.nodes
-        ipk = int(np.argmin(np.abs(x - y)))
-        region = x <= y - exclusion
+        ipk = int(np.argmin(np.abs(x)))
+        region = x <= -exclusion
         levels.append(
             {
                 "n_points": n,

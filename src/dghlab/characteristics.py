@@ -13,9 +13,9 @@ four trig passes.  Along each path we evaluate the slope g = u_x(t, q), the
 stretch q_x, the exponentially weighted pair (A, B) whose monotonicity
 drives the Riccati slope collapse, their unweighted variants, and the
 residuals of the momentum identity and of the two-component density
-invariant.  Each of these path functionals takes a PathPoint whose fields
-are scalars or arrays, and advect calls it once per path on the whole
-recorded series.
+invariant.  Each of these path functionals takes only the series it
+reads, as scalars or equal-length arrays, and advect calls it once per
+path on the whole recorded series.
 
 The weighted pair grows like exp(t |k - lam| / alpha) and can overflow;
 it is therefore carried in sign + log-magnitude form, on which
@@ -31,7 +31,6 @@ from .core import Parameters
 from .evolution import Trajectory, _in_safe_box
 
 __all__ = [
-    "PathPoint",
     "CharacteristicPath",
     "advect",
     "weighted_ab_log",
@@ -42,25 +41,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """The fields along one path at one recorded time or at several: each
-    field is a scalar or an array over the path's records, all arrays of
-    one length (m0 and rho0, the values at the seed, may stay scalars).
-    The path functionals below return scalars or arrays to match."""
-
-    t: float | np.ndarray
-    q: float | np.ndarray
-    qx: float | np.ndarray
-    u: float | np.ndarray
-    ux: float | np.ndarray
-    m: float | np.ndarray
-    m0: float | np.ndarray
-    rho: float | np.ndarray | None = None
-    rho0: float | np.ndarray | None = None
+def plain_ab(u, ux, params: Parameters):
+    """Unweighted pair A = (u+k)/alpha - u_x, B = (u+k)/alpha + u_x."""
+    base = (u + params.k) / params.alpha
+    return base - ux, base + ux
 
 
-def weighted_ab_log(point: PathPoint, params: Parameters):
+def weighted_ab_log(t, q, u, ux, params: Parameters):
     """Exponentially weighted monotone pair in sign + log-magnitude form,
 
         A = exp(q/alpha + (k-lam) t/alpha) * ((u+k)/alpha - u_x)
@@ -69,20 +56,12 @@ def weighted_ab_log(point: PathPoint, params: Parameters):
     as (sign_A, log|A|, sign_B, log|B|); log|.| is -inf for exact zeros.
     A is nondecreasing and B nonincreasing in t along every path.
     """
-    a = params.alpha
-    base_a = (point.u + params.k) / a - point.ux
-    base_b = (point.u + params.k) / a + point.ux
-    wa = (point.q + (params.k - params.lam) * point.t) / a
+    base_a, base_b = plain_ab(u, ux, params)
+    wa = (q + (params.k - params.lam) * t) / params.alpha
     with np.errstate(divide="ignore"):
         la = wa + np.log(np.abs(base_a))
         lb = -wa + np.log(np.abs(base_b))
     return np.sign(base_a), la, np.sign(base_b), lb
-
-
-def plain_ab(point: PathPoint, params: Parameters):
-    """Unweighted variants A = (u+k)/alpha - u_x, B = (u+k)/alpha + u_x."""
-    base = (point.u + params.k) / params.alpha
-    return base - point.ux, base + point.ux
 
 
 def collapse_rate(a, b):
@@ -93,21 +72,19 @@ def collapse_rate(a, b):
     return np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan)[()]
 
 
-def momentum_residual(point: PathPoint, params: Parameters):
+def momentum_residual(m, m0, qx, params: Parameters):
     """LHS - RHS of the conserved momentum identity
 
         m0(x0) + k = (m(t, q) + k) * q_x^2,
 
     using c0/2 + gamma/(2 alpha^2) = k; zero along exact solutions."""
-    return (point.m0 + params.k) - (point.m + params.k) * point.qx**2
+    return (m0 + params.k) - (m + params.k) * qx**2
 
 
-def rho_invariant_residual(point: PathPoint):
+def rho_invariant_residual(rho, rho0, qx):
     """(rho~(t,q) + 1) q_x - (rho~0(x0) + 1); zero along exact solutions
     of the two-component system."""
-    if point.rho is None or point.rho0 is None:
-        raise ValueError("density invariant needs a two-component path")
-    return (point.rho + 1.0) * point.qx - (point.rho0 + 1.0)
+    return (rho + 1.0) * qx - (rho0 + 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,22 +204,19 @@ def advect(traj: Trajectory, x0, params: Parameters):
     for j, x in enumerate(seeds):
         n = length[j]
         q_j, qx_j, u_j, ux_j, m_j, rho_j = np.ascontiguousarray(series[:n, j].T)
-        pt = PathPoint(
-            t=times[:n], q=q_j, qx=qx_j, u=u_j, ux=ux_j, m=m_j, m0=m_j[0],
-            rho=rho_j if two else None, rho0=rho_j[0] if two else None,
-        )
-        sa, la, sb, lb = weighted_ab_log(pt, params)
+        t_j = times[:n]
+        sa, la, sb, lb = weighted_ab_log(t_j, q_j, u_j, ux_j, params)
         with np.errstate(over="ignore"):  # the weighted pair from its log form
             aw, bw = sa * np.exp(la), sb * np.exp(lb)
-        ap, bp = plain_ab(pt, params)
+        ap, bp = plain_ab(u_j, ux_j, params)
         paths.append(CharacteristicPath(
-            x0=float(x), t=pt.t, q=q_j, qx=qx_j, u=u_j, g=ux_j,
+            x0=float(x), t=t_j, q=q_j, qx=qx_j, u=u_j, g=ux_j,
             a_weighted=aw, b_weighted=bw,
             sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
             a_plain=ap, b_plain=bp,
             h_plain=collapse_rate(ap, bp),
-            momentum_res=momentum_residual(pt, params),
-            rho_res=rho_invariant_residual(pt) if two else None,
+            momentum_res=momentum_residual(m_j, m_j[0], qx_j, params),
+            rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if two else None,
             n_pre_detection=int(pre[n - 1]),
             truncated=bool(truncated[j]),
             weight_overflow=bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw))),

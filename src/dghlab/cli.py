@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 from functools import partial
 from itertools import product
 from pathlib import Path
@@ -161,7 +161,11 @@ def _integer(value) -> int:
 
 
 def _floats(value) -> list[float]:
-    return [float(v) for v in value]
+    """float(v) of every item, refusing NaN and infinities."""
+    out = [float(v) for v in value]
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"expected finite numbers, got {out}")
+    return out
 
 
 _FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
@@ -266,6 +270,10 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
         raise ConfigError("rho_initial is set, but equation dgh has no density")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
+    # the library objects check their own values: every command refuses a
+    # section no run could use, before it writes anything
+    for build in (cfg.parameters, cfg.grid, cfg.solver):
+        build()
     return cfg
 
 
@@ -279,17 +287,7 @@ def _criterion_for(equation: str, state: State, params: Parameters) -> Criterion
 
 
 def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    rows = (
-        (
-            r.state.t,
-            r.diagnostics.min_ux,
-            r.diagnostics.max_abs_u,
-            r.diagnostics.energy_e,
-            r.diagnostics.energy_f,
-            r.diagnostics.dt,
-        )
-        for r in traj.records
-    )
+    rows = ((r.state.t, *astuple(r.diagnostics)) for r in traj.records)
     _write_csv(path, ["t", "min_ux", "max_abs_u", "E", "F", "dt"], rows)
 
 
@@ -364,9 +362,10 @@ def cmd_criterion(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     state = cfg.initial_state(grid, params)
-    verdict = _criterion_for(cfg.equation, state, params)
-    if verdict is None:
-        raise ConfigError(f"the dgh2 criterion requires gamma = 0; got gamma = {params.gamma}")
+    if cfg.equation == "dgh":
+        verdict = check_criterion_dgh(state.u, params)
+    else:
+        verdict = check_criterion_dgh2(state.u, state.rho_tilde, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

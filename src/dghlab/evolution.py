@@ -315,11 +315,13 @@ def _first_root(p0, m0, p1, m1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RecordDiagnostics:
+    """Per-record scalars, in the order of the trajectory.csv columns."""
+
     min_ux: float
     max_abs_u: float
-    dt: float
     energy_e: float
     energy_f: float
+    dt: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,9 +425,9 @@ def simulate(
             diag = RecordDiagnostics(
                 min_ux=float(np.min(ev.phys[2])),
                 max_abs_u=float(np.max(np.abs(y[0]))),
-                dt=dt_used,
                 energy_e=_energy_e(y[0], ev.phys[2], rho, params, grid.dx),
                 energy_f=_energy_f(ev.phys[0], ev.phys[1], rf, params, grid.dx),
+                dt=dt_used,
             )
         records.append(
             TrajectoryRecord(

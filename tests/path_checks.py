@@ -3,7 +3,7 @@ of a path, the monotonicity of a signed log-magnitude series and the
 weighted pair in linear form."""
 import numpy as np
 
-from dghlab.characteristics import CharacteristicPath, PathPoint, weighted_ab_log
+from dghlab.characteristics import CharacteristicPath, weighted_ab_log
 from dghlab.core import Parameters
 
 
@@ -56,9 +56,9 @@ def monotone_violation(signs: np.ndarray, logs: np.ndarray, direction: str) -> f
     return float(worst)
 
 
-def weighted_ab(point: PathPoint, params: Parameters):
+def weighted_ab(t, q, u, ux, params: Parameters):
     """The weighted pair (A, B) of weighted_ab_log in linear form; values
     may overflow to +-inf for large t*|k-lam|/alpha."""
-    sa, la, sb, lb = weighted_ab_log(point, params)
+    sa, la, sb, lb = weighted_ab_log(t, q, u, ux, params)
     with np.errstate(over="ignore"):
         return sa * np.exp(la), sb * np.exp(lb)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import dghlab as dg
-from dghlab.characteristics import PathPoint
 from derivative import ddx
 from path_checks import monotone_violation, resolved_count, weighted_ab
 
@@ -111,45 +110,38 @@ class TestPathFunctionals:
     def test_weighted_pair_at_t0(self, params_ch):
         # A(0) = e^{x0/a}((u0+k)/a - u0'), B(0) = e^{-x0/a}((u0+k)/a + u0')
         p = dg.make_parameters(2.0, 1.0, 0.5)
-        pt = PathPoint(t=0.0, q=1.3, qx=1.0, u=0.7, ux=-0.4, m=0.0, m0=0.0)
-        a, b = weighted_ab(pt, p)
+        a, b = weighted_ab(0.0, 1.3, 0.7, -0.4, p)
         base = (0.7 + p.k) / p.alpha
         assert a == pytest.approx(np.exp(1.3 / 2.0) * (base + 0.4), rel=1e-14)
         assert b == pytest.approx(np.exp(-1.3 / 2.0) * (base - 0.4), rel=1e-14)
 
     def test_weighted_pair_zero_velocity(self, params_ch):
-        pt = PathPoint(t=0.5, q=0.2, qx=1.0, u=0.0, ux=0.0, m=0.0, m0=0.0)
-        a, b = weighted_ab(pt, params_ch)
+        a, b = weighted_ab(0.5, 0.2, 0.0, 0.0, params_ch)
         assert a == 0.0 and b == 0.0
 
     def test_steep_seed_values(self, params_ch):
         # u0 = -x e^{-x^2/2} at x0 = 0: u0 = 0, u0' = -1
-        pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.0, ux=-1.0, m=0.0, m0=0.0)
-        assert weighted_ab(pt, params_ch) == (1.0, -1.0)
-        a, b = dg.plain_ab(pt, params_ch)
+        assert weighted_ab(0.0, 0.0, 0.0, -1.0, params_ch) == (1.0, -1.0)
+        a, b = dg.plain_ab(0.0, -1.0, params_ch)
         assert (a, b) == (1.0, -1.0)
         assert dg.collapse_rate(a, b) == 1.0
 
     def test_collapse_rate_undefined_when_product_nonnegative(self, params_ch):
-        pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.5, ux=0.0, m=0.0, m0=0.0)
-        a, b = dg.plain_ab(pt, params_ch)
+        a, b = dg.plain_ab(0.5, 0.0, params_ch)
         assert a == b == 0.5
         assert np.isnan(dg.collapse_rate(a, b))
 
     def test_weighted_overflow_goes_to_log_form(self):
-        p = dg.make_parameters(1.0, -4.0, 8.0)  # k - lam = -2... use t<0? no:
-        # pick k - lam > 0: gamma = 4, c0 = 0 -> lam = -4, k = 2, k-lam = 6
+        # k - lam > 0: gamma = 4, c0 = 0 -> lam = -4, k = 2, k-lam = 6
         p = dg.make_parameters(1.0, 4.0, 0.0)
-        pt = PathPoint(t=150.0, q=0.0, qx=1.0, u=0.3, ux=-0.2, m=0.0, m0=0.0)
-        a, b = weighted_ab(pt, p)
+        a, b = weighted_ab(150.0, 0.0, 0.3, -0.2, p)
         assert np.isinf(a)
-        sa, la, sb, lb = dg.weighted_ab_log(pt, p)
+        sa, la, sb, lb = dg.weighted_ab_log(150.0, 0.0, 0.3, -0.2, p)
         assert sa > 0 and np.isfinite(la)
         assert b == pytest.approx(sb * np.exp(lb))
 
     def test_momentum_residual_is_zero_at_t0(self, params_ch):
-        pt = PathPoint(t=0.0, q=1.0, qx=1.0, u=0.1, ux=0.0, m=0.37, m0=0.37)
-        assert dg.momentum_residual(pt, params_ch) == 0.0
+        assert dg.momentum_residual(0.37, 0.37, 1.0, params_ch) == 0.0
 
     def test_array_point_matches_scalar_points(self):
         # advect evaluates each functional once on a path's whole series;
@@ -159,23 +151,19 @@ class TestPathFunctionals:
         cols = {f: rng.normal(size=40) for f in ("t", "q", "qx", "u", "ux", "m", "rho")}
         cols["u"][:2], cols["ux"][:2] = -p.k, 0.0  # zero bases: log -inf
         cols["t"][-1] = 2000.0  # weighted pair overflows
-        fixed = dict(m0=0.37, rho0=-0.2)
+        m0, rho0 = 0.37, -0.2
 
-        def functionals(pt):
+        def functionals(t, q, qx, u, ux, m, rho):
             return (
-                *dg.weighted_ab_log(pt, p), *weighted_ab(pt, p), *dg.plain_ab(pt, p),
-                dg.momentum_residual(pt, p), dg.rho_invariant_residual(pt),
+                *dg.weighted_ab_log(t, q, u, ux, p), *weighted_ab(t, q, u, ux, p),
+                *dg.plain_ab(u, ux, p),
+                dg.momentum_residual(m, m0, qx, p), dg.rho_invariant_residual(rho, rho0, qx),
             )
 
-        series = functionals(PathPoint(**cols, **fixed))
+        series = functionals(**cols)
         for i in range(40):
-            point = functionals(PathPoint(**{f: float(v[i]) for f, v in cols.items()}, **fixed))
+            point = functionals(**{f: float(v[i]) for f, v in cols.items()})
             assert [float(s[i]) for s in series] == [float(x) for x in point]
-
-    def test_rho_invariant_needs_density(self, params_ch):
-        pt = PathPoint(t=0.0, q=0.0, qx=1.0, u=0.0, ux=0.0, m=0.0, m0=0.0)
-        with pytest.raises(ValueError):
-            dg.rho_invariant_residual(pt)
 
 
 class TestMomentumIdentity:

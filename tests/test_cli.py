@@ -354,6 +354,17 @@ class TestSweepCommand:
         argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]
         assert main(argv + (["--workers", flag] if flag else [])) == 2
 
+    def test_non_finite_amplitude_exits_2_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        def cell_ran(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "simulate", cell_ran)
+        cfg = self.sweep_config(tmp_path, sweep={"amplitudes": [1.0, np.nan]})
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 2
+        assert "sweep.amplitudes" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [TypeError, ValueError])
     def test_non_arithmetic_cell_error_fails_sweep(self, tmp_path, monkeypatch, exc):
         calls = []
@@ -418,6 +429,8 @@ class TestConfigErrors:
         ({"rng_seed": False}, "rng_seed"),
         # a density section the one-component equation would ignore
         ({"rho_initial": {"preset": "gaussian_bump", "args": {"a": -1.0}}}, "rho_initial"),
+        # a non-finite seed, refused before any solve
+        ({"seeds": [0.0, np.nan]}, "seeds"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_value_exits_2_naming_path(self, tmp_path, capsys, over, path):
         code, err = self.run(tmp_path, capsys, "criterion", **over)
@@ -433,14 +446,21 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     def test_non_finite_setting_exits_2(self, tmp_path, capsys, command):
         # a NaN passes every "<= 0" test; each command refuses a non-finite
-        # value in the sections it uses before it writes anything
+        # value in every library section before it writes anything
         keys = [("parameters", k) for k in ("alpha", "gamma", "c0", "sigma")] + [("grid", "half_length")]
-        if command in ("simulate", "sweep"):
-            keys += [("solver", k) for k in ("t_max", "cfl", "dt_min", "slope_blowup_threshold")]
+        keys += [("solver", k) for k in ("t_max", "cfl", "dt_min", "slope_blowup_threshold")]
         for (section, key), value in product(keys, (np.nan, np.inf)):
             code, err = self.run(tmp_path, capsys, command, sweep={"amplitudes": [1.0]},
                                  **{section: {key: value}})
             assert code == 2 and f"{key} must be" in err, (section, key, value)
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
+    def test_unusable_solver_exits_2_in_every_command(self, tmp_path, capsys, command):
+        # criterion and lemmas never step, yet refuse what simulate and
+        # sweep would refuse: one config is valid for every command or none
+        for solver in ({"t_max": -1.0}, {"t_max": 1.0, "cfl": 2.0}, {"t_max": 1.0, "record_every": 0}):
+            code, err = self.run(tmp_path, capsys, command, solver=solver, sweep={"amplitudes": [1.0]})
+            assert code == 2 and "must be" in err, solver
 
     def test_omitted_sections_take_library_defaults(self, tmp_path):
         cfg_file = tmp_path / "bare.yaml"
@@ -488,7 +508,16 @@ class TestSamplesFile:
 
 
 class TestReadme:
-    """README's command-line and config sections name what cli accepts."""
+    """README's command-line and config sections name what cli accepts,
+    and its Library code runs as written."""
+
+    def test_library_block_runs_verbatim(self):
+        text = (ROOT / "README.md").read_text()
+        block = re.search(r"^## Library\n\n```python\n(.*?)```", text, re.S | re.M).group(1)
+        scope = {}
+        exec(compile(block, "README.md", "exec"), scope)
+        assert scope["verdict"].holds and scope["report"].blew_up
+        assert scope["path"].x0 == scope["verdict"].x0_best
 
     def test_flag_line_lists_every_flag(self):
         text = (ROOT / "README.md").read_text()
