@@ -12,7 +12,6 @@ The lemma suite's random fields and peakon witness study live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -273,18 +272,13 @@ def _min_margin(u0: Field, params: Parameters) -> tuple[float, float]:
     return float(x[0]), float(m[0])
 
 
-@lru_cache(maxsize=1)
 def _vacuum_point(u0: Field, rho0: Field, params: Parameters):
     """(x0, margin) at the vacuum point of least margin, or None.  Each
     discrete local minimum of rho~ is refined to its tangential minimum on
     the interpolant unless the node is nearer vacuum (where the
     interpolant undershoots -1 beside it); a vacuum point has
     |rho~ + 1| <= 1e-10.  Its margin comes from the samples if the node
-    stays, else the interpolant.
-
-    The last answer is kept: a two-component run asks twice for the same
-    datum, for the slope tracker's seed and for the criterion.  Fields
-    hash by identity and are immutable, so a kept answer cannot go stale."""
+    stays, else the interpolant."""
     grid = u0.grid
     sp = grid.spectral
     u, u_hat = u0.values, u0.spectrum
@@ -315,12 +309,17 @@ def _vacuum_point(u0: Field, rho0: Field, params: Parameters):
 
 
 def _time_bound(u0: Field, x0: float, params: Parameters) -> float:
-    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant of u0."""
+    """2/sqrt(u0'(x0)^2 - (u0(x0) + k)^2/alpha^2) on the interpolant of u0;
+    where a square overflows, the same bound with u0'(x0) factored out."""
     sp = u0.grid.spectral
     u_hat = u0.spectrum
     basis = sp.basis(x0)  # one matmul per row: a stacked one can differ in the last bit
     slope, value = (float(sp.values(c, basis)[0]) for c in (sp.ik * u_hat, u_hat))
-    return 2.0 / np.sqrt(slope**2 - ((value + params.k) / params.alpha) ** 2)
+    try:
+        return 2.0 / np.sqrt(slope**2 - ((value + params.k) / params.alpha) ** 2)
+    except OverflowError:  # Python floats raise where numpy would give inf
+        ratio = (value + params.k) / (params.alpha * slope)
+        return 2.0 / abs(slope) / np.sqrt(1.0 - ratio**2)
 
 
 def check_criterion_dgh(u0: Field, params: Parameters) -> CriterionVerdict:

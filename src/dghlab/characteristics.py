@@ -67,9 +67,10 @@ def weighted_ab_log(t, q, u, ux, params: Parameters):
 def collapse_rate(a, b):
     """h = sqrt(-A*B) for the unweighted pair where A*B < 0, NaN elsewhere
     (scalars or equal-length arrays).  Along criterion-satisfying paths h
-    grows at least like h^2/2, which yields the breaking-time bound 2/h(0)."""
-    prod = a * b
-    return np.where(prod < 0.0, np.sqrt(np.abs(prod)), np.nan)[()]
+    grows at least like h^2/2, which yields the breaking-time bound 2/h(0).
+    The root is taken per factor, so a finite h never overflows as A*B."""
+    opposite = np.sign(a) * np.sign(b) < 0.0
+    return np.where(opposite, np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), np.nan)[()]
 
 
 def momentum_residual(m, m0, qx, params: Parameters):

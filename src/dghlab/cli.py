@@ -160,6 +160,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _count(value) -> int:
+    """_integer(value), refusing negatives."""
+    n = _integer(value)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _floats(value) -> list[float]:
     """float(v) of every item, refusing NaN and infinities."""
     out = [float(v) for v in value]
@@ -189,17 +197,18 @@ CONFIG_KEYS = {
     "rho_initial": _FIELD_KEYS,
     "seeds": _floats,
     "out_dir": _text,
-    "rng_seed": _integer,
+    "rng_seed": _count,
     "workers": _integer,
     "lemmas": {
-        "n_random": _integer,
+        "n_random": _count,
         "n_modes": _integer,
         "max_mode": _integer,
-        "resolutions": lambda v: [_integer(n) for n in v],
+        # each a grid size the witness study can build
+        "resolutions": lambda v: [make_grid(1.0, _integer(n)).n_points for n in v],
     },
     "sweep": {
         "amplitudes": _floats,
-        "c0_gamma": lambda v: [(float(c), float(g)) for c, g in v],
+        "c0_gamma": lambda v: [tuple(_floats((c, g))) for c, g in v],
     },
 }
 
@@ -431,8 +440,6 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         raise ConfigError(f"lemmas.n_modes must be at least 1, got {n_modes}")
     if not resolutions:
         raise ConfigError("lemmas.resolutions must name at least one grid size")
-    if n_random < 0:
-        raise ConfigError(f"lemmas.n_random must be at least 0, got {n_random}")
     op = make_operator(grid, params)
     rng = np.random.default_rng(cfg.rng_seed)
 

@@ -218,8 +218,7 @@ class _SlopeTracker:
 
     Seeds: the node minimizing u0_x, the node minimizing the criterion
     margin alpha*u0_x + |u0 + k| and, for two-component data, the node
-    nearest the criterion's vacuum point (analysis._vacuum_point, which
-    reads the rows cached on the initial fields).  The
+    nearest the criterion's vacuum point (analysis._vacuum_point).  The
     slope is g = 2w'/w with w'' = f w/2 (module docstring), w(0) = 1 and
     w'(0) = g0/2.  Each solver step moves the rows (q, w, w') of all active
     seeds by one Heun step, the predictor in the fields of the step's start
@@ -440,8 +439,6 @@ def simulate(
 
     snapshot(dt_used=0.0)
 
-    # the initial fields, not the first record's copies: the criterion asks
-    # _vacuum_point about the same objects and gets the kept answer
     tracker = _SlopeTracker(initial, ev.phys[2], params)
 
     horizon = config.t_max

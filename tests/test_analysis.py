@@ -472,6 +472,12 @@ class TestCriterionTwoComponent:
         with pytest.raises(ValueError):
             dg.check_criterion_dgh2(u0, rho0, p)
 
+    def test_rejects_fields_from_two_grids(self, grid1024, grid2048, params_ch):
+        u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
+        rho0 = dg.ic_preset("gaussian_bump", grid2048, a=-1.0, width=2.0**-0.5)
+        with pytest.raises(ValueError, match="must share one grid"):
+            dg.check_criterion_dgh2(u0, rho0, params_ch)
+
     def test_vacuum_but_shallow_slope(self, grid4096, params_ch):
         # condition (i) met at x = 0 but the slope there is positive
         u0 = dg.ic_preset("gaussian_derivative", grid4096, a=-0.3)

@@ -131,6 +131,11 @@ class TestPathFunctionals:
         assert a == b == 0.5
         assert np.isnan(dg.collapse_rate(a, b))
 
+    def test_collapse_rate_of_steep_seed_is_finite(self, params_ch):
+        # A*B = -1e400 overflows a float; h = 1e200 does not
+        a, b = dg.plain_ab(0.0, -1e200, params_ch)
+        assert dg.collapse_rate(a, b) == pytest.approx(1e200, rel=1e-15)
+
     def test_weighted_overflow_goes_to_log_form(self):
         # k - lam > 0: gamma = 4, c0 = 0 -> lam = -4, k = 2, k-lam = 6
         p = dg.make_parameters(1.0, 4.0, 0.0)

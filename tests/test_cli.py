@@ -12,7 +12,7 @@ import yaml
 
 import dghlab as dg
 from dghlab import cli
-from dghlab.analysis import _vacuum_point, full_kernel_gap
+from dghlab.analysis import full_kernel_gap
 from dghlab.cli import main
 from dghlab.core import Field
 
@@ -87,23 +87,21 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         jsonschema.validate(summary, load_schema("run_summary.schema.json"))
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_one_vacuum_search_per_run(self, tmp_path, command):
-        # the slope tracker's seed and the criterion ask about the same
-        # initial fields; the second asking gets the kept answer
+    def test_two_component_off_gamma_zero_has_no_criterion(self, tmp_path):
+        # the two-component criterion is stated only for gamma = 0
         cfg = write_config(
             tmp_path,
             equation="dgh2",
+            parameters={"alpha": 1.0, "gamma": 0.5, "c0": 0.0},
             rho_initial={"preset": "gaussian_bump", "args": {"a": -1.0, "width": 0.7071067811865476}},
-            solver={"t_max": 0.3, "record_every": 4},
-            sweep={"amplitudes": [1.0, 2.0]},
+            grid={"half_length": 20.0, "n_points": 256},
+            solver={"t_max": 0.1, "record_every": 4},
         )
-        _vacuum_point.cache_clear()
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-        assert main(argv + (["--workers", "1"] if command == "sweep" else [])) == 0
-        runs = 2 if command == "sweep" else 1
-        info = _vacuum_point.cache_info()
-        assert (info.misses, info.hits) == (runs, runs)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        jsonschema.validate(summary, load_schema("run_summary.schema.json"))
+        assert summary["criterion"] is None
 
     def test_missing_config_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -328,10 +326,40 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().splitlines()
         assert len(lines) == 3
-        statuses = [line.split(",")[-1] for line in lines[1:]]
-        assert statuses[0] == "ok"
-        # the overflowing cell reports a breakdown but the sweep completes
-        assert statuses[1] == "ok" or statuses[1].startswith("error")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[-1] for r in rows] == ["ok", "ok"]
+        # the 1e200 cell has a finite bound and stops at once on dt underflow
+        assert float(rows[1][7]) > 0.0
+        assert rows[1][9] == "dt_underflow"
+
+    def test_cell_arithmetic_error_written_to_row(self, tmp_path, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise OverflowError("injected")
+
+        monkeypatch.setattr(cli, "simulate", overflow)
+        cfg = self.sweep_config(tmp_path, sweep={"amplitudes": [1.0, 2.0]})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [r[:2] for r in rows] == [["0", "1"], ["1", "2"]]
+        for r in rows:
+            assert r[5:] == [""] * 7 + ["error: OverflowError: injected"]
+
+    def test_two_component_off_gamma_zero_leaves_criterion_blank(self, tmp_path):
+        cfg = self.sweep_config(
+            tmp_path,
+            equation="dgh2",
+            parameters={"alpha": 1.0, "gamma": 0.5, "c0": 0.0},
+            rho_initial={"preset": "gaussian_bump", "args": {"a": -1.0, "width": 0.7071067811865476}},
+            grid={"half_length": 20.0, "n_points": 256},
+            solver={"t_max": 0.1, "record_every": 4},
+            sweep={"amplitudes": [1.0]},
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        row = dict(zip(cli.SWEEP_HEADER, (out / "sweep.csv").read_text().splitlines()[1].split(",")))
+        assert [row[k] for k in ("holds", "margin", "time_bound")] == ["", "", ""]
+        assert (row["trigger"], row["status"]) == ("horizon_reached", "ok")
 
     def test_empty_axes_exit_2(self, tmp_path):
         cfg = write_config(tmp_path, sweep={})
@@ -431,12 +459,38 @@ class TestConfigErrors:
         ({"rho_initial": {"preset": "gaussian_bump", "args": {"a": -1.0}}}, "rho_initial"),
         # a non-finite seed, refused before any solve
         ({"seeds": [0.0, np.nan]}, "seeds"),
+        # refused at load time, not after the work that first reads them
+        ({"lemmas": {"resolutions": [512, 17]}}, "lemmas.resolutions"),
+        ({"sweep": {"c0_gamma": [[np.nan, 0.0]]}}, "sweep.c0_gamma"),
+        ({"rng_seed": -1}, "rng_seed"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_value_exits_2_naming_path(self, tmp_path, capsys, over, path):
-        code, err = self.run(tmp_path, capsys, "criterion", **over)
+        # lemmas is the command that reads the resolutions and the seed
+        for command in ("criterion", "lemmas"):
+            code, err = self.run(tmp_path, capsys, command, **over)
+            assert code == 2, command
+            assert path in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "sweep"])
+    @pytest.mark.parametrize("over, message", [
+        ({"initial": {"args": {"a": 1.0}}}, "initial condition needs 'preset' or 'samples_file'"),
+        ({"equation": "dgh2"}, "equation dgh2 needs a rho_initial section"),
+        ({"initial": {"preset": 3}}, "bad value for initial.preset: 3"),
+        ({"equation": "kdv"}, "equation must be dgh or dgh2, got 'kdv'"),
+    ], ids=["no_preset", "no_rho_initial", "preset_not_a_string", "unknown_equation"])
+    def test_unusable_setup_exits_2(self, tmp_path, capsys, command, over, message):
+        code, err = self.run(tmp_path, capsys, command, sweep={"amplitudes": [1.0]}, **over)
         assert code == 2
-        assert path in err
-        assert "Traceback" not in err
+        assert message in err
+
+    def test_unparsable_yaml_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("grid: {n_points: 256\n")
+        out = tmp_path / "out"
+        assert main(["criterion", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "cannot parse config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_accepted_for_integer_key(self, tmp_path):
         cfg = cli.load_config(str(write_config(tmp_path, grid={"n_points": 512.0})), None)
@@ -481,6 +535,34 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "bogus" in err
+
+
+class TestSteepDatum:
+    """u0'(0) = -1e200: the squares in the breaking-time bound overflow a
+    float, yet every command finishes with the bound 2/|u0'(0)|, and the run
+    stops at once on dt underflow."""
+
+    @pytest.mark.parametrize("command", ["criterion", "simulate", "sweep"])
+    def test_finite_bound(self, tmp_path, command):
+        cfg = write_config(
+            tmp_path,
+            grid={"half_length": 20.0, "n_points": 256},
+            initial={"preset": "gaussian_derivative", "args": {"a": 1e200}},
+            sweep={"amplitudes": [1.0]},
+        )
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        if command == "criterion":
+            bound = strict_json(out / "verdict.json")["verdict"]["time_bound"]
+        elif command == "simulate":
+            summary = strict_json(out / "summary.json")
+            bound = summary["criterion"]["time_bound"]
+            assert summary["blowup_report"]["trigger"] == "dt_underflow"
+        else:
+            row = dict(zip(cli.SWEEP_HEADER, (out / "sweep.csv").read_text().splitlines()[1].split(",")))
+            bound = float(row["time_bound"])
+            assert (row["trigger"], row["status"]) == ("dt_underflow", "ok")
+        assert bound == pytest.approx(2e-200, rel=1e-12)
 
 
 class TestSamplesFile:

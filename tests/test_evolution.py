@@ -276,6 +276,22 @@ class TestSimulate:
         assert traj.records[-1].at_detection
         assert not any(r.at_detection for r in traj.records[:-1])
 
+    def test_grid_slope_trigger(self, grid1024, params_ch, monkeypatch):
+        # with the tracker silent, the grid minimum of u_x is the trigger:
+        # it fires at the end of the step that takes it below -M
+        monkeypatch.setattr(_SlopeTracker, "advance", lambda self, *args: None)
+        u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
+        cfg = dg.SolverConfig(t_max=2.0, slope_blowup_threshold=4.0, record_every=1)
+        traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
+        final = traj.records[-1]
+        assert rep.trigger == TRIGGER_SLOPE and rep.blew_up
+        assert rep.t_detect == final.state.t
+        assert rep.min_slope_at_detect == final.diagnostics.min_ux < -4.0
+        assert rep.detector_x0 is None
+        assert final.at_detection
+        assert not any(r.at_detection for r in traj.records[:-1])
+        assert all(r.diagnostics.min_ux >= -4.0 for r in traj.records[:-1])
+
     def test_small_datum_stays_smooth(self, runs):
         traj, rep, _, _ = runs.get("negative_control")
         assert rep.trigger == TRIGGER_HORIZON
