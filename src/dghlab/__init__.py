@@ -11,7 +11,7 @@ from .core import (
     make_parameters,
 )
 from .helmholtz import NonlocalOperator, green_kernel, make_operator
-from .evolution import BlowupReport, SolverConfig, Trajectory, simulate
+from .evolution import BlowupReport, SolverConfig, simulate
 from .characteristics import (
     CharacteristicPath,
     advect,

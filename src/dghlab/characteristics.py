@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Parameters
-from .evolution import Trajectory, _in_safe_box
+from .evolution import TrajectoryRecord, _in_safe_box
 
 __all__ = [
     "CharacteristicPath",
@@ -119,9 +119,9 @@ class CharacteristicPath:
     weight_overflow: bool
 
 
-def advect(traj: Trajectory, x0, params: Parameters):
-    """Integrate the particle paths seeded at x0 through a recorded
-    trajectory and evaluate all path diagnostics at the recorded times.
+def advect(records: list[TrajectoryRecord], x0, params: Parameters):
+    """Integrate the particle paths seeded at x0 through the records of a
+    run (simulate's list) and evaluate all path diagnostics at their times.
 
     x0 is one seed, which gives one CharacteristicPath, or a sequence of
     seeds, which gives a list of paths in seed order.  All seeds advance
@@ -133,7 +133,7 @@ def advect(traj: Trajectory, x0, params: Parameters):
     its series is truncated there and flagged, since the periodic box no
     longer approximates the line.
     """
-    grid = traj.grid
+    grid = records[0].state.u.grid
     L = grid.half_length
     seeds = np.atleast_1d(np.asarray(x0, dtype=float))
     for x in seeds:
@@ -141,10 +141,9 @@ def advect(traj: Trajectory, x0, params: Parameters):
             raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
 
     ev = grid.spectral
-    records = traj.records
     two = records[0].state.rho_tilde is not None
     n_rec = len(records)
-    times = traj.times()
+    times = np.array([r.state.t for r in records])
     lam = params.lam
     # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
     helm = 1.0 + params.alpha**2 * ev.xi**2

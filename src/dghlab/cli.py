@@ -11,8 +11,9 @@ lemma suite's random fields and witness study come from analysis.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
 1 property-suite violation (lemmas), 2 usage or configuration error (an
-unknown config key, a value that does not convert, initial data that
-cannot be built), including a ValueError raised in a sweep cell.  A
+unknown config key, a value that does not convert, from the file or a
+flag, initial data that cannot be built, an out_dir that cannot be a
+directory), including a ValueError raised in a sweep cell.  A
 sweep cell that stops on a numerical breakdown (ArithmeticError, e.g. an
 overflow) is a result and is written to its row; any other exception in
 a cell, or a sweep worker process that dies, fails the command with a
@@ -47,7 +48,7 @@ from .analysis import (
 )
 from .characteristics import advect
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
-from .evolution import SolverConfig, Trajectory, simulate
+from .evolution import SolverConfig, simulate
 from .helmholtz import NonlocalOperator, make_operator
 
 __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
@@ -212,19 +213,20 @@ CONFIG_KEYS = {
     },
 }
 
-# Every flag that overrides a config value: flag -> (section, or None for
-# a top-level key; key; type; help), in the order --help lists them.
+# Every flag that overrides a config value: flag -> (dotted config key,
+# help), in the order --help lists them.  A flag's value is converted by
+# the key's CONFIG_KEYS entry, as the file's value is.
 FLAGS = {
-    "out": (None, "out_dir", str, "output directory"),
-    "seed": (None, "rng_seed", int, "RNG seed (randomized suites)"),
-    "workers": (None, "workers", int, "sweep worker processes (default: min(cells, usable CPUs))"),
-    "alpha": ("parameters", "alpha", float, None),
-    "gamma": ("parameters", "gamma", float, None),
-    "c0": ("parameters", "c0", float, None),
-    "L": ("grid", "half_length", float, "domain half-length"),
-    "N": ("grid", "n_points", int, "number of grid points"),
-    "tmax": ("solver", "t_max", float, None),
-    "cfl": ("solver", "cfl", float, None),
+    "out": ("out_dir", "output directory"),
+    "seed": ("rng_seed", "RNG seed (randomized suites)"),
+    "workers": ("workers", "sweep worker processes (default: min(cells, usable CPUs))"),
+    "alpha": ("parameters.alpha", None),
+    "gamma": ("parameters.gamma", None),
+    "c0": ("parameters.c0", None),
+    "L": ("grid.half_length", "domain half-length"),
+    "N": ("grid.n_points", "number of grid points"),
+    "tmax": ("solver.t_max", None),
+    "cfl": ("solver.cfl", None),
 }
 
 
@@ -250,8 +252,11 @@ def _convert(raw, keys: dict, path: str) -> dict:
     return out
 
 
-def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
+def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunConfig:
+    """The run the file at ``path`` describes, with the flags set in
+    ``overrides`` replacing its values key by key."""
     cfg = RunConfig()
+    raw = {}
     if path is not None:
         p = Path(path)
         if not p.is_file():
@@ -260,25 +265,28 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> RunConfig:
             raw = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
-        for key, value in _convert(raw, CONFIG_KEYS, "").items():
+    flags = {}
+    for flag, (dotted, _) in FLAGS.items():
+        value = getattr(overrides, flag, None)
+        if value is not None:
+            *section, key = dotted.split(".")
+            (flags.setdefault(section[0], {}) if section else flags)[key] = value
+    for source in (raw, flags):
+        for key, value in _convert(source, CONFIG_KEYS, "").items():
             if key in cfg.sections:
-                cfg.sections[key] = value
+                cfg.sections[key].update(value)
             else:
                 setattr(cfg, key, value)
-    for flag, (section, key, _, _) in FLAGS.items():
-        value = getattr(overrides, flag, None)
-        if value is None:
-            continue
-        if section is None:
-            setattr(cfg, key, value)
-        else:
-            cfg.sections[section][key] = value
     if cfg.equation not in ("dgh", "dgh2"):
         raise ConfigError(f"equation must be dgh or dgh2, got {cfg.equation!r}")
     if cfg.equation == "dgh" and cfg.rho_initial is not None:
         raise ConfigError("rho_initial is set, but equation dgh has no density")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
+    out = Path(cfg.out_dir)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"out_dir {cfg.out_dir!r} cannot be made: {existing} is not a directory")
     # the library objects check their own values: every command refuses a
     # section no run could use, before it writes anything
     for build in (cfg.parameters, cfg.grid, cfg.solver):
@@ -295,11 +303,6 @@ def _criterion_for(equation: str, state: State, params: Parameters) -> Criterion
     return check_criterion_dgh2(state.u, state.rho_tilde, params)
 
 
-def _write_trajectory_csv(path: Path, traj: Trajectory) -> None:
-    rows = ((r.state.t, *astuple(r.diagnostics)) for r in traj.records)
-    _write_csv(path, ["t", "min_ux", "max_abs_u", "E", "F", "dt"], rows)
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
@@ -307,30 +310,29 @@ def cmd_simulate(cfg: RunConfig) -> int:
     solver = cfg.solver()
 
     t0 = time.perf_counter()
-    traj, report = simulate(state, solver, params)
+    records, report = simulate(state, solver, params)
     wall = time.perf_counter() - t0
     # before any file is written: a seed outside the domain fails here
     # and leaves no partial output
-    paths = advect(traj, cfg.seeds, params)
+    paths = advect(records, cfg.seeds, params)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trajectory_csv(out / "trajectory.csv", traj)
+    _write_csv(out / "trajectory.csv", ["t", "min_ux", "max_abs_u", "E", "F", "dt"],
+               ((r.state.t, *astuple(r.diagnostics)) for r in records))
 
-    two = state.rho_tilde is not None
-    header = ["t", "q", "g", "qx", "A_w", "B_w", "A_p", "B_p", "mom_res"]
-    if two:
-        header.append("rho_res")
     char_meta = []
     for i, (x0, path) in enumerate(zip(cfg.seeds, paths)):
         name = f"characteristic_{i:03d}.csv"
-        cols = [
-            path.t, path.q, path.g, path.qx, path.a_weighted, path.b_weighted,
-            path.a_plain, path.b_plain, path.momentum_res,
+        columns = [
+            ("t", path.t), ("q", path.q), ("g", path.g), ("qx", path.qx),
+            ("A_w", path.a_weighted), ("B_w", path.b_weighted),
+            ("A_p", path.a_plain), ("B_p", path.b_plain), ("mom_res", path.momentum_res),
         ]
-        if two:
-            cols.append(path.rho_res)
-        _write_csv(out / name, header, np.column_stack(cols))
+        if path.rho_res is not None:
+            columns.append(("rho_res", path.rho_res))
+        header, cols = zip(*columns)
+        _write_csv(out / name, list(header), np.column_stack(cols))
         char_meta.append(
             {
                 "seed": float(x0),
@@ -351,7 +353,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "seeds": [float(s) for s in cfg.seeds],
         "blowup_report": asdict(report),
         "criterion": asdict(verdict) if verdict is not None else None,
-        "n_records": len(traj.records),
+        "n_records": len(records),
         "outputs": {
             "trajectory_csv": "trajectory.csv",
             "characteristics": char_meta,
@@ -361,7 +363,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     print(
         f"{cfg.equation}: trigger={report.trigger}"
         + (f", t_detect={report.t_detect:.6g}" if report.t_detect is not None else "")
-        + f", records={len(traj.records)} -> {out}"
+        + f", records={len(records)} -> {out}"
     )
     print(f"wall time: {wall:.2f}s", file=sys.stderr)
     return 0
@@ -585,8 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_)
         sp.add_argument("--config", type=str, default=None, help="YAML config file")
-        for flag, (_, _, type_, text) in FLAGS.items():
-            sp.add_argument(f"--{flag}", type=type_, default=None, help=text)
+        for flag, (_, text) in FLAGS.items():
+            sp.add_argument(f"--{flag}", default=None, help=text)
     return parser
 
 

@@ -60,14 +60,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import _energy_e, _energy_f, _margin, _vacuum_point
-from .core import Field, Grid, Parameters, State
+from .core import Field, Parameters, State
 from .helmholtz import NonlocalOperator
 
 __all__ = [
     "SolverConfig",
     "RecordDiagnostics",
     "TrajectoryRecord",
-    "Trajectory",
     "BlowupReport",
     "TRIGGER_SLOPE",
     "TRIGGER_DT",
@@ -337,21 +336,6 @@ class TrajectoryRecord:
     at_detection: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Recorded (state, diagnostics) series of one run; times strictly
-    increase and the first record holds the initial datum."""
-
-    records: list[TrajectoryRecord]
-
-    @property
-    def grid(self) -> Grid:
-        return self.records[0].state.u.grid
-
-    def times(self) -> np.ndarray:
-        return np.array([r.state.t for r in self.records])
-
-
 @dataclass(frozen=True)
 class BlowupReport:
     """Outcome of a run; blew_up is true iff the trigger is not
@@ -376,12 +360,13 @@ class BlowupReport:
 
 def simulate(
     initial: State, config: SolverConfig, params: Parameters
-) -> tuple[Trajectory, BlowupReport]:
+) -> tuple[list[TrajectoryRecord], BlowupReport]:
     """Integrate until the horizon, a slope-threshold crossing, or dt
     underflow; record the initial state, every record_every-th step and the
-    point where the run stops.  The Helmholtz operator is built here, on
-    the grid of the initial datum with params.alpha, so the two cannot
-    disagree.
+    point where the run stops.  The records' times strictly increase and
+    the first record holds the initial datum.  The Helmholtz operator is
+    built here, on the grid of the initial datum with params.alpha, so the
+    two cannot disagree.
 
     Each step is tried at the CFL step (cut to end at the horizon) and
     halved until it is finite.  Breaking is declared when the
@@ -497,4 +482,4 @@ def simulate(
         "%d active at the end",
         steps, dt_lo, dt_hi, report.trigger, tracker.seeds_x0, tracker.x0.size,
     )
-    return Trajectory(records=records), report
+    return records, report

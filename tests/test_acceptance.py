@@ -102,12 +102,12 @@ def test_criterion_03_conservation(runs):
     characteristics; two-component density invariant residual < 1e-5."""
     traj, rep, _, params = runs.get("bump", 4096)
     assert rep.trigger == "horizon_reached"
-    E = [r.diagnostics.energy_e for r in traj.records]
+    E = [r.diagnostics.energy_e for r in traj]
     e_drift = (max(E) - min(E)) / abs(E[0])
     assert e_drift < 1e-6
 
-    grid = traj.grid
-    u0 = traj.records[0].state.u.values
+    grid = traj[0].state.u.grid
+    u0 = traj[0].state.u.values
     uxx0 = ddx(grid, ddx(grid, u0))
     worst_mom = 0.0
     for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0):
@@ -217,14 +217,14 @@ def test_criterion_08_sup_norm_bound(runs):
     checked = 0
     for key in keys:
         traj, _, _, params = runs.get(*key)
-        r0 = traj.records[0].state
+        r0 = traj[0].state
         bound = float(np.sqrt(2.0 * dg.energy_E(dg.State(0.0, r0.u), params)))
         if r0.rho_tilde is not None:
             bound += float(
-                np.sqrt(np.sum(r0.rho_tilde.values**2) * traj.grid.dx)
+                np.sqrt(np.sum(r0.rho_tilde.values**2) * traj[0].state.u.grid.dx)
             )
         bound = bound / np.sqrt(2.0 * params.alpha) + 1e-6
-        for r in traj.records:
+        for r in traj:
             if not r.at_detection:
                 assert r.diagnostics.max_abs_u <= bound
         checked += 1
@@ -237,7 +237,7 @@ def test_criterion_09_negative_control(runs):
     traj, rep, _, _ = runs.get("negative_control")
     assert rep.trigger == "horizon_reached"
     assert not rep.blew_up
-    worst = min(r.diagnostics.min_ux for r in traj.records)
+    worst = min(r.diagnostics.min_ux for r in traj)
     assert worst >= -0.1
     report(9, f"horizon reached, min slope {worst:.4f}")
 

@@ -62,7 +62,7 @@ class TestFlowMap:
         L = grid1024.half_length
         path = dg.advect(traj, L - 2.3, params_ch)
         assert path.truncated
-        assert path.t.size < len(traj.records)
+        assert path.t.size < len(traj)
 
 
 class TestMultiSeedAdvect:
@@ -98,7 +98,7 @@ class TestMultiSeedAdvect:
         L = grid1024.half_length
         paths = self.check(traj, [L - 2.3, 0.0], params_ch)
         assert paths[0].truncated and not paths[1].truncated
-        assert paths[0].t.size < paths[1].t.size == len(traj.records)
+        assert paths[0].t.size < paths[1].t.size == len(traj)
 
     def test_two_component(self, runs):
         traj, _, _, params = runs.get("two_smooth")
@@ -175,8 +175,8 @@ class TestMomentumIdentity:
     def test_residual_small_on_smooth_run(self, bump_run):
         # (m0 + k) = (m(t,q) + k) q_x^2 along exact solutions
         traj, _, _, params = bump_run
-        grid = traj.grid
-        u0 = traj.records[0].state.u.values
+        grid = traj[0].state.u.grid
+        u0 = traj[0].state.u.values
         uxx0 = ddx(grid, ddx(grid, u0))
         for x0 in (-2.0, -1.0, 0.0, 1.0, 2.0):
             path = dg.advect(traj, x0, params)

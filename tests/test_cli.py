@@ -472,6 +472,40 @@ class TestConfigErrors:
             assert path in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, flag, value, path", [
+        ("lemmas", "--seed", "-1", "rng_seed"),
+        ("criterion", "--N", "4096.5", "grid.n_points"),
+        ("simulate", "--N", "abc", "grid.n_points"),
+        ("sweep", "--workers", "2.5", "workers"),
+        ("criterion", "--alpha", "abc", "parameters.alpha"),
+    ])
+    def test_malformed_flag_exits_2_naming_path(self, tmp_path, capsys, command, flag, value, path):
+        # a flag's value goes through its config key's converter
+        cfg = write_config(tmp_path, sweep={"amplitudes": [1.0]})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"bad value for {path}: {value!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
+    def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys, command, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in ("simulate", "check_criterion_dgh", "peakon_witness_study"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = write_config(tmp_path, sweep={"amplitudes": [1.0]})
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        for out in (blocker, blocker / "sub"):
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert "out_dir" in err and f"{blocker} is not a directory" in err
+            assert "Traceback" not in err
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["simulate", "criterion", "sweep"])
     @pytest.mark.parametrize("over, message", [
         ({"initial": {"args": {"a": 1.0}}}, "initial condition needs 'preset' or 'samples_file'"),

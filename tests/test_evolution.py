@@ -46,7 +46,7 @@ def rhs(state, params):
 def first_dt(state, params, t_max):
     """Size of the first step, read from the record after it."""
     traj, _ = dg.simulate(state, dg.SolverConfig(t_max=t_max, record_every=1), params)
-    return traj.records[1].diagnostics.dt
+    return traj[1].diagnostics.dt
 
 
 class TestSolverConfig:
@@ -224,7 +224,7 @@ class TestStepRK4:
         )
         cfg = dg.SolverConfig(t_max=0.5, record_every=10**6)
         traj, _ = dg.simulate(dg.State(0.0, u0), cfg, p)
-        final = traj.records[-1].state
+        final = traj[-1].state
         T = final.t
         ph0 = np.angle(np.fft.rfft(u0.values)[m])
         ph1 = np.angle(np.fft.rfft(final.u.values)[m])
@@ -260,8 +260,8 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_HORIZON
         assert not rep.blew_up
         assert rep.t_detect is None
-        assert traj.records[-1].state.t == pytest.approx(1.0, abs=1e-12)
-        for r in traj.records:
+        assert traj[-1].state.t == pytest.approx(1.0, abs=1e-12)
+        for r in traj:
             assert np.max(np.abs(r.state.u.values)) == 0.0
 
     def test_breaking_run_detects(self, breaking_run):
@@ -270,11 +270,11 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_SLOPE
         assert rep.t_detect < 2.0
         assert rep.min_slope_at_detect < -1e4
-        times = traj.times()
+        times = np.array([r.state.t for r in traj])
         assert times[0] == 0.0
         assert np.all(np.diff(times) > 0)
-        assert traj.records[-1].at_detection
-        assert not any(r.at_detection for r in traj.records[:-1])
+        assert traj[-1].at_detection
+        assert not any(r.at_detection for r in traj[:-1])
 
     def test_grid_slope_trigger(self, grid1024, params_ch, monkeypatch):
         # with the tracker silent, the grid minimum of u_x is the trigger:
@@ -283,19 +283,19 @@ class TestSimulate:
         u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
         cfg = dg.SolverConfig(t_max=2.0, slope_blowup_threshold=4.0, record_every=1)
         traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
-        final = traj.records[-1]
+        final = traj[-1]
         assert rep.trigger == TRIGGER_SLOPE and rep.blew_up
         assert rep.t_detect == final.state.t
         assert rep.min_slope_at_detect == final.diagnostics.min_ux < -4.0
         assert rep.detector_x0 is None
         assert final.at_detection
-        assert not any(r.at_detection for r in traj.records[:-1])
-        assert all(r.diagnostics.min_ux >= -4.0 for r in traj.records[:-1])
+        assert not any(r.at_detection for r in traj[:-1])
+        assert all(r.diagnostics.min_ux >= -4.0 for r in traj[:-1])
 
     def test_small_datum_stays_smooth(self, runs):
         traj, rep, _, _ = runs.get("negative_control")
         assert rep.trigger == TRIGGER_HORIZON
-        assert min(r.diagnostics.min_ux for r in traj.records) >= -0.1
+        assert min(r.diagnostics.min_ux for r in traj) >= -0.1
 
     def test_amplitude_overflow_reports_dt_underflow(self, params_ch):
         grid = dg.make_grid(20.0, 64)
@@ -305,8 +305,8 @@ class TestSimulate:
         assert rep.trigger == TRIGGER_DT
         assert rep.blew_up
         # last finite state retained
-        assert np.all(np.isfinite(traj.records[-1].state.u.values))
-        assert traj.records[-1].at_detection
+        assert np.all(np.isfinite(traj[-1].state.u.values))
+        assert traj[-1].at_detection
 
     def test_nan_backoff_reports_dt_underflow(self, params_ch):
         # dt_min low enough that the CFL guard passes, but the quadratic
@@ -316,7 +316,7 @@ class TestSimulate:
         cfg = dg.SolverConfig(t_max=1.0, dt_min=1e-300)
         traj, rep = dg.simulate(dg.State(0.0, u0), cfg, params_ch)
         assert rep.trigger == TRIGGER_DT
-        assert np.all(np.isfinite(traj.records[-1].state.u.values))
+        assert np.all(np.isfinite(traj[-1].state.u.values))
 
     def test_final_record_dt_is_the_step_that_reached_it(self, params_ch):
         # a horizon run of 7 steps recorded at every step gives the true
@@ -327,17 +327,17 @@ class TestSimulate:
         every, _ = dg.simulate(u0, dg.SolverConfig(t_max=0.3, record_every=1), params_ch)
         traj, rep = dg.simulate(u0, dg.SolverConfig(t_max=0.3, record_every=4), params_ch)
         assert rep.trigger == TRIGGER_HORIZON
-        t = every.times()
+        t = np.array([r.state.t for r in every])
         steps = np.diff(t)
         assert steps.size % 4 != 0
         # the last step is cut to end at the horizon, so it differs from
         # the step of the record before it
         assert steps[-1] < 0.5 * steps[-2]
-        final = traj.records[-1]
+        final = traj[-1]
         assert final.state.t == t[-1]
         assert not final.at_detection
         assert final.diagnostics.dt == pytest.approx(steps[-1], rel=1e-12)
-        assert final.diagnostics.dt == every.records[-1].diagnostics.dt
+        assert final.diagnostics.dt == every[-1].diagnostics.dt
 
 
 class TestConservation:
@@ -345,20 +345,20 @@ class TestConservation:
         # N = 2048 smooth bump run over t <= 1 with min u_x >= -10
         traj, rep, _, params = runs.get("bump", 2048)
         assert rep.trigger == TRIGGER_HORIZON
-        assert min(r.diagnostics.min_ux for r in traj.records) >= -10.0
-        E = [r.diagnostics.energy_e for r in traj.records]
+        assert min(r.diagnostics.min_ux for r in traj) >= -10.0
+        E = [r.diagnostics.energy_e for r in traj]
         assert (max(E) - min(E)) / abs(E[0]) < 1e-6
 
     def test_cubic_functional_drift_pre_breaking(self, runs):
         traj, _, _, _ = runs.get("bump", 2048)
-        F = [r.diagnostics.energy_f for r in traj.records]
+        F = [r.diagnostics.energy_f for r in traj]
         scale = max(abs(F[0]), 1e-30)
         assert (max(F) - min(F)) / scale < 1e-5
 
     def test_two_component_energy_drift(self, runs):
         traj, rep, _, _ = runs.get("two_smooth")
         assert rep.trigger == TRIGGER_HORIZON
-        E = [r.diagnostics.energy_e for r in traj.records]
+        E = [r.diagnostics.energy_e for r in traj]
         assert (max(E) - min(E)) / abs(E[0]) < 1e-6
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
@@ -372,10 +372,10 @@ class TestConservation:
         traj, rep = dg.simulate(dg.State(0.0, u0, rho0), dg.SolverConfig(t_max=2.0), params)
         assert rep.trigger == TRIGGER_HORIZON
         for recorded, public in (
-            ([r.diagnostics.energy_e for r in traj.records], dg.energy_E),
-            ([r.diagnostics.energy_f for r in traj.records], dg.energy_F),
+            ([r.diagnostics.energy_e for r in traj], dg.energy_E),
+            ([r.diagnostics.energy_f for r in traj], dg.energy_F),
         ):
-            assert [public(r.state, params) for r in traj.records] == recorded
+            assert [public(r.state, params) for r in traj] == recorded
             assert (max(recorded) - min(recorded)) / abs(recorded[0]) < 1e-6
 
     def test_sup_norm_bound(self, runs, params_ch):
@@ -383,10 +383,10 @@ class TestConservation:
         # (energy conservation + the sharp embedding)
         for key in (("bump", 4096), ("breaking", 1.0, 4096)):
             traj, _, _, params = runs.get(*key)
-            u0 = traj.records[0].state.u
+            u0 = traj[0].state.u
             norm = np.sqrt(2.0 * dg.energy_E(dg.State(0.0, u0), params))
             bound = norm / np.sqrt(2 * params.alpha)
-            for r in traj.records:
+            for r in traj:
                 if not r.at_detection:
                     assert r.diagnostics.max_abs_u <= bound + 1e-6
 
@@ -394,21 +394,21 @@ class TestConservation:
 class TestTrajectoryRecords:
     def test_first_record_is_initial_datum(self, bump_run):
         traj, _, _, _ = bump_run
-        r0 = traj.records[0]
+        r0 = traj[0]
         assert r0.state.t == 0.0
         assert r0.diagnostics.dt == 0.0
-        expected = np.exp(-(traj.grid.nodes**2) / 2)
+        expected = np.exp(-(traj[0].state.u.grid.nodes**2) / 2)
         assert np.array_equal(r0.state.u.values, expected)
 
     def test_record_fields_carry_the_state_rows(self, runs):
         # the first record's rows are the rfft of the initial samples; later
         # samples are the irfft of the rows the solver stepped
         traj, _, _, _ = runs.get("two_smooth")
-        n = traj.grid.n_points
-        r0 = traj.records[0].state
+        n = traj[0].state.u.grid.n_points
+        r0 = traj[0].state
         for f in (r0.u, r0.rho_tilde):
             assert np.array_equal(f.spectrum, np.fft.rfft(f.values))
-        for r in traj.records[1::7]:
+        for r in traj[1::7]:
             for f in (r.state.u, r.state.rho_tilde):
                 assert np.array_equal(f.values, np.fft.irfft(f.spectrum, n=n))
 
@@ -416,9 +416,9 @@ class TestTrajectoryRecords:
         # each record stores the instantaneous RHS as an rfft row for
         # dense-in-time reconstruction by the characteristics module
         traj, _, _, params = bump_run
-        r = traj.records[3]
+        r = traj[3]
         du, _ = rhs(dg.State(0.0, r.state.u), params)
-        du_rec = np.fft.irfft(r.du_dt_hat, n=traj.grid.n_points)
+        du_rec = np.fft.irfft(r.du_dt_hat, n=traj[0].state.u.grid.n_points)
         assert np.max(np.abs(du - du_rec)) < 1e-14
 
     def test_record_energies_match_public_functionals(self, runs):
@@ -426,7 +426,7 @@ class TestTrajectoryRecords:
         # which are the same transforms of the same state
         for key in (("bump", 2048), ("two_smooth",)):
             traj, _, _, params = runs.get(*key)
-            for r in traj.records[::5]:
+            for r in traj[::5]:
                 assert r.diagnostics.energy_e == dg.energy_E(r.state, params)
                 assert r.diagnostics.energy_f == dg.energy_F(r.state, params)
 
@@ -435,7 +435,7 @@ class TestTrajectoryRecords:
         # bottoms out at O(sqrt(N)) scale while the characteristic-tracked
         # slope crosses the 1e4 threshold
         traj, rep, _, _ = breaking_run
-        grid_min = min(r.diagnostics.min_ux for r in traj.records)
+        grid_min = min(r.diagnostics.min_ux for r in traj)
         assert grid_min > -100.0
         assert rep.min_slope_at_detect < -1e4
 
@@ -475,14 +475,14 @@ class TestFftBudget:
         # the step sequence does not depend on the record cadence
         cfg = dg.SolverConfig(t_max=0.5, record_every=1)
         traj, _ = dg.simulate(self.datum(grid, two), cfg, params)
-        steps = len(traj.records) - 1
+        steps = len(traj) - 1
 
         state = self.datum(grid, two)  # fields whose rows are not yet made
         calls = self.count_calls(monkeypatch)
         cfg = dg.SolverConfig(t_max=0.5, record_every=record_every or 10 * steps)
         traj, rep = dg.simulate(state, cfg, params)
         assert rep.trigger == TRIGGER_HORIZON
-        assert len(traj.records) == (steps + 1 if record_every == 1 else 2) and steps > 10
+        assert len(traj) == (steps + 1 if record_every == 1 else 2) and steps > 10
         return calls[0], steps
 
     @pytest.mark.parametrize(
@@ -532,7 +532,7 @@ class TestFftBudget:
         calls = self.count_calls(monkeypatch)
         paths = dg.advect(traj, [0.0, 1.0], params_ch)
         assert calls[0] == 0
-        assert all(len(p.t) == len(traj.records) for p in paths)
+        assert all(len(p.t) == len(traj) for p in paths)
 
 
 class TestSlopeTracker:
@@ -628,7 +628,7 @@ class TestMetamorphic:
         for m in (37, -101):
             traj, rep, v = self.run(grid1024, p, np.roll(vals, m))
             shift = m * grid1024.dx
-            assert len(traj.records) == len(traj0.records)
+            assert len(traj) == len(traj0)
             assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-14)
             assert rep.detector_x0 == pytest.approx(rep0.detector_x0 + shift, abs=1e-12)
             assert v.x0_best == pytest.approx(v0.x0_best + shift, abs=x0_tol)
@@ -642,7 +642,7 @@ class TestMetamorphic:
         assert np.max(np.abs(mirrored - vals)) > 0.1
         traj0, rep0, v0 = self.run(grid1024, params_ch, vals)
         traj, rep, v = self.run(grid1024, params_ch, mirrored)
-        assert len(traj.records) == len(traj0.records)
+        assert len(traj) == len(traj0)
         assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-14)
         assert rep.detector_x0 == pytest.approx(-rep0.detector_x0, abs=1e-12)
         assert v.x0_best == pytest.approx(-v0.x0_best, abs=1e-12)
@@ -663,8 +663,8 @@ class TestMetamorphic:
         grid2 = dg.make_grid(2.0 * grid1024.half_length, grid1024.n_points)
         p2 = dg.make_parameters(2.0, 4.0 * gamma, c0)
         traj2, rep2, v2 = self.run(grid2, p2, vals, scale=2.0)
-        assert len(traj2.records) == len(traj1.records)
-        for r1, r2 in zip(traj1.records, traj2.records):
+        assert len(traj2) == len(traj1)
+        for r1, r2 in zip(traj1, traj2):
             assert r2.state.t == 2.0 * r1.state.t
             assert np.array_equal(r2.state.u.values, r1.state.u.values)
         assert rep2.detector_x0 == 2.0 * rep1.detector_x0
@@ -688,7 +688,7 @@ class TestMetamorphic:
         vals = self.asymmetric(grid1024)
         traj, rep, _ = self.run(grid1024, p, vals)
         traj0, rep0, _ = self.run(grid1024, p0, vals)
-        assert len(traj.records) == len(traj0.records)
+        assert len(traj) == len(traj0)
         assert rep.detector_x0 == rep0.detector_x0
         assert rep.t_detect == pytest.approx(rep0.t_detect, rel=3e-8)
 
