@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid
-from .helmholtz import NonlocalOperator, make_operator
+from .helmholtz import NonlocalOperator
 
 __all__ = [
     "GapField",
@@ -104,48 +104,32 @@ def _gap_field(values: np.ndarray, grid: Grid) -> GapField:
     return GapField(values, min_gap=float(values[i]), argmin_x=float(grid.nodes[i]))
 
 
-def _check_operator(u: Field, op: NonlocalOperator, params: Parameters) -> None:
-    """Raise ValueError unless op belongs to u's grid and params' alpha:
-    under any other operator the gap would be a wrong number."""
-    if op.grid != u.grid:
-        raise ValueError("operator was built for a different grid than u")
-    if op.alpha != params.alpha:
-        raise ValueError(
-            f"operator was built for alpha = {op.alpha}, parameters have alpha = {params.alpha}"
-        )
-
-
-def one_sided_gaps(
-    u: Field, op: NonlocalOperator, params: Parameters
-) -> tuple[GapField, GapField]:
+def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     """Gaps of the two sharp one-sided convolution inequalities
 
-        (p -+ alpha d_x p) * (alpha^2/2 u_x^2 + u^2 + 2k u) >= (u+k)^2/2 - k^2.
+        (p -+ alpha d_x p) * (alpha^2/2 u_x^2 + u^2 + 2k u) >= (u+k)^2/2 - k^2,
 
-    Equality holds for the peakon family u = c*exp(-|x-y|/alpha) - k, on
-    x <= y for the minus sign and x >= y for the plus sign.
+    with p the kernel of u's grid and params.alpha.  Equality holds for the
+    peakon family u = c*exp(-|x-y|/alpha) - k, on x <= y for the minus
+    sign and x >= y for the plus sign.
     """
-    _check_operator(u, op, params)
     # in the quarter band every quadratic product below is alias-free, so
     # the discrete gap equals the continuum gap of a genuine finite-energy
     # function: nonnegative up to the e^{-2L/alpha} periodization
     # correction even for kinked inputs like the peakon
     uv, ux = u.quarter_band
     w = 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv
-    minus, plus = op.one_sided_convolutions(w)
+    minus, plus = NonlocalOperator(u.grid, params.alpha).one_sided_convolutions(w)
     rhs = 0.5 * (uv + params.k) ** 2 - params.k**2
     return _gap_field(minus - rhs, u.grid), _gap_field(plus - rhs, u.grid)
 
 
 def full_kernel_gap(
-    u: Field,
-    op: NonlocalOperator,
-    params: Parameters,
-    pair: tuple[GapField, GapField] | None = None,
+    u: Field, params: Parameters, pair: tuple[GapField, GapField] | None = None
 ) -> GapField:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2, as the mean of
-    the one-sided pair: pass the pair one_sided_gaps made for the same u,
-    op and params, or leave it out to have it made here.
+    the one-sided pair: pass the pair one_sided_gaps made for the same u
+    and params, or leave it out to have it made here.
 
     The one-sided kernels p -+ alpha p_x are 2p 1_{x>0} and 2p 1_{x<0}, so
     p is their mean, and with w = alpha^2/2 u_x^2 + u^2 + 2k u
@@ -156,8 +140,7 @@ def full_kernel_gap(
     the full-kernel gap, because p has unit mass: p * k^2 = k^2, on the
     grid too, where the symbol of Q is 1 at xi = 0 (symbol_q[0] = 1).
     """
-    _check_operator(u, op, params)
-    gm, gp = one_sided_gaps(u, op, params) if pair is None else pair
+    gm, gp = one_sided_gaps(u, params) if pair is None else pair
     return _gap_field(0.5 * (gm.values + gp.values), u.grid)
 
 
@@ -205,7 +188,7 @@ def peakon_witness_study(params: Parameters, resolutions) -> dict:
     for n in resolutions:
         grid = make_grid(20.0 * params.alpha, n)
         u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
-        gm, _ = one_sided_gaps(u, make_operator(grid, params), params)
+        gm, _ = one_sided_gaps(u, params)
         x = grid.nodes
         ipk = int(np.argmin(np.abs(x)))
         region = x <= -exclusion

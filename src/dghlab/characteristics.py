@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import Parameters
 from .evolution import TrajectoryRecord, _in_safe_box
+from .helmholtz import NonlocalOperator
 
 __all__ = [
     "CharacteristicPath",
@@ -146,7 +147,7 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
     times = np.array([r.state.t for r in records])
     lam = params.lam
     # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
-    helm = 1.0 + params.alpha**2 * ev.xi**2
+    helm = NonlocalOperator(grid, params.alpha).symbol_helm
 
     def rhs(coef, qq, qqx):
         basis = ev.basis(qq)

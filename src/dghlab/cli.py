@@ -49,7 +49,7 @@ from .analysis import (
 from .characteristics import advect
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
 from .evolution import SolverConfig, simulate
-from .helmholtz import NonlocalOperator, make_operator
+from .helmholtz import make_operator  # kept for perfbench: setup_probe.py and the tracer
 
 __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
            "cmd_lemmas", "cmd_sweep"]
@@ -294,12 +294,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunCo
     return cfg
 
 
-def _criterion_for(equation: str, state: State, params: Parameters) -> CriterionVerdict | None:
-    if equation == "dgh":
+def _criterion_for(state: State, params: Parameters) -> CriterionVerdict | None:
+    if state.rho_tilde is None:
         return check_criterion_dgh(state.u, params)
     if params.gamma != 0.0:
         return None  # the two-component criterion is stated only for gamma = 0
-    assert state.rho_tilde is not None
     return check_criterion_dgh2(state.u, state.rho_tilde, params)
 
 
@@ -342,7 +341,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             }
         )
 
-    verdict = _criterion_for(cfg.equation, state, params)
+    verdict = _criterion_for(state, params)
     summary = {
         "equation": cfg.equation,
         "parameters": asdict(params),
@@ -373,7 +372,7 @@ def cmd_criterion(cfg: RunConfig) -> int:
     params = cfg.parameters()
     grid = cfg.grid()
     state = cfg.initial_state(grid, params)
-    if cfg.equation == "dgh":
+    if state.rho_tilde is None:
         verdict = check_criterion_dgh(state.u, params)
     else:
         verdict = check_criterion_dgh2(state.u, state.rho_tilde, params)
@@ -395,9 +394,9 @@ def cmd_criterion(cfg: RunConfig) -> int:
     return 0
 
 
-def _gap_entries(u: Field, op: NonlocalOperator, params: Parameters) -> dict:
-    gm, gp = one_sided_gaps(u, op, params)
-    fk = full_kernel_gap(u, op, params, (gm, gp))
+def _gap_entries(u: Field, params: Parameters) -> dict:
+    gm, gp = one_sided_gaps(u, params)
+    fk = full_kernel_gap(u, params, (gm, gp))
     return {
         "one_sided_minus": {"min_gap": gm.min_gap, "argmin_x": gm.argmin_x},
         "one_sided_plus": {"min_gap": gp.min_gap, "argmin_x": gp.argmin_x},
@@ -442,13 +441,12 @@ def cmd_lemmas(cfg: RunConfig) -> int:
         raise ConfigError(f"lemmas.n_modes must be at least 1, got {n_modes}")
     if not resolutions:
         raise ConfigError("lemmas.resolutions must name at least one grid size")
-    op = make_operator(grid, params)
     rng = np.random.default_rng(cfg.rng_seed)
 
     results = {}
     worst = np.inf
     for name, u, pars in _lemma_fields(grid, params, rng, n_random, n_modes, max_mode):
-        entry = _gap_entries(u, op, pars)
+        entry = _gap_entries(u, pars)
         results[name] = entry
         worst = min(worst, *(e["min_gap"] for e in entry.values()))
 
@@ -495,8 +493,7 @@ def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, Parameters]]:
             for idx, ((c0, gamma), amp) in enumerate(cells)]
 
 
-def _run_cell(equation: str, solver: SolverConfig, base: State,
-              cell: tuple[int, float, Parameters]) -> list:
+def _run_cell(solver: SolverConfig, base: State, cell: tuple[int, float, Parameters]) -> list:
     """One sweep row: the base datum scaled by the cell's amplitude, run at
     the cell's parameters.  A numerical breakdown is a result and goes in
     the row's status; any other exception propagates."""
@@ -505,7 +502,7 @@ def _run_cell(equation: str, solver: SolverConfig, base: State,
     u0 = ic_preset("from_samples", base.u.grid, params, values=amp * base.u.values)
     state = State(0.0, u0, base.rho_tilde)
     try:
-        v = _criterion_for(equation, state, params)
+        v = _criterion_for(state, params)
         _, report = simulate(state, solver, params)
     except ArithmeticError as exc:
         return head + ["", "", "", "", "", "", "", f"error: {type(exc).__name__}: {exc}"]
@@ -555,7 +552,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    run = partial(_run_cell, cfg.equation, solver, base)
+    run = partial(_run_cell, solver, base)
     workers = min(len(cells), cfg.workers or _usable_cpus())
     if workers == 1:
         rows = _collect(cells, map(run, cells))

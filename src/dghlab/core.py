@@ -33,7 +33,8 @@ class Parameters:
     ``lam = -gamma/alpha**2`` is the extra linear transport speed and
     ``k = (c0 + gamma/alpha**2)/2`` the effective wave-speed offset; both
     are recomputed from the raw constants at construction so they can never
-    drift out of sync.  ``in_band`` records whether gamma + c0*alpha**2 >= 0
+    drift out of sync, and must come out finite, as must a positive
+    alpha**2.  ``in_band`` records whether gamma + c0*alpha**2 >= 0
     (the linear well-posedness band); construction outside the band succeeds
     with the flag set to False.
     """
@@ -55,9 +56,19 @@ class Parameters:
                 f"alpha must be strictly positive (got {self.alpha}); "
                 "alpha = 0 degenerates to KdV and is not supported"
             )
-        object.__setattr__(self, "lam", -self.gamma / self.alpha**2)
-        object.__setattr__(self, "k", 0.5 * (self.c0 + self.gamma / self.alpha**2))
-        object.__setattr__(self, "in_band", self.gamma + self.c0 * self.alpha**2 >= 0.0)
+        try:
+            a2 = self.alpha**2
+        except OverflowError:  # Python floats raise where numpy would give inf
+            a2 = math.inf
+        if not 0.0 < a2 < math.inf:
+            raise ValueError(f"alpha**2 must be positive and finite, got alpha = {self.alpha}")
+        lam, k = -self.gamma / a2, 0.5 * (self.c0 + self.gamma / a2)
+        if not (math.isfinite(lam) and math.isfinite(k)):
+            raise ValueError(f"lam and k must be finite, got lam = {lam}, k = {k} from "
+                             f"alpha = {self.alpha}, gamma = {self.gamma}, c0 = {self.c0}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "in_band", self.gamma + self.c0 * a2 >= 0.0)
 
 
 def make_parameters(
@@ -69,7 +80,8 @@ def make_parameters(
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L) with N nodes, N even."""
+    """Uniform periodic grid on [-L, L) with N nodes, N even; its spacing
+    dx = 2L/N and Nyquist wavenumber pi/dx are positive and finite."""
 
     half_length: float
     n_points: int
@@ -86,6 +98,11 @@ class Grid:
         object.__setattr__(self, "half_length", L)
         object.__setattr__(self, "n_points", n)
         dx = 2.0 * L / n
+        if not (0.0 < dx < math.inf and math.pi / dx < math.inf):
+            raise ValueError(
+                f"half_length = {L} on {n} points gives dx = {dx}; dx and the "
+                "Nyquist wavenumber pi/dx must be positive and finite"
+            )
         nodes = -L + dx * np.arange(n)
         nodes.setflags(write=False)
         object.__setattr__(self, "dx", dx)

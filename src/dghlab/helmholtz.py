@@ -6,10 +6,12 @@ Fourier-symbol implementation below is exactly the convolution with the
 periodized kernel; for L >> alpha that is indistinguishable from the
 whole-line operator.
 
-The solver reads the NonlocalOperator's symbols of Q and d_x Q; the
-inequality checks apply Q and the one-sided kernel pair to grid samples,
-plain arrays in and out (core.Field checks the datum they come from).
-green_kernel evaluates p in real space, as an independent check of them.
+A NonlocalOperator depends only on (grid, alpha), so each user builds
+its own: the solver reads the symbols of Q and d_x Q, advect the symbol
+of 1 - alpha^2 d_xx (u_hat to m_hat), and the inequality checks apply
+the one-sided kernel pair to grid samples, plain arrays in and out
+(core.Field checks the datum they come from).  green_kernel evaluates p
+in real space, as an independent check of them.
 """
 from __future__ import annotations
 
@@ -31,28 +33,29 @@ def green_kernel(x, params: Parameters):
 
 @dataclass(frozen=True, eq=False)
 class NonlocalOperator:
-    """Precomputed Fourier symbols for Q and d_x Q on one grid and one
-    alpha, which is all that fixes the operator.
+    """Precomputed Fourier symbols of 1 - alpha^2 d_xx, Q and d_x Q on one
+    grid and one alpha, which is all that fixes the operator.
 
-    The symbol of Q is 1/(1 + alpha^2 xi^2): real, even, positive, <= 1,
-    and exactly 1 at xi = 0 (the kernel has unit mass).  d_x Q carries the
-    extra i*xi factor, with the Nyquist bin zeroed to match the spectral
-    derivative convention.
+    The symbol of 1 - alpha^2 d_xx is 1 + alpha^2 xi^2 and that of Q its
+    reciprocal: real, even, positive, <= 1, and exactly 1 at xi = 0 (the
+    kernel has unit mass).  d_x Q carries the extra i*xi factor, with the
+    Nyquist bin zeroed to match the spectral derivative convention.
     """
 
     grid: Grid
     alpha: float
+    symbol_helm: np.ndarray = dc_field(init=False, repr=False)
     symbol_q: np.ndarray = dc_field(init=False, repr=False)
     symbol_dq: np.ndarray = dc_field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         sp = self.grid.spectral
-        sym_q = 1.0 / (1.0 + (self.alpha * sp.xi) ** 2)
+        sym_helm = 1.0 + (self.alpha * sp.xi) ** 2
+        sym_q = 1.0 / sym_helm
         sym_dq = sp.ik * sym_q
-        sym_q.setflags(write=False)
-        sym_dq.setflags(write=False)
-        object.__setattr__(self, "symbol_q", sym_q)
-        object.__setattr__(self, "symbol_dq", sym_dq)
+        for name, sym in (("symbol_helm", sym_helm), ("symbol_q", sym_q), ("symbol_dq", sym_dq)):
+            sym.setflags(write=False)
+            object.__setattr__(self, name, sym)
 
     def apply_q_values(self, values: np.ndarray) -> np.ndarray:
         """Q f of grid samples f, i.e. (1 - alpha^2 d_xx) g = f in the

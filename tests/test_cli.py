@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import dghlab as dg
-from dghlab import cli
+from dghlab import analysis, cli
 from dghlab.analysis import full_kernel_gap
 from dghlab.cli import main
 from dghlab.core import Field
@@ -174,17 +174,15 @@ class TestLemmasCommand:
         assert report["worst_min_gap"] >= -1e-8
 
     def test_corrupted_operator_fails_suite(self, tmp_path, monkeypatch):
-        # flip the kernel symbol's sign so every convolution bound fails
-        # (flipping the derivative symbol alone would only mirror the
-        # one-sided pair)
-        make_operator = cli.make_operator
-
-        def corrupted(grid, params):
-            op = make_operator(grid, params)
+        # flip the kernel symbol's sign, in the operator the gap functions
+        # build, so every convolution bound fails (flipping the derivative
+        # symbol alone would only mirror the one-sided pair)
+        def corrupted(grid, alpha):
+            op = dg.NonlocalOperator(grid, alpha)
             object.__setattr__(op, "symbol_q", -op.symbol_q)
             return op
 
-        monkeypatch.setattr(cli, "make_operator", corrupted)
+        monkeypatch.setattr(analysis, "NonlocalOperator", corrupted)
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
         out = tmp_path / "out"
         code = main(["lemmas", "--config", str(cfg), "--out", str(out), "--N", "512"])
@@ -240,10 +238,10 @@ class TestLemmasCommand:
         refs, alive = [], []
         gap_entries = cli._gap_entries
 
-        def tracked(u, op, params):
+        def tracked(u, params):
             alive.append(sum(r() is not None for r in refs))
             refs.append(weakref.ref(u))
-            return gap_entries(u, op, params)
+            return gap_entries(u, params)
 
         monkeypatch.setattr(cli, "_gap_entries", tracked)
         cfg = write_config(tmp_path, lemmas={"n_random": 5, "resolutions": [512]})
@@ -278,7 +276,7 @@ class TestLemmasCommand:
         grid, params = dg.make_grid(20.0, 1024), dg.make_parameters(1.0)
         lemma_fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 4, 30, 80)
         for name, u, p in lemma_fields:
-            fk = full_kernel_gap(u, dg.make_operator(grid, p), p)
+            fk = full_kernel_gap(u, p)
             assert fields[name]["full_kernel"] == {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x}
         assert len(fields) == 4 + 4
 
@@ -541,6 +539,24 @@ class TestConfigErrors:
             code, err = self.run(tmp_path, capsys, command, sweep={"amplitudes": [1.0]},
                                  **{section: {key: value}})
             assert code == 2 and f"{key} must be" in err, (section, key, value)
+
+    @pytest.mark.parametrize("flags, key", [
+        (["--alpha", "1e200"], "alpha"),
+        (["--alpha", "1e-200"], "alpha"),
+        (["--gamma", "1e300", "--alpha", "1e-10"], "gamma"),
+        (["--L", "1e-320"], "half_length"),
+        (["--L", "1e308"], "half_length"),
+    ], ids=["alpha_squared_overflow", "alpha_squared_underflow", "k_overflow",
+            "nyquist_overflow", "dx_overflow"])
+    def test_overflowing_derived_value_exits_2(self, tmp_path, capsys, flags, key):
+        # finite settings whose derived alpha**2, lam, k, dx or pi/dx is not
+        # a positive finite number: refused by the library objects, naming
+        # the key, before anything is written
+        out = tmp_path / "out"
+        assert main(["criterion", "--N", "64", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     def test_unusable_solver_exits_2_in_every_command(self, tmp_path, capsys, command):

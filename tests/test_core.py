@@ -32,6 +32,15 @@ class TestParameters:
         with pytest.raises(ValueError):
             dg.make_parameters(alpha)
 
+    @pytest.mark.parametrize("alpha, gamma, match", [
+        (1e200, 0.0, "alpha"),    # alpha**2 overflows
+        (1e-200, 0.0, "alpha"),   # alpha**2 underflows to 0
+        (1e-10, 1e300, "gamma"),  # gamma/alpha**2, so lam and k, overflow
+    ], ids=["alpha_squared_overflow", "alpha_squared_underflow", "k_overflow"])
+    def test_rejects_non_finite_derived_constants(self, alpha, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            dg.make_parameters(alpha, gamma)
+
     @given(
         alpha=st.floats(0.01, 100.0),
         gamma=st.floats(-50.0, 50.0),
@@ -61,6 +70,13 @@ class TestGrid:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):
             dg.make_grid(0.0, 64)
+
+    @pytest.mark.parametrize("L", [1e-320, 1e308], ids=["nyquist_overflow", "dx_overflow"])
+    def test_rejects_non_finite_spacing(self, L):
+        # 1e-320/32 is a positive subnormal dx whose pi/dx overflows;
+        # 2*1e308 overflows, so dx and the nodes would be inf and nan
+        with pytest.raises(ValueError, match="half_length"):
+            dg.make_grid(L, 64)
 
 
 @pytest.mark.parametrize("build", [

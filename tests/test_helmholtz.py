@@ -36,6 +36,15 @@ class TestSymbols:
         assert np.all(s <= 1.0)
         assert np.all(np.isreal(s))
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.3])
+    def test_q_symbol_is_the_reciprocal_helmholtz_symbol(self, grid4096, alpha):
+        # every solver output rests on these bits of symbol_q
+        op = dg.NonlocalOperator(grid4096, alpha)
+        xi = grid4096.spectral.xi
+        assert np.array_equal(op.symbol_helm, 1.0 + (alpha * xi) ** 2)
+        assert np.array_equal(op.symbol_q, 1.0 / (1.0 + (alpha * xi) ** 2))
+        assert not (op.symbol_helm.flags.writeable or op.symbol_q.flags.writeable)
+
     def test_dq_symbol_nyquist_zeroed(self, op4096):
         assert op4096.symbol_dq[-1] == 0.0
 
