@@ -12,8 +12,8 @@ seed and doubles as the first RK4 stage, so each recorded interval costs
 four trig passes.  Along each path we evaluate the slope g = u_x(t, q), the
 stretch q_x, the exponentially weighted pair (A, B) whose monotonicity
 drives the Riccati slope collapse, their unweighted variants, and the
-residuals of the momentum identity and of the two-component density
-invariant.  Each of these path functionals takes only the series it
+residuals of the momentum identity and, at lam = 0, of the two-component
+density invariant.  Each of these path functionals takes only the series it
 reads, as scalars or equal-length arrays, and advect calls it once per
 path on the whole recorded series.
 
@@ -84,8 +84,9 @@ def momentum_residual(m, m0, qx, params: Parameters):
 
 
 def rho_invariant_residual(rho, rho0, qx):
-    """(rho~(t,q) + 1) q_x - (rho~0(x0) + 1); zero along exact solutions
-    of the two-component system."""
+    """(rho~(t,q) + 1) q_x - (rho~0(x0) + 1); zero along the paths of
+    exact solutions of the two-component system that move at u, so at
+    lam = 0 only (the density moves at u, the paths at u + lam)."""
     return (rho + 1.0) * qx - (rho0 + 1.0)
 
 
@@ -95,7 +96,9 @@ class CharacteristicPath:
 
     All arrays share the trajectory's recorded times (possibly truncated
     at a domain-boundary exit).  ``n_pre_detection`` counts the leading
-    entries recorded strictly before breaking detection.
+    entries recorded strictly before breaking detection.  ``rho_res`` is
+    None for one component, and for two at lam != 0, where the path
+    moves at u + lam and the density invariant does not hold along it.
     """
 
     x0: float
@@ -142,7 +145,9 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
             raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
 
     ev = grid.spectral
-    two = records[0].state.rho_tilde is not None
+    # the density invariant holds along paths moving at u, and these move
+    # at u + lam: at lam != 0 a path has no density residual
+    density = records[0].state.rho_tilde is not None and params.lam == 0.0
     n_rec = len(records)
     times = np.array([r.state.t for r in records])
     lam = params.lam
@@ -172,7 +177,7 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
         series[i, live, 2] = u_val
         series[i, live, 3] = ux_val
         series[i, live, 4] = ev.values(helm * c0, basis)
-        if two:
+        if density:
             series[i, live, 5] = ev.values(r.state.rho_tilde.spectrum, basis)
         length[live] += 1
         if i == n_rec - 1:
@@ -217,7 +222,7 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
             a_plain=ap, b_plain=bp,
             h_plain=collapse_rate(ap, bp),
             momentum_res=momentum_residual(m_j, m_j[0], qx_j, params),
-            rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if two else None,
+            rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if density else None,
             n_pre_detection=int(pre[n - 1]),
             truncated=bool(truncated[j]),
             weight_overflow=bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw))),

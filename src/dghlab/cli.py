@@ -49,7 +49,8 @@ from .analysis import (
 from .characteristics import advect
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
 from .evolution import SolverConfig, simulate
-from .helmholtz import make_operator  # kept for perfbench: setup_probe.py and the tracer
+# make_operator is kept for perfbench: setup_probe.py and the tracer
+from .helmholtz import NonlocalOperator, make_operator
 
 __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
            "cmd_lemmas", "cmd_sweep"]
@@ -288,9 +289,11 @@ def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunCo
     if not existing.is_dir():
         raise ConfigError(f"out_dir {cfg.out_dir!r} cannot be made: {existing} is not a directory")
     # the library objects check their own values: every command refuses a
-    # section no run could use, before it writes anything
-    for build in (cfg.parameters, cfg.grid, cfg.solver):
-        build()
+    # section no run could use, or a grid and alpha whose Helmholtz symbols
+    # overflow, before it writes anything
+    params, grid = cfg.parameters(), cfg.grid()
+    NonlocalOperator(grid, params.alpha)
+    cfg.solver()
     return cfg
 
 

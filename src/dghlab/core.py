@@ -81,7 +81,8 @@ def make_parameters(
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L) with N nodes, N even; its spacing
-    dx = 2L/N and Nyquist wavenumber pi/dx are positive and finite."""
+    dx = 2L/N, its Nyquist wavenumber pi/dx and that wavenumber's square
+    (the largest symbol of d_xx) are positive and finite."""
 
     half_length: float
     n_points: int
@@ -98,10 +99,12 @@ class Grid:
         object.__setattr__(self, "half_length", L)
         object.__setattr__(self, "n_points", n)
         dx = 2.0 * L / n
-        if not (0.0 < dx < math.inf and math.pi / dx < math.inf):
+        nyquist = math.pi / dx
+        # float products overflow to inf, where ** would raise
+        if not (0.0 < dx < math.inf and nyquist * nyquist < math.inf):
             raise ValueError(
-                f"half_length = {L} on {n} points gives dx = {dx}; dx and the "
-                "Nyquist wavenumber pi/dx must be positive and finite"
+                f"half_length = {L} on {n} points gives dx = {dx}; dx, the "
+                "Nyquist wavenumber pi/dx and its square must be positive and finite"
             )
         nodes = -L + dx * np.arange(n)
         nodes.setflags(write=False)
@@ -123,21 +126,38 @@ class Field:
     """Real samples of a function on a Grid, with their rfft row: the one
     checked datum of the package (initial data and recorded states).
 
-    Construction checks that there is one finite sample per node, so no
-    caller repeats either check; intermediates stay plain arrays.  The
-    values are a read-only copy, so spectral data cached on the field
-    (``spectrum``, ``quarter_band``) stays valid for its lifetime.
-    ``rfft_row``, if given, fills ``spectrum``: the solver passes its state
-    row, whose irfft are the samples, so nothing downstream transforms a
-    recorded field again.
+    A field is built from its samples, and its row (``spectrum``) is their
+    rfft, made on first use; or from its rfft row, and its samples
+    (``values``) are the row's irfft, made on first use.  The solver
+    records its state rows the second way, so a record keeps no samples
+    unless they are read.  Given both, a field keeps both as given.
+    There is one finite sample per node, checked when the samples are
+    given or derived, so no caller repeats either check; intermediates
+    stay plain arrays.  Samples and row are read-only copies, so spectral
+    data cached on the field (``spectrum``, ``quarter_band``) stays valid
+    for its lifetime.
     """
 
     grid: Grid
-    values: np.ndarray
+    samples: InitVar[np.ndarray | None] = None
     rfft_row: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, rfft_row: np.ndarray | None) -> None:
-        vals = np.array(self.values, dtype=float, copy=True)
+    def __post_init__(self, samples: np.ndarray | None, rfft_row: np.ndarray | None) -> None:
+        if samples is None and rfft_row is None:
+            raise TypeError("a Field needs its samples or its rfft row")
+        if samples is not None:
+            self.__dict__["values"] = self._checked(np.array(samples, dtype=float, copy=True))
+        if rfft_row is not None:
+            row = np.array(rfft_row, dtype=complex, copy=True)
+            if row.shape != (self.grid.n_points // 2 + 1,):
+                raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
+            if not np.all(np.isfinite(row)):
+                raise ValueError("field contains non-finite values")
+            row.setflags(write=False)
+            self.__dict__["spectrum"] = row  # the cached value of spectrum
+
+    def _checked(self, vals: np.ndarray) -> np.ndarray:
+        """vals, read-only, if it holds one finite sample per node."""
         if vals.ndim != 1 or vals.shape[0] != self.grid.n_points:
             raise ValueError(
                 f"expected {self.grid.n_points} samples, got shape {vals.shape}"
@@ -145,18 +165,19 @@ class Field:
         if not np.all(np.isfinite(vals)):
             raise ValueError("field contains non-finite values")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        if rfft_row is not None:
-            row = np.array(rfft_row, dtype=complex, copy=True)
-            if row.shape != (self.grid.n_points // 2 + 1,):
-                raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
-            row.setflags(write=False)
-            self.__dict__["spectrum"] = row  # the cached value of spectrum
+        return vals
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Samples at the grid nodes, read-only: as given, or the irfft of
+        the row the field was built from (bit for bit the samples the
+        solver's batched irfft of that row gave)."""
+        return self._checked(np.fft.irfft(self.spectrum, n=self.grid.n_points))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
         """rfft row of the field, read-only: rfft(values) unless the field
-        was built with its row (a recorded solver state)."""
+        was built from its row (a recorded solver state)."""
         row = np.fft.rfft(self.values)
         row.setflags(write=False)
         return row

@@ -24,11 +24,13 @@ phase carries.  Each point the integration reaches is
 evaluated once (_evaluate), with the grid values u[, rho~] as extra rows
 of the same irfft, so a step costs 8 batched FFT calls; that evaluation
 serves as the next step's first stage (also across NaN backoff), as the
-finiteness test, as the record's samples, du/dt, min u_x, E and F, as the
-slope tracker's endpoint fields and as the grid-slope trigger.  A record
-keeps the state rows on its fields (Field.spectrum) and du/dt as an rfft
-row, so the path integration (characteristics.advect) and the public E
-and F read them without a transform.  The grid's Fourier bookkeeping
+finiteness test, as the record's du/dt, min u_x, E and F, as the slope
+tracker's endpoint fields and as the grid-slope trigger.  A record keeps
+only the state rows, as fields built from them (Field.spectrum), and
+du/dt as an rfft row, so the path integration (characteristics.advect)
+and the public E and F read them without a transform; a record field
+derives its samples from its row on first use, bit for bit those of the
+batched irfft.  The grid's Fourier bookkeeping
 (derivative symbol, 2/3 filter rows, trigonometric interpolant) comes
 from grid.spectral, the Helmholtz symbols from the NonlocalOperator that
 simulate builds from the initial datum's grid and alpha.
@@ -106,7 +108,7 @@ class SolverConfig:
 
 class _Eval(NamedTuple):
     """Stage evaluation at a point the integration has reached: the next
-    step's first stage, the finiteness test, the record's samples, du/dt,
+    step's first stage, the finiteness test, the record's rows, du/dt,
     min u_x, E and F, the slope tracker's endpoint fields and the
     grid-slope trigger."""
 
@@ -324,10 +326,12 @@ class RecordDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """One recorded point.  The fields of ``state`` carry the solver's rfft
-    rows as their ``spectrum``, and their samples are the irfft of those
-    rows (the first record keeps the initial samples exactly, whose rfft
-    the rows are); ``du_dt_hat`` is the rfft row of du/dt there, read-only.
+    """One recorded point.  The first record's ``state`` is the initial
+    State itself; a later one's fields are built from the solver's rfft
+    rows alone, their ``spectrum``, and derive their samples, the irfft of
+    those rows, on first use.  ``du_dt_hat`` is the rfft row of du/dt
+    there, read-only.  So a record keeps 2 rows of N/2 + 1 complex numbers
+    for one component and 3 for two.
     """
 
     state: State
@@ -364,7 +368,7 @@ def simulate(
     """Integrate until the horizon, a slope-threshold crossing, or dt
     underflow; record the initial state, every record_every-th step and the
     point where the run stops.  The records' times strictly increase and
-    the first record holds the initial datum.  The Helmholtz operator is
+    the first record's state is ``initial`` itself.  The Helmholtz operator is
     built here, on the grid of the initial datum with params.alpha, so the
     two cannot disagree.
 
@@ -385,7 +389,7 @@ def simulate(
     # ev is the stage evaluation at the reached point, y its grid rows
     # (u[, rho~]): the initial samples, then the rows of each evaluation
     fields = [initial.u] + ([initial.rho_tilde] if two else [])
-    y = np.array([f.values for f in fields])
+    y = [f.values for f in fields]
     with np.errstate(over="ignore", invalid="ignore"):
         # the initial fields' rows, cached there for the caller's criterion
         ev = _evaluate(np.array([f.spectrum for f in fields]), op, params)
@@ -394,10 +398,10 @@ def simulate(
     records: list[TrajectoryRecord] = []
 
     def snapshot(dt_used: float, at_detection: bool = False) -> None:
-        state = State(
-            t=t,
-            u=Field(grid, y[0], rfft_row=ev.coef[0]),
-            rho_tilde=Field(grid, y[1], rfft_row=ev.coef[1]) if two else None,
+        # the first record is the initial datum itself; a later one keeps
+        # only the state rows (the step loop has checked their samples)
+        state = initial if not records else State(
+            t, *(Field(grid, rfft_row=row) for row in ev.coef[:-1])
         )
         # the stages leave out lam u_x, which the step's phase carries
         du_dt_hat = ev.k_hat[0].copy()

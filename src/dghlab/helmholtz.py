@@ -15,6 +15,7 @@ in real space, as an independent check of them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,7 +40,9 @@ class NonlocalOperator:
     The symbol of 1 - alpha^2 d_xx is 1 + alpha^2 xi^2 and that of Q its
     reciprocal: real, even, positive, <= 1, and exactly 1 at xi = 0 (the
     kernel has unit mass).  d_x Q carries the extra i*xi factor, with the
-    Nyquist bin zeroed to match the spectral derivative convention.
+    Nyquist bin zeroed to match the spectral derivative convention.  A
+    grid and an alpha whose largest symbol, at the Nyquist wavenumber,
+    overflows are refused with a ValueError.
     """
 
     grid: Grid
@@ -50,6 +53,12 @@ class NonlocalOperator:
 
     def __post_init__(self) -> None:
         sp = self.grid.spectral
+        top = self.alpha * float(sp.xi[-1])  # a float product overflows to inf
+        if not top * top < math.inf:
+            raise ValueError(
+                f"alpha = {self.alpha} on a grid of spacing dx = {self.grid.dx}: the "
+                "Helmholtz symbol 1 + (alpha pi/dx)**2 overflows"
+            )
         sym_helm = 1.0 + (self.alpha * sp.xi) ** 2
         sym_q = 1.0 / sym_helm
         sym_dq = sp.ik * sym_q

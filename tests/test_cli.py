@@ -88,7 +88,9 @@ class TestSimulateCommand:
         jsonschema.validate(summary, load_schema("run_summary.schema.json"))
 
     def test_two_component_off_gamma_zero_has_no_criterion(self, tmp_path):
-        # the two-component criterion is stated only for gamma = 0
+        # the two-component criterion is stated only for gamma = 0, and the
+        # density invariant holds only along paths moving at u, so the
+        # characteristic files have no rho_res column
         cfg = write_config(
             tmp_path,
             equation="dgh2",
@@ -102,6 +104,8 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         jsonschema.validate(summary, load_schema("run_summary.schema.json"))
         assert summary["criterion"] is None
+        header = (out / "characteristic_000.csv").read_text().splitlines()[0]
+        assert header == "t,q,g,qx,A_w,B_w,A_p,B_p,mom_res"
 
     def test_missing_config_exits_2_without_outputs(self, tmp_path):
         out = tmp_path / "out"
@@ -257,9 +261,9 @@ class TestLemmasCommand:
         built = []
         post_init = Field.__post_init__
 
-        def counted(self, rfft_row=None):
+        def counted(self, samples=None, rfft_row=None):
             built.append(self.grid.n_points)
-            post_init(self, rfft_row)
+            post_init(self, samples, rfft_row)
 
         monkeypatch.setattr(Field, "__post_init__", counted)
         cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
@@ -546,12 +550,18 @@ class TestConfigErrors:
         (["--gamma", "1e300", "--alpha", "1e-10"], "gamma"),
         (["--L", "1e-320"], "half_length"),
         (["--L", "1e308"], "half_length"),
+        # L = 20 alpha = 2e-159: pi/dx = 5e160 is finite, its square is not
+        (["--alpha", "1e-160"], "half_length"),
+        # alpha pi/dx = 1e154 * 100.5, whose square the operator would form
+        (["--alpha", "1e154", "--L", "1"], "alpha"),
     ], ids=["alpha_squared_overflow", "alpha_squared_underflow", "k_overflow",
-            "nyquist_overflow", "dx_overflow"])
+            "nyquist_overflow", "dx_overflow", "nyquist_squared_overflow",
+            "helmholtz_symbol_overflow"])
     def test_overflowing_derived_value_exits_2(self, tmp_path, capsys, flags, key):
-        # finite settings whose derived alpha**2, lam, k, dx or pi/dx is not
-        # a positive finite number: refused by the library objects, naming
-        # the key, before anything is written
+        # finite settings whose derived alpha**2, lam, k, dx, pi/dx,
+        # (pi/dx)**2 or (alpha pi/dx)**2 is not a positive finite number:
+        # refused by the library objects, naming the key, before anything
+        # is written
         out = tmp_path / "out"
         assert main(["criterion", "--N", "64", "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err

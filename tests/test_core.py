@@ -71,10 +71,13 @@ class TestGrid:
         with pytest.raises(ValueError):
             dg.make_grid(0.0, 64)
 
-    @pytest.mark.parametrize("L", [1e-320, 1e308], ids=["nyquist_overflow", "dx_overflow"])
+    @pytest.mark.parametrize("L", [1e-320, 1e308, 2e-159],
+                             ids=["nyquist_overflow", "dx_overflow", "nyquist_squared_overflow"])
     def test_rejects_non_finite_spacing(self, L):
         # 1e-320/32 is a positive subnormal dx whose pi/dx overflows;
-        # 2*1e308 overflows, so dx and the nodes would be inf and nan
+        # 2*1e308 overflows, so dx and the nodes would be inf and nan;
+        # 2e-159/32 gives a finite pi/dx = 5e160 whose square, the largest
+        # symbol of d_xx, overflows
         with pytest.raises(ValueError, match="half_length"):
             dg.make_grid(L, 64)
 

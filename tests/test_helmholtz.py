@@ -48,6 +48,14 @@ class TestSymbols:
     def test_dq_symbol_nyquist_zeroed(self, op4096):
         assert op4096.symbol_dq[-1] == 0.0
 
+    def test_refuses_an_overflowing_symbol(self):
+        # alpha**2 = 1e308 and (pi/dx)**2 = 1e4 are finite, their product
+        # is not; at alpha = 1e152 it is 1e308 and the symbols are built
+        grid = dg.make_grid(1.0, 64)
+        with pytest.raises(ValueError, match="alpha"):
+            dg.NonlocalOperator(grid, 1e154)
+        assert np.isfinite(dg.NonlocalOperator(grid, 1e152).symbol_helm[-1])
+
 
 def apply_dq(op, values):
     """d_x (p * f) of grid samples, the multiplier i*xi/(1 + alpha^2 xi^2)."""
