@@ -134,32 +134,49 @@ def _stage(
     """(time derivatives without lam u_x, convolution argument, samples)
     of the rfft rows y_hat = (u[, rho~]) with one batched irfft and one
     batched rfft; the samples are u_f, u_x,f[, u_x, u[, rho~]][, rho~_f,
-    rho~_x,f], the rows in brackets only with grid_rows=True."""
+    rho~_x,f], the rows in brackets only with grid_rows=True.  Each
+    quantity is formed once, in the array that is then transformed or
+    returned: the derivatives and the convolution argument are rows of
+    the products' rfft."""
     sp = op.grid.spectral
-    two = y_hat.shape[0] == 2
+    c = y_hat.shape[0]
+    two = c == 2
     u_hat = y_hat[0]
-    parts = [sp.filters * u_hat, y_hat] if grid_rows else [sp.filters[:2] * u_hat]
+    n_u = 3 if grid_rows else 2  # u's filter rows
+    spec = np.empty((n_u + (c if grid_rows else 0) + (2 if two else 0), u_hat.size), dtype=complex)
+    np.multiply(sp.filters[:n_u], u_hat, out=spec[:n_u])
+    if grid_rows:
+        spec[n_u : n_u + c] = y_hat
     if two:
-        parts.append(sp.filters[:2] * y_hat[1])
-    phys = np.fft.irfft(np.concatenate(parts) if len(parts) > 1 else parts[0], n=sp.n)
+        np.multiply(sp.filters[:2], y_hat[1], out=spec[-2:])
+    phys = np.fft.irfft(spec, n=sp.n)
     uf, uxf = phys[0], phys[1]
-    quad = 0.5 * params.alpha**2 * uxf * uxf + uf * uf
+
+    # rows u_f u_x,f, alpha^2/2 u_x,f^2 + u_f^2 [+ sigma rho~_f^2/2][, (u rho~)_x,f]
+    prods = np.empty((c + 1, sp.n))
+    np.multiply(uf, uxf, out=prods[0])
+    quad = prods[1]
+    np.multiply(0.5 * params.alpha**2, uxf, out=quad)
+    quad *= uxf
+    quad += uf * uf
     if two:
         # sigma scales the density coupling, as it does the density terms of E and F
         rf, rxf = phys[-2], phys[-1]
-        prods = [uf * uxf, quad + params.sigma * 0.5 * rf * rf, uf * rxf + uxf * rf]
-    else:
-        prods = [uf * uxf, quad]
-    prod_hat = np.fft.rfft(np.array(prods))
+        quad += params.sigma * 0.5 * rf * rf
+        np.multiply(uf, rxf, out=prods[2])
+        prods[2] += uxf * rf
+    prod_hat = np.fft.rfft(prods)
     prod_hat[:, sp.cut :] = 0.0
 
-    conv_hat = prod_hat[1] + 2.0 * params.k * u_hat
+    conv_hat = prod_hat[1]
+    conv_hat += 2.0 * params.k * u_hat
     if two:
-        conv_hat = conv_hat + params.sigma * y_hat[1]
-    k_hat = np.empty_like(y_hat)
-    k_hat[0] = -prod_hat[0] - op.symbol_dq * conv_hat
+        conv_hat += params.sigma * y_hat[1]
+    k_hat = prod_hat[::2]  # -(u u_x)^ - dQ conv[, -((u rho~)_x)^ - (u_x)^]
+    np.negative(k_hat, out=k_hat)
+    k_hat[0] -= op.symbol_dq * conv_hat
     if two:
-        k_hat[1] = -prod_hat[2] - sp.ik * u_hat
+        k_hat[1] -= sp.ik * u_hat
     return k_hat, conv_hat, phys
 
 
@@ -189,29 +206,52 @@ def _step(ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters) -> np.
     the same k shifted by lam t, up to the time-stepping error of its
     slightly different CFL steps (the node maximum of |u| moves with the
     shift).  At lam = 0 the phase is skipped and this is classical RK4,
-    bit for bit.  All stages and the increment stay in Fourier space."""
+    bit for bit.  All stages and the increment stay in Fourier space; each
+    stage point is built in the array of its scaled slope, the increment
+    is summed in k2's, and the phase multiplies only the u rows."""
     y_hat, k1 = ev.coef[:-1], ev.k_hat
     half = full = None  # the phases E(dt/2) and E(dt); none at lam = 0
     if params.lam != 0.0:
         half = np.exp((-0.5 * dt * params.lam) * op.grid.spectral.ik)
         full = half * half
-    k2 = _stage(_transported(y_hat + (0.5 * dt) * k1, half), op, params)[0]
-    k3 = _stage(_transported(y_hat, half) + (0.5 * dt) * k2, op, params)[0]
-    k3 = _transported(k3, half)  # E(dt/2) k3 enters k4's point and the sum
-    y_full = _transported(y_hat, full)
-    k4 = _stage(y_full + dt * k3, op, params)[0]
-    k1, k2 = _transported(k1, full), _transported(k2, half)
-    return y_full + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    point = (0.5 * dt) * k1
+    point += y_hat
+    k2 = _stage(_transport(point, half), op, params)[0]
+    point = (0.5 * dt) * k2
+    _add_transported(point, y_hat, half)
+    # E(dt/2) k3 enters k4's point and the sum
+    k3 = _transport(_stage(point, op, params)[0], half)
+    point = dt * k3
+    _add_transported(point, y_hat, full)
+    k4 = _stage(point, op, params)[0]
+    # the increment, summed in k2's array, which then becomes y1
+    y1 = _transport(k2, half)
+    y1 *= 2.0
+    _add_transported(y1, k1, full)
+    k3 *= 2.0
+    y1 += k3
+    y1 += k4
+    y1 *= dt / 6.0
+    _add_transported(y1, y_hat, full)
+    return y1
 
 
-def _transported(rows: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """A copy of rows with the u row multiplied by the transport phase;
-    rows itself where there is no phase (lam = 0)."""
+def _transport(rows: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """rows, with the u row multiplied in place by the transport phase
+    (none at lam = 0)."""
+    if phase is not None:
+        rows[0] *= phase
+    return rows
+
+
+def _add_transported(out: np.ndarray, rows: np.ndarray, phase: np.ndarray | None) -> None:
+    """out += rows with the u row of rows multiplied by the transport phase
+    (none at lam = 0); the rows the phase leaves alone are not copied."""
     if phase is None:
-        return rows
-    out = rows.copy()
-    out[0] *= phase
-    return out
+        out += rows
+    else:
+        out[0] += rows[0] * phase
+        out[1:] += rows[1:]
 
 
 class _SlopeTracker:
@@ -233,6 +273,9 @@ class _SlopeTracker:
         grid = state.u.grid
         self.sp = grid.spectral
         self.params = params
+        # the scalars of the rate rows, formed once
+        self._two_k = 2.0 * params.k
+        self._w_scale = 0.5 / params.alpha**2
 
         u0, rho0 = state.u, state.rho_tilde
         idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0.values, params)))]
@@ -252,10 +295,18 @@ class _SlopeTracker:
         """d/dt of the rows (q, w, w') in the fields of the evaluation ev."""
         p = self.params
         u, *rho, c = self.sp.values(ev.coef, self.sp.basis(y[0]))
-        f = u * u + 2.0 * p.k * u - c
+        rate = np.empty_like(y)
+        np.add(u, p.lam, out=rate[0])
+        rate[1] = y[2]
+        f = rate[2]
+        np.multiply(u, u, out=f)
+        f += self._two_k * u
+        f -= c
         if rho:
             f += p.sigma * (0.5 * rho[0] * rho[0] + rho[0])
-        return np.array([u + p.lam, y[2], (0.5 / p.alpha**2) * f * y[1]])
+        f *= self._w_scale
+        f *= y[1]
+        return rate
 
     def advance(
         self, ev0: _Eval, ev1: _Eval, t0: float, dt: float, threshold: float
@@ -264,12 +315,15 @@ class _SlopeTracker:
         (t_cross, g at the step's end, seed_x0) of the earliest one."""
         y = self.y
         r0 = self._rate(ev0, y)
-        y1 = y + (0.5 * dt) * (r0 + self._rate(ev1, y + dt * r0))
+        y1 = self._rate(ev1, y + dt * r0)
+        y1 += r0
+        y1 *= 0.5 * dt
+        y1 += y
         inside = _in_safe_box(y1[0], self.sp.half_length, self.params.alpha)
         phi = np.array([0.0, 0.5 * threshold, 1.0])  # w' + (M/2) w as a row vector
         cross = inside & (phi @ y1 < 0.0)
         crossing = None
-        if np.any(cross):
+        if cross.any():
             y1c = y1[:, cross]
             s = _first_root(
                 phi @ y[:, cross], dt * (phi @ r0[:, cross]),
@@ -439,14 +493,15 @@ def simulate(
 
     while t < horizon - eps:
         # only |u|: the step's phase carries the transport at lam exactly
-        dt = config.cfl * grid.dx / max(float(np.max(np.abs(y[0]))), _SPEED_FLOOR)
+        speed = max(float(y[0].max()), -float(y[0].min()))
+        dt = config.cfl * grid.dx / max(speed, _SPEED_FLOOR)
         # overflow inside a trial step is the breakdown signal, not an error;
         # the floor holds for the CFL step and for each halving of it
         with np.errstate(over="ignore", invalid="ignore"):
             while dt >= config.dt_min:
                 dt = min(dt, horizon - t)
                 ev_new = _evaluate(_step(ev, dt, op, params), op, params)
-                if np.all(np.isfinite(ev_new.y)):
+                if np.isfinite(ev_new.y).all():
                     break
                 dt *= 0.5
             else:
@@ -463,7 +518,7 @@ def simulate(
         steps += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
 
-        min_ux_grid = float(np.min(ev.phys[2]))
+        min_ux_grid = float(ev.phys[2].min())
         if crossing is not None:
             report = BlowupReport(True, TRIGGER_SLOPE, *crossing)
             break

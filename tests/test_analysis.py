@@ -26,7 +26,7 @@ class TestEnergyE:
         e1 = dg.energy_E(dg.State(0.0, u), params_ch)
         u3 = dg.ic_preset("from_samples", grid1024, values=3.0 * u.values)
         e9 = dg.energy_E(dg.State(0.0, u3), params_ch)
-        assert e9 == pytest.approx(9.0 * e1, rel=1e-12)
+        assert e9 == pytest.approx(9.0 * e1, rel=1e-12, abs=0.0)
 
     def test_peakon_value_and_convergence(self, params_ch):
         # E(e^{-|x|}) = 1 analytically (0.5 * (int e^{-2|x|} + int e^{-2|x|}));
@@ -48,7 +48,7 @@ class TestEnergyE:
         e1 = dg.energy_E(dg.State(0.0, u), params_ch)
         e2 = dg.energy_E(dg.State(0.0, u, rho), params_ch)
         rho_part = 0.5 * np.sum(rho.values**2) * grid1024.dx
-        assert e2 == pytest.approx(e1 + rho_part, rel=1e-13)
+        assert e2 == pytest.approx(e1 + rho_part, rel=1e-13, abs=0.0)
 
 
 class TestEnergyF:
@@ -293,7 +293,7 @@ class TestCriterionOneComponent:
         u0 = dg.ic_preset("from_samples", grid1024, values=np.zeros(1024))
         v = dg.check_criterion_dgh(u0, p)
         assert not v.holds
-        assert v.margin == pytest.approx(abs(p.k), rel=1e-14)
+        assert v.margin == pytest.approx(abs(p.k), rel=1e-14, abs=0.0)
         assert v.time_bound is None
 
     def test_scan_matches_dense_analytic_oracle(self, grid4096, params_ch):
@@ -350,7 +350,7 @@ class TestCriterionOneComponent:
         assert v.holds == (v.margin < 0.0)
         if v.holds:
             bound = 2.0 / np.sqrt(slope**2 - ((value + p.k) / p.alpha) ** 2)
-            assert v.time_bound == pytest.approx(bound, rel=1e-14)
+            assert v.time_bound == pytest.approx(bound, rel=1e-14, abs=0.0)
         else:
             assert v.time_bound is None
 

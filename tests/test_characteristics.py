@@ -112,8 +112,8 @@ class TestPathFunctionals:
         p = dg.make_parameters(2.0, 1.0, 0.5)
         a, b = weighted_ab(0.0, 1.3, 0.7, -0.4, p)
         base = (0.7 + p.k) / p.alpha
-        assert a == pytest.approx(np.exp(1.3 / 2.0) * (base + 0.4), rel=1e-14)
-        assert b == pytest.approx(np.exp(-1.3 / 2.0) * (base - 0.4), rel=1e-14)
+        assert a == pytest.approx(np.exp(1.3 / 2.0) * (base + 0.4), rel=1e-14, abs=0.0)
+        assert b == pytest.approx(np.exp(-1.3 / 2.0) * (base - 0.4), rel=1e-14, abs=0.0)
 
     def test_weighted_pair_zero_velocity(self, params_ch):
         a, b = weighted_ab(0.5, 0.2, 0.0, 0.0, params_ch)
@@ -134,7 +134,7 @@ class TestPathFunctionals:
     def test_collapse_rate_of_steep_seed_is_finite(self, params_ch):
         # A*B = -1e400 overflows a float; h = 1e200 does not
         a, b = dg.plain_ab(0.0, -1e200, params_ch)
-        assert dg.collapse_rate(a, b) == pytest.approx(1e200, rel=1e-15)
+        assert dg.collapse_rate(a, b) == pytest.approx(1e200, rel=1e-15, abs=0.0)
 
     def test_weighted_overflow_goes_to_log_form(self):
         # k - lam > 0: gamma = 4, c0 = 0 -> lam = -4, k = 2, k-lam = 6

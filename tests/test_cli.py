@@ -622,7 +622,7 @@ class TestSteepDatum:
             row = dict(zip(cli.SWEEP_HEADER, (out / "sweep.csv").read_text().splitlines()[1].split(",")))
             bound = float(row["time_bound"])
             assert (row["trigger"], row["status"]) == ("dt_underflow", "ok")
-        assert bound == pytest.approx(2e-200, rel=1e-12)
+        assert bound == pytest.approx(2e-200, rel=1e-12, abs=0.0)
 
 
 class TestSamplesFile:

@@ -14,7 +14,7 @@ class TestGreenKernel:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_value_at_alpha(self, alpha):
         p = dg.make_parameters(alpha)
-        assert dg.green_kernel(alpha, p) == pytest.approx(np.exp(-1.0) / (2 * alpha), rel=1e-15)
+        assert dg.green_kernel(alpha, p) == pytest.approx(np.exp(-1.0) / (2 * alpha), rel=1e-15, abs=0.0)
 
     def test_unit_mass_on_box(self, grid4096, params_ch):
         # integrate over [-L, L], L = 20*alpha, splitting at the kernel
