@@ -124,12 +124,9 @@ def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     return _gap_field(minus - rhs, u.grid), _gap_field(plus - rhs, u.grid)
 
 
-def full_kernel_gap(
-    u: Field, params: Parameters, pair: tuple[GapField, GapField] | None = None
-) -> GapField:
+def full_kernel_gap(u: Field, pair: tuple[GapField, GapField]) -> GapField:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2, as the mean of
-    the one-sided pair: pass the pair one_sided_gaps made for the same u
-    and params, or leave it out to have it made here.
+    ``pair``, the gaps one_sided_gaps(u, params) made at the params wanted.
 
     The one-sided kernels p -+ alpha p_x are 2p 1_{x>0} and 2p 1_{x<0}, so
     p is their mean, and with w = alpha^2/2 u_x^2 + u^2 + 2k u
@@ -140,7 +137,7 @@ def full_kernel_gap(
     the full-kernel gap, because p has unit mass: p * k^2 = k^2, on the
     grid too, where the symbol of Q is 1 at xi = 0 (symbol_q[0] = 1).
     """
-    gm, gp = one_sided_gaps(u, params) if pair is None else pair
+    gm, gp = pair
     return _gap_field(0.5 * (gm.values + gp.values), u.grid)
 
 

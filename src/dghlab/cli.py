@@ -1,24 +1,28 @@
 """Command-line front end: simulate, criterion, lemmas, sweep.
 
 Configuration lives in one YAML file (nested sections mirroring the
-library objects); command-line flags override file values.  All file
-outputs are deterministic for a fixed config and RNG seed: floats are
-written with 17 significant digits (round-trip exact), JSON keys are
-sorted, and wall-clock timing goes to stderr only.  JSON files are
-standard JSON: a non-finite float (a slope of -inf, the witness order of
-one resolution) is written as null; CSV cells keep inf and nan.  The
-lemma suite's random fields and witness study come from analysis.
+library objects); command-line flags override file values.  load_config
+reads, converts and cross-checks the config; main builds its parameters,
+grid and solver once, each checking its own values, and hands them to
+the command, so every command refuses a config no run could use before
+it writes anything.  All file outputs are deterministic for a fixed
+config and RNG seed: floats are written with 17 significant digits
+(round-trip exact), JSON keys are sorted, and wall-clock timing goes to
+stderr only.  JSON files are standard JSON: a non-finite float (a slope
+of -inf, the witness order of one resolution) is written as null; CSV
+cells keep inf and nan.  The lemma suite's random fields and witness
+study come from analysis.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
 1 property-suite violation (lemmas), 2 usage or configuration error (an
 unknown config key, a value that does not convert, from the file or a
-flag, initial data that cannot be built, an out_dir that cannot be a
-directory), including a ValueError raised in a sweep cell.  A
-sweep cell that stops on a numerical breakdown (ArithmeticError, e.g. an
-overflow) is a result and is written to its row; any other exception in
-a cell, or a sweep worker process that dies, fails the command with a
-RuntimeError naming the cell, and the interpreter exits non-zero with
-its traceback.
+flag, initial data that cannot be built or that names two sources, an
+out_dir that cannot be a directory), including a ValueError raised in a
+sweep cell.  A sweep cell that stops on a numerical breakdown
+(ArithmeticError, e.g. an overflow) is a result and is written to its
+row; any other exception in a cell, or a sweep worker process that dies,
+fails the command with a RuntimeError naming the cell, and the
+interpreter exits non-zero with its traceback.
 """
 from __future__ import annotations
 
@@ -255,7 +259,8 @@ def _convert(raw, keys: dict, path: str) -> dict:
 
 def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunConfig:
     """The run the file at ``path`` describes, with the flags set in
-    ``overrides`` replacing its values key by key."""
+    ``overrides`` replacing its values key by key: read, converted and
+    cross-checked; the library objects it describes are built by main."""
     cfg = RunConfig()
     raw = {}
     if path is not None:
@@ -284,16 +289,16 @@ def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunCo
         raise ConfigError("rho_initial is set, but equation dgh has no density")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
+    for name in ("initial", "rho_initial"):
+        spec = getattr(cfg, name) or {}
+        mixed = [key for key in ("preset", "args") if key in spec]
+        if "samples_file" in spec and mixed:
+            raise ConfigError(f"{name} gives samples_file and {' and '.join(mixed)}: "
+                              "name one source of the data")
     out = Path(cfg.out_dir)
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"out_dir {cfg.out_dir!r} cannot be made: {existing} is not a directory")
-    # the library objects check their own values: every command refuses a
-    # section no run could use, or a grid and alpha whose Helmholtz symbols
-    # overflow, before it writes anything
-    params, grid = cfg.parameters(), cfg.grid()
-    NonlocalOperator(grid, params.alpha)
-    cfg.solver()
     return cfg
 
 
@@ -305,12 +310,8 @@ def _criterion_for(state: State, params: Parameters) -> CriterionVerdict | None:
     return check_criterion_dgh2(state.u, state.rho_tilde, params)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    params = cfg.parameters()
-    grid = cfg.grid()
+def cmd_simulate(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
     state = cfg.initial_state(grid, params)
-    solver = cfg.solver()
-
     t0 = time.perf_counter()
     records, report = simulate(state, solver, params)
     wall = time.perf_counter() - t0
@@ -371,9 +372,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_criterion(cfg: RunConfig) -> int:
-    params = cfg.parameters()
-    grid = cfg.grid()
+def cmd_criterion(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
     state = cfg.initial_state(grid, params)
     if state.rho_tilde is None:
         verdict = check_criterion_dgh(state.u, params)
@@ -399,7 +398,7 @@ def cmd_criterion(cfg: RunConfig) -> int:
 
 def _gap_entries(u: Field, params: Parameters) -> dict:
     gm, gp = one_sided_gaps(u, params)
-    fk = full_kernel_gap(u, params, (gm, gp))
+    fk = full_kernel_gap(u, (gm, gp))
     return {
         "one_sided_minus": {"min_gap": gm.min_gap, "argmin_x": gm.argmin_x},
         "one_sided_plus": {"min_gap": gp.min_gap, "argmin_x": gp.argmin_x},
@@ -425,9 +424,7 @@ def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
         yield f"random_{i:03d}", ic_preset("from_samples", grid, values=vals), pk
 
 
-def cmd_lemmas(cfg: RunConfig) -> int:
-    params = cfg.parameters()
-    grid = cfg.grid()
+def cmd_lemmas(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
     lem = cfg.lemmas
     n_random = lem.get("n_random", 50)
     n_modes = lem.get("n_modes", 30)
@@ -482,10 +479,9 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_cells(cfg: RunConfig) -> list[tuple[int, float, Parameters]]:
+def _sweep_cells(cfg: RunConfig, params: Parameters) -> list[tuple[int, float, Parameters]]:
     """(index, amplitude, parameters) of every cell: the (c0, gamma) pairs
-    in order, each over all amplitudes, the other parameters the config's."""
-    params = cfg.parameters()
+    in order, each over all amplitudes, every other parameter as in params."""
     sw = cfg.sweep
     amplitudes = sw.get("amplitudes", [])
     pairs = sw.get("c0_gamma", [])
@@ -545,13 +541,11 @@ SWEEP_HEADER = [
 ]
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    cells = _sweep_cells(cfg)
-    # grid, solver and data depend only on alpha, the same in every cell:
-    # built once here, a bad preset is a configuration error, not a row
-    grid = cfg.grid()
-    solver = cfg.solver()
-    base = cfg.initial_state(grid, cells[0][2])
+def cmd_sweep(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
+    cells = _sweep_cells(cfg, params)
+    # the data depend only on alpha, the same in every cell: built once
+    # here, a bad preset is a configuration error, not a row
+    base = cfg.initial_state(grid, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -597,7 +591,11 @@ def main(argv: list[str] | None = None) -> int:
     command = {"simulate": cmd_simulate, "criterion": cmd_criterion,
                "lemmas": cmd_lemmas, "sweep": cmd_sweep}[args.command]
     try:
-        return command(load_config(args.config, args))
+        cfg = load_config(args.config, args)
+        # each object checks its own values, the operator its Helmholtz symbols
+        params, grid, solver = cfg.parameters(), cfg.grid(), cfg.solver()
+        NonlocalOperator(grid, params.alpha)
+        return command(cfg, params, grid, solver)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -130,10 +130,11 @@ class Field:
     rfft, made on first use; or from its rfft row, and its samples
     (``values``) are the row's irfft, made on first use.  The solver
     records its state rows the second way, so a record keeps no samples
-    unless they are read.  Given both, a field keeps both as given.
-    There is one finite sample per node, checked when the samples are
-    given or derived, so no caller repeats either check; intermediates
-    stay plain arrays.  Samples and row are read-only copies, so spectral
+    unless they are read.  Given both, it raises TypeError: a field has
+    one source, so its samples and its row cannot disagree.  There is
+    one finite sample per node, checked when the samples are given or
+    derived, so no caller repeats either check; intermediates stay plain
+    arrays.  Samples and row are read-only copies, so spectral
     data cached on the field (``spectrum``, ``quarter_band``) stays valid
     for its lifetime.
     """
@@ -143,18 +144,18 @@ class Field:
     rfft_row: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, samples: np.ndarray | None, rfft_row: np.ndarray | None) -> None:
-        if samples is None and rfft_row is None:
-            raise TypeError("a Field needs its samples or its rfft row")
+        if (samples is None) == (rfft_row is None):
+            raise TypeError("a Field is built from exactly one of its samples and its rfft row")
         if samples is not None:
             self.__dict__["values"] = self._checked(np.array(samples, dtype=float, copy=True))
-        if rfft_row is not None:
-            row = np.array(rfft_row, dtype=complex, copy=True)
-            if row.shape != (self.grid.n_points // 2 + 1,):
-                raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
-            if not np.all(np.isfinite(row)):
-                raise ValueError("field contains non-finite values")
-            row.setflags(write=False)
-            self.__dict__["spectrum"] = row  # the cached value of spectrum
+            return
+        row = np.array(rfft_row, dtype=complex, copy=True)
+        if row.shape != (self.grid.n_points // 2 + 1,):
+            raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
+        if not np.all(np.isfinite(row)):
+            raise ValueError("field contains non-finite values")
+        row.setflags(write=False)
+        self.__dict__["spectrum"] = row  # the cached value of spectrum
 
     def _checked(self, vals: np.ndarray) -> np.ndarray:
         """vals, read-only, if it holds one finite sample per node."""

@@ -47,7 +47,7 @@ def test_criterion_01_inequality_suite(grid4096, params_ch):
 
     for u, p in fields:
         gm, gp = one_sided_gaps(u, p)
-        fk = full_kernel_gap(u, p)
+        fk = full_kernel_gap(u, (gm, gp))
         worst = min(worst, gm.min_gap, gp.min_gap, fk.min_gap, sobolev_gap(u, p))
     assert worst >= -1e-8
 

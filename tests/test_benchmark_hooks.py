@@ -57,6 +57,24 @@ def test_criterion_command_opens_one_criterion_span(config, tmp_path):
     assert [sp.name for sp in tracer.spans].count("analysis.criterion") == 1
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate", "breaking_run.yaml"),
+    ("criterion", "two_component_vacuum.yaml"),
+    ("sweep", "amplitude_sweep.yaml"),
+])
+def test_command_opens_one_grid_span(command, config, tmp_path):
+    # main builds each run's grid once and hands it to the command, so the
+    # benchmark's core.grid span counts one build, not a validation build
+    # plus the command's own
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), tracer.operation(command):
+        code = cli.main([command, "--config", str(ROOT / "configs" / config),
+                         "--out", str(tmp_path / "o"), "--N", "256", "--tmax", "0.05",
+                         "--workers", "1"])
+    assert code == 0
+    assert [sp.name for sp in tracer.spans].count("core.grid") == 1
+
+
 def test_lemmas_command_opens_three_gap_spans_per_field(tmp_path):
     # cli must call one_sided_gaps, full_kernel_gap and sobolev_gap by name
     # for every field, or the benchmark's analysis.gaps_s reads 0

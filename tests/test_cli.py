@@ -12,7 +12,7 @@ import yaml
 
 import dghlab as dg
 from dghlab import analysis, cli
-from dghlab.analysis import full_kernel_gap
+from dghlab.analysis import full_kernel_gap, one_sided_gaps
 from dghlab.cli import main
 from dghlab.core import Field
 
@@ -272,7 +272,7 @@ class TestLemmasCommand:
 
     def test_full_kernel_entries_from_each_fields_own_pair(self, tmp_path):
         # the report's full-kernel gap of every field is the one
-        # full_kernel_gap computes for that field without a pair
+        # full_kernel_gap computes from that field's own one-sided pair
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
         out = tmp_path / "out"
         assert main(["lemmas", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
@@ -280,7 +280,7 @@ class TestLemmasCommand:
         grid, params = dg.make_grid(20.0, 1024), dg.make_parameters(1.0)
         lemma_fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 4, 30, 80)
         for name, u, p in lemma_fields:
-            fk = full_kernel_gap(u, p)
+            fk = full_kernel_gap(u, one_sided_gaps(u, p))
             assert fields[name]["full_kernel"] == {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x}
         assert len(fields) == 4 + 4
 
@@ -595,6 +595,18 @@ class TestConfigErrors:
         )
         assert code == 2
         assert "bogus" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion"])
+    def test_samples_file_next_to_preset_or_args_exits_2(self, tmp_path, capsys, command):
+        # a readable file next to a preset or its arguments is two sources
+        # for one datum: refused, naming the section, instead of the file
+        # winning silently
+        np.savetxt(tmp_path / "u0.txt", dg.make_grid(20.0, 1024).nodes)
+        for mix, named in (({"preset": "sech_bump", "args": {"a": 5.0}}, "preset and args"),
+                           ({"args": {"bogus": 1}}, "args")):
+            code, err = self.run(tmp_path, capsys, command,
+                                 initial={"samples_file": str(tmp_path / "u0.txt"), **mix})
+            assert code == 2 and f"initial gives samples_file and {named}" in err, mix
 
 
 class TestSteepDatum:

@@ -124,16 +124,20 @@ class TestField:
         assert f.spectrum is f.spectrum
         with pytest.raises(ValueError):
             f.spectrum[0] = 1.0
-        # a given row is kept as a read-only copy, not checked against the
-        # samples: the solver's state row differs from rfft(irfft(row)) in
-        # the last bits
+        # a given row is kept as a read-only copy
         row = np.fft.rfft(samples) * 2.0
-        g = dg.Field(grid1024, samples, rfft_row=row)
+        g = dg.Field(grid1024, rfft_row=row)
         assert np.array_equal(g.spectrum, row) and not np.shares_memory(g.spectrum, row)
         with pytest.raises(ValueError):
             g.spectrum[0] = 1.0
         with pytest.raises(ValueError):
-            dg.Field(grid1024, samples, rfft_row=row[:-1])
+            dg.Field(grid1024, rfft_row=row[:-1])
+        # one source per field: samples and a row that could disagree, or
+        # neither, are refused
+        with pytest.raises(TypeError):
+            dg.Field(grid1024, samples, rfft_row=row)
+        with pytest.raises(TypeError):
+            dg.Field(grid1024)
 
     def test_quarter_band_equals_per_row_transforms(self, grid1024):
         # one rfft and one 2-row irfft give the bits of the two separate

@@ -742,6 +742,55 @@ class TestSlopeTracker:
         d1, d2 = abs(t[1] - t[0]), abs(t[2] - t[1])
         assert d1 >= 2.5 * d2 > 0.0
 
+    # gates (|dq|, |w^2 - q_x|/q_x, |2w'/w - g|/max(1, |g|)) just above the
+    # values measured at N = 4096 over the seeds: (9.5e-21, 1.55e-6,
+    # 5.93e-7) at (gamma, c0) = (0, 0), seed 0, on 44 of 65 pre-detection
+    # records; (2.21e-6, 2.06e-6, 7.78e-7) at (0.7, 0.5), seeds 0 and
+    # 0.3125, on 52 and 54 of 89 (Heun against advect's RK4 in q)
+    @pytest.mark.parametrize("gamma, c0, gates", [
+        (0.0, 0.0, (1e-15, 2e-6, 7e-7)),
+        (0.7, 0.5, (2.5e-6, 2.5e-6, 9e-7)),
+    ])
+    def test_riccati_identity_along_tracked_paths(self, monkeypatch, gamma, c0, gates):
+        # along dq/dt = u + lam, d/dt q_x = u_x q_x and u_x = 2w'/w give
+        # q_x = w^2, so the tracker's rows (q, w, w'), moved by the
+        # convolution f, must match the q, q_x and g that advect reads off
+        # the recorded field from the same seeds; compared before detection
+        # and where q_x > 0.2, where the grid still resolves the path
+        trackers, logged = [], {}
+        advance = _SlopeTracker.advance
+
+        def logging_advance(self, ev0, ev1, t0, dt, threshold):
+            crossing = advance(self, ev0, ev1, t0, dt, threshold)
+            trackers.append(self)
+            logged[t0 + dt] = (list(self.x0), self.y.copy())
+            return crossing
+
+        monkeypatch.setattr(_SlopeTracker, "advance", logging_advance)
+        params = dg.make_parameters(1.0, gamma, c0)
+        u0 = dg.ic_preset("gaussian_derivative", dg.make_grid(20.0, 4096), a=1.0)
+        # the solver section of configs/breaking_run.yaml
+        cfg = dg.SolverConfig(t_max=3.0, cfl=0.3, dt_min=1e-9,
+                              slope_blowup_threshold=1e4, record_every=4)
+        records, report = dg.simulate(dg.State(0.0, u0), cfg, params)
+        assert report.trigger == TRIGGER_SLOPE
+        seeds = trackers[0].seeds_x0
+        for seed, path in zip(seeds, dg.advect(records, list(seeds), params)):
+            err, compared = np.zeros(3), 0
+            for i, rec in enumerate(records[1 : path.t.size], start=1):
+                if rec.at_detection or path.qx[i] <= 0.2:
+                    continue
+                x0, y = logged[rec.state.t]
+                q, w, dw = y[:, x0.index(seed)]
+                err = np.maximum(err, [
+                    abs(q - path.q[i]),
+                    abs(w * w - path.qx[i]) / path.qx[i],
+                    abs(2.0 * dw / w - path.g[i]) / max(1.0, abs(path.g[i])),
+                ])
+                compared += 1
+            assert compared >= 40, (seed, compared)
+            assert np.all(err < gates), (seed, err)
+
     def test_one_debug_record_per_run(self, grid1024, params_ch, caplog):
         u0 = dg.ic_preset("gaussian_bump", grid1024, a=0.5)
         with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
