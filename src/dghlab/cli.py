@@ -2,27 +2,27 @@
 
 Configuration lives in one YAML file (nested sections mirroring the
 library objects); command-line flags override file values.  load_config
-reads, converts and cross-checks the config; main builds its parameters,
-grid and solver once, each checking its own values, and hands them to
-the command, so every command refuses a config no run could use before
-it writes anything.  All file outputs are deterministic for a fixed
-config and RNG seed: floats are written with 17 significant digits
-(round-trip exact), JSON keys are sorted, and wall-clock timing goes to
-stderr only.  JSON files are standard JSON: a non-finite float (a slope
-of -inf, the witness order of one resolution) is written as null; CSV
-cells keep inf and nan.  The lemma suite's random fields and witness
-study come from analysis.
+reads, converts and cross-checks the config; main builds the run's
+parameters, grid, solver and initial state once, each checking its own
+values, checks the seeds and hands the objects to the command, so every
+command refuses a config no run could use before it writes anything.
+All file outputs are deterministic for a fixed config and RNG seed:
+floats are written with 17 significant digits (round-trip exact), JSON
+keys are sorted, and wall-clock timing goes to stderr only.  JSON files
+are standard JSON: a non-finite float (a slope of -inf, the witness
+order of one resolution) is written as null; CSV cells keep inf and nan.
+The lemma suite's random fields and witness study come from analysis.
 
 Exit codes: 0 run completed (breaking is a result, not a failure),
 1 property-suite violation (lemmas), 2 usage or configuration error (an
 unknown config key, a value that does not convert, from the file or a
-flag, initial data that cannot be built or that names two sources, an
-out_dir that cannot be a directory), including a ValueError raised in a
-sweep cell.  A sweep cell that stops on a numerical breakdown
-(ArithmeticError, e.g. an overflow) is a result and is written to its
-row; any other exception in a cell, or a sweep worker process that dies,
-fails the command with a RuntimeError naming the cell, and the
-interpreter exits non-zero with its traceback.
+flag, initial data that cannot be built or that names two sources, a
+seed outside the domain, an out_dir that cannot be a directory),
+including a ValueError raised in a sweep cell.  A sweep cell that stops
+on a numerical breakdown (ArithmeticError, e.g. an overflow) is a result
+and is written to its row; any other exception in a cell, or a sweep
+worker process that dies, fails the command with a RuntimeError naming
+the cell, and the interpreter exits non-zero with its traceback.
 """
 from __future__ import annotations
 
@@ -132,8 +132,6 @@ class RunConfig:
         return SolverConfig(**{"t_max": 2.0, **self.sections["solver"]})
 
     def build_field(self, spec: dict, grid: Grid, params: Parameters) -> Field:
-        if "samples_file" not in spec and "preset" not in spec:
-            raise ConfigError("initial condition needs 'preset' or 'samples_file'")
         try:
             if "samples_file" in spec:
                 vals = np.loadtxt(spec["samples_file"], dtype=float)
@@ -144,11 +142,7 @@ class RunConfig:
 
     def initial_state(self, grid: Grid, params: Parameters) -> State:
         u0 = self.build_field(self.initial, grid, params)
-        rho0 = None
-        if self.equation == "dgh2":
-            if self.rho_initial is None:
-                raise ConfigError("equation dgh2 needs a rho_initial section")
-            rho0 = self.build_field(self.rho_initial, grid, params)
+        rho0 = None if self.rho_initial is None else self.build_field(self.rho_initial, grid, params)
         return State(0.0, u0, rho0)
 
 
@@ -287,10 +281,15 @@ def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunCo
         raise ConfigError(f"equation must be dgh or dgh2, got {cfg.equation!r}")
     if cfg.equation == "dgh" and cfg.rho_initial is not None:
         raise ConfigError("rho_initial is set, but equation dgh has no density")
+    if cfg.equation == "dgh2" and cfg.rho_initial is None:
+        raise ConfigError("equation dgh2 needs a rho_initial section")
     if cfg.workers is not None and cfg.workers < 1:
         raise ConfigError(f"workers must be at least 1, got {cfg.workers}")
-    for name in ("initial", "rho_initial"):
-        spec = getattr(cfg, name) or {}
+    for spec, name in ((cfg.initial, "initial"), (cfg.rho_initial, "rho_initial")):
+        if spec is None:
+            continue
+        if "samples_file" not in spec and "preset" not in spec:
+            raise ConfigError("initial condition needs 'preset' or 'samples_file'")
         mixed = [key for key in ("preset", "args") if key in spec]
         if "samples_file" in spec and mixed:
             raise ConfigError(f"{name} gives samples_file and {' and '.join(mixed)}: "
@@ -310,13 +309,10 @@ def _criterion_for(state: State, params: Parameters) -> CriterionVerdict | None:
     return check_criterion_dgh2(state.u, state.rho_tilde, params)
 
 
-def cmd_simulate(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
-    state = cfg.initial_state(grid, params)
+def cmd_simulate(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
     t0 = time.perf_counter()
     records, report = simulate(state, solver, params)
     wall = time.perf_counter() - t0
-    # before any file is written: a seed outside the domain fails here
-    # and leaves no partial output
     paths = advect(records, cfg.seeds, params)
 
     out = Path(cfg.out_dir)
@@ -346,6 +342,7 @@ def cmd_simulate(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverC
         )
 
     verdict = _criterion_for(state, params)
+    grid = state.u.grid
     summary = {
         "equation": cfg.equation,
         "parameters": asdict(params),
@@ -372,8 +369,7 @@ def cmd_simulate(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverC
     return 0
 
 
-def cmd_criterion(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
-    state = cfg.initial_state(grid, params)
+def cmd_criterion(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
     if state.rho_tilde is None:
         verdict = check_criterion_dgh(state.u, params)
     else:
@@ -424,7 +420,8 @@ def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
         yield f"random_{i:03d}", ic_preset("from_samples", grid, values=vals), pk
 
 
-def cmd_lemmas(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
+def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
+    grid = state.u.grid
     lem = cfg.lemmas
     n_random = lem.get("n_random", 50)
     n_modes = lem.get("n_modes", 30)
@@ -541,15 +538,13 @@ SWEEP_HEADER = [
 ]
 
 
-def cmd_sweep(cfg: RunConfig, params: Parameters, grid: Grid, solver: SolverConfig) -> int:
+def cmd_sweep(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
     cells = _sweep_cells(cfg, params)
-    # the data depend only on alpha, the same in every cell: built once
-    # here, a bad preset is a configuration error, not a row
-    base = cfg.initial_state(grid, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    run = partial(_run_cell, solver, base)
+    # every cell scales one datum: the initial data read only alpha, which no cell changes
+    run = partial(_run_cell, solver, state)
     workers = min(len(cells), cfg.workers or _usable_cpus())
     if workers == 1:
         rows = _collect(cells, map(run, cells))
@@ -595,7 +590,12 @@ def main(argv: list[str] | None = None) -> int:
         # each object checks its own values, the operator its Helmholtz symbols
         params, grid, solver = cfg.parameters(), cfg.grid(), cfg.solver()
         NonlocalOperator(grid, params.alpha)
-        return command(cfg, params, grid, solver)
+        state = cfg.initial_state(grid, params)
+        L = grid.half_length
+        for x in cfg.seeds:
+            if not -L <= x < L:
+                raise ConfigError(f"seed {x} outside the domain [-{L}, {L})")
+        return command(cfg, params, solver, state)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

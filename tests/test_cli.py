@@ -255,9 +255,9 @@ class TestLemmasCommand:
         assert all(r() is None for r in refs)
 
     def test_one_field_per_checked_datum(self, tmp_path, monkeypatch):
-        # a Field (a copy and a finiteness scan) is built for each lemma
-        # field and each witness level only: the gaps and the convolutions
-        # behind them stay arrays
+        # a Field (a copy and a finiteness scan) is built for the initial
+        # datum, each lemma field and each witness level only: the gaps and
+        # the convolutions behind them stay arrays
         built = []
         post_init = Field.__post_init__
 
@@ -268,7 +268,7 @@ class TestLemmasCommand:
         monkeypatch.setattr(Field, "__post_init__", counted)
         cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
         assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert built == [1024] * (4 + 3) + [512]
+        assert built == [1024] * (1 + 4 + 3) + [512]
 
     def test_full_kernel_entries_from_each_fields_own_pair(self, tmp_path):
         # the report's full-kernel gap of every field is the one
@@ -508,7 +508,7 @@ class TestConfigErrors:
             assert "Traceback" not in err
         assert blocker.read_text() == "kept\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "criterion", "sweep"])
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     @pytest.mark.parametrize("over, message", [
         ({"initial": {"args": {"a": 1.0}}}, "initial condition needs 'preset' or 'samples_file'"),
         ({"equation": "dgh2"}, "equation dgh2 needs a rho_initial section"),
@@ -569,6 +569,21 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
+    @pytest.mark.parametrize("seed", [25.0, 20.0, -20.5])
+    def test_seed_outside_domain_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                          command, seed):
+        # the seeds are checked against [-L, L) with the rest of the set-up,
+        # not by advect after the whole simulation
+        def no_solve(*args, **kwargs):
+            raise AssertionError("simulate was called")
+
+        monkeypatch.setattr(cli, "simulate", no_solve)
+        code, err = self.run(tmp_path, capsys, command, seeds=[0.0, seed],
+                             sweep={"amplitudes": [1.0]})
+        assert code == 2
+        assert f"seed {seed} outside the domain [-20.0, 20.0)" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     def test_unusable_solver_exits_2_in_every_command(self, tmp_path, capsys, command):
         # criterion and lemmas never step, yet refuse what simulate and
         # sweep would refuse: one config is valid for every command or none
@@ -587,16 +602,16 @@ class TestConfigErrors:
         cfg = cli.load_config(str(cfg_file), argparse.Namespace(alpha=2.0))
         assert cfg.grid() == dg.make_grid(40.0, 4096)
 
-    @pytest.mark.parametrize("command", ["simulate", "criterion"])
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     def test_bad_preset_argument_exits_2(self, tmp_path, capsys, command):
         code, err = self.run(
-            tmp_path, capsys, command,
+            tmp_path, capsys, command, sweep={"amplitudes": [1.0]},
             initial={"preset": "gaussian_derivative", "args": {"a": 1.0, "bogus": 2}},
         )
         assert code == 2
         assert "bogus" in err
 
-    @pytest.mark.parametrize("command", ["simulate", "criterion"])
+    @pytest.mark.parametrize("command", ["simulate", "criterion", "lemmas", "sweep"])
     def test_samples_file_next_to_preset_or_args_exits_2(self, tmp_path, capsys, command):
         # a readable file next to a preset or its arguments is two sources
         # for one datum: refused, naming the section, instead of the file
@@ -604,7 +619,7 @@ class TestConfigErrors:
         np.savetxt(tmp_path / "u0.txt", dg.make_grid(20.0, 1024).nodes)
         for mix, named in (({"preset": "sech_bump", "args": {"a": 5.0}}, "preset and args"),
                            ({"args": {"bogus": 1}}, "args")):
-            code, err = self.run(tmp_path, capsys, command,
+            code, err = self.run(tmp_path, capsys, command, sweep={"amplitudes": [1.0]},
                                  initial={"samples_file": str(tmp_path / "u0.txt"), **mix})
             assert code == 2 and f"initial gives samples_file and {named}" in err, mix
 

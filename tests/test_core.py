@@ -132,6 +132,9 @@ class TestField:
             g.spectrum[0] = 1.0
         with pytest.raises(ValueError):
             dg.Field(grid1024, rfft_row=row[:-1])
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                dg.Field(grid1024, rfft_row=np.where(np.arange(row.size) == 5, bad, row))
         # one source per field: samples and a row that could disagree, or
         # neither, are refused
         with pytest.raises(TypeError):
