@@ -117,11 +117,24 @@ def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     # the discrete gap equals the continuum gap of a genuine finite-energy
     # function: nonnegative up to the e^{-2L/alpha} periodization
     # correction even for kinked inputs like the peakon
+    # each quantity is formed in place, one array pass per operation, in
+    # the order and grouping of the plain formulas
+    #   w   = 0.5 * alpha**2 * ux * ux + uv * uv + 2.0 * k * uv
+    #   rhs = 0.5 * (uv + k) ** 2 - k**2
     uv, ux = u.quarter_band
-    w = 0.5 * params.alpha**2 * ux * ux + uv * uv + 2.0 * params.k * uv
+    w = np.multiply(0.5 * params.alpha**2, ux)
+    w *= ux
+    term = np.multiply(uv, uv)
+    w += term
+    w += np.multiply(2.0 * params.k, uv, out=term)
     minus, plus = NonlocalOperator(u.grid, params.alpha).one_sided_convolutions(w)
-    rhs = 0.5 * (uv + params.k) ** 2 - params.k**2
-    return _gap_field(minus - rhs, u.grid), _gap_field(plus - rhs, u.grid)
+    rhs = np.add(uv, params.k, out=w)  # reuses w: the convolutions no longer read it
+    rhs *= rhs
+    rhs *= 0.5
+    rhs -= params.k**2
+    minus -= rhs
+    plus -= rhs
+    return _gap_field(minus, u.grid), _gap_field(plus, u.grid)
 
 
 def full_kernel_gap(u: Field, pair: tuple[GapField, GapField]) -> GapField:
@@ -138,7 +151,9 @@ def full_kernel_gap(u: Field, pair: tuple[GapField, GapField]) -> GapField:
     grid too, where the symbol of Q is 1 at xi = 0 (symbol_q[0] = 1).
     """
     gm, gp = pair
-    return _gap_field(0.5 * (gm.values + gp.values), u.grid)
+    mean = np.add(gm.values, gp.values)
+    mean *= 0.5
+    return _gap_field(mean, u.grid)
 
 
 def sobolev_gap(u: Field, params: Parameters) -> float:
@@ -150,16 +165,23 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     exact, so the reported slack is never spuriously negative.
     """
     uv, ux = u.quarter_band
-    norm = np.sqrt(
-        _quadrature(uv * uv + params.alpha**2 * ux * ux, u.grid.dx)
-    )
-    return float(norm / np.sqrt(2.0 * params.alpha) - np.max(np.abs(uv)))
+    # uv * uv + alpha**2 * ux * ux, one array pass per operation
+    dens = np.multiply(params.alpha**2, ux)
+    dens *= ux
+    dens += np.multiply(uv, uv)
+    norm = np.sqrt(_quadrature(dens, u.grid.dx))
+    np.abs(uv, out=dens)
+    return float(norm / np.sqrt(2.0 * params.alpha) - np.max(dens))
 
 
-def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> np.ndarray:
-    """Random smooth periodic samples, unit amplitude: n_modes random
-    coefficients on the wavenumber bins 1..max_mode, damped by
-    exp(-bin/(max_mode/2)); ValueError unless 1 <= max_mode <= N/2."""
+def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> Field:
+    """Random smooth periodic field, unit amplitude up to round-off: n_modes
+    random coefficients on the wavenumber bins 1..max_mode, damped by
+    exp(-bin/(max_mode/2)) and divided by the peak of their samples.  The
+    field is built from that rfft row, so its quarter band needs no rfft;
+    ValueError unless n_modes >= 1 and 1 <= max_mode <= N/2."""
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     if not 1 <= max_mode <= grid.n_points // 2:
         raise ValueError(f"max_mode must lie in 1..{grid.n_points // 2}, got {max_mode}")
     coeffs = np.zeros(grid.n_points // 2 + 1, dtype=complex)
@@ -167,9 +189,13 @@ def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
     coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
     # the bins above max_mode hold zeros: damp only the drawn band
     coeffs[: max_mode + 1] *= np.exp(-np.arange(max_mode + 1) / (max_mode / 2.0))
-    vals = np.fft.irfft(coeffs, n=grid.n_points)
-    peak = np.max(np.abs(vals))
-    return vals / peak if peak > 0 else vals
+    # irfft reads only the real part of the Nyquist bin: keep the row the
+    # rfft of the field's samples
+    coeffs[-1] = coeffs[-1].real
+    peak = np.max(np.abs(np.fft.irfft(coeffs, n=grid.n_points)))
+    if peak > 0:
+        coeffs /= peak
+    return Field(grid, rfft_row=coeffs)
 
 
 def peakon_witness_study(params: Parameters, resolutions) -> dict:

@@ -408,7 +408,7 @@ def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
     """(name, field, parameters) of the lemma suite, built one at a time so
     that a field and its cached quarter band are freed once checked: the
     three smooth presets, the peakon witness, then n_random band-limited
-    fields, each at its own k drawn before its samples."""
+    fields, each at its own k drawn before its row."""
     for name in ("gaussian_bump", "gaussian_derivative", "sech_bump"):
         yield name, ic_preset(name, grid), params
     yield ("peakon_witness",
@@ -416,8 +416,7 @@ def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
     for i in range(n_random):
         kv = float(rng.uniform(-1.0, 1.0))
         pk = make_parameters(params.alpha, 0.0, 2.0 * kv, params.sigma)
-        vals = random_band_limited(rng, grid, n_modes, max_mode)
-        yield f"random_{i:03d}", ic_preset("from_samples", grid, values=vals), pk
+        yield f"random_{i:03d}", random_band_limited(rng, grid, n_modes, max_mode), pk
 
 
 def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:

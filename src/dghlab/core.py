@@ -185,13 +185,17 @@ class Field:
 
     @cached_property
     def quarter_band(self) -> np.ndarray:
-        """Rows (u, u_x) of the samples band-limited to wavenumber bins
+        """Rows (u, u_x) of the field band-limited to wavenumber bins
         <= N/4, where every quadratic product is alias-free on the grid;
-        built on first use with one rfft and one 2-row irfft, read-only."""
+        built on first use from the field's row (``spectrum``) with one
+        2-row irfft, read-only.  A field built from its row makes no rfft
+        for it; one built from samples makes the rfft ``spectrum`` caches."""
         sp = self.grid.spectral
-        u_hat = np.fft.rfft(self.values)
-        u_hat[sp.n // 4 + 1 :] = 0.0
-        band = np.fft.irfft(np.array([u_hat, sp.ik * u_hat]), n=sp.n)
+        cut = sp.n // 4 + 1
+        rows = np.zeros((2, sp.xi.size), dtype=complex)
+        rows[0, :cut] = self.spectrum[:cut]
+        np.multiply(sp.ik[:cut], rows[0, :cut], out=rows[1, :cut])
+        band = np.fft.irfft(rows, n=sp.n)
         band.setflags(write=False)
         return band
 

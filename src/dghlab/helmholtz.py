@@ -77,18 +77,24 @@ class NonlocalOperator:
         return np.fft.irfft(self.symbol_q * np.fft.rfft(values), n=n)
 
     def one_sided_convolutions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f) of grid samples f.
+        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f) of grid samples f,
+        as two writable arrays.
 
         These combinations are the one-sided exponential kernels
         2*p*1_{x>0} and 2*p*1_{x<0}; assembling them from Q and d_x Q keeps
         a single code path for all convolutions.  Q f and d_x Q f come from
-        one rfft and one 2-row irfft.
+        one rfft and one 2-row irfft of the symbol products, written into
+        one buffer, and alpha * d_x Q f is formed once for both kernels.
         """
         fh = np.fft.rfft(values)
-        qf, dqf = np.fft.irfft(
-            np.array([self.symbol_q * fh, self.symbol_dq * fh]), n=self.grid.n_points
-        )
-        return qf - self.alpha * dqf, qf + self.alpha * dqf
+        rows = np.empty((2, fh.size), dtype=complex)
+        np.multiply(self.symbol_q, fh, out=rows[0])
+        np.multiply(self.symbol_dq, fh, out=rows[1])
+        qf, adqf = np.fft.irfft(rows, n=self.grid.n_points)
+        adqf *= self.alpha
+        minus = qf - adqf
+        qf += adqf
+        return minus, qf
 
 
 def make_operator(grid: Grid, params: Parameters) -> NonlocalOperator:

@@ -42,7 +42,7 @@ def test_criterion_01_inequality_suite(grid4096, params_ch):
     for _ in range(50):
         kv = float(rng.uniform(-1.0, 1.0))
         p = dg.make_parameters(1.0, 0.0, 2.0 * kv)
-        u = dg.ic_preset("from_samples", grid4096, values=random_band_limited(rng, grid4096))
+        u = random_band_limited(rng, grid4096)
         fields.append((u, p))
 
     for u, p in fields:
@@ -75,8 +75,8 @@ def test_criterion_02_operator_identities(grid4096, params_ch, op4096):
     from scipy.integrate import quad
 
     rng = np.random.default_rng(7)
-    f = random_band_limited(rng, grid4096)
-    g = random_band_limited(rng, grid4096)
+    f = random_band_limited(rng, grid4096).values
+    g = random_band_limited(rng, grid4096).values
 
     qf = op4096.apply_q_values(f)
     qf_xx = ddx(grid4096, ddx(grid4096, qf))

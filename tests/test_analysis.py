@@ -7,6 +7,7 @@ import dghlab as dg
 from dghlab.analysis import _margin, full_kernel_gap, one_sided_gaps, sobolev_gap
 from dghlab.analysis import random_band_limited
 from derivative import ddx
+from draws import full_row_draw
 
 
 def zeros_state(grid):
@@ -165,9 +166,7 @@ class TestOneSidedGaps:
         for _ in range(25):
             kv = float(rng.uniform(-1.0, 1.0))
             p = dg.make_parameters(1.0, 0.0, 2.0 * kv)
-            u = dg.ic_preset(
-                "from_samples", grid2048, values=random_band_limited(rng, grid2048)
-            )
+            u = random_band_limited(rng, grid2048)
             gm, gp = one_sided_gaps(u, p)
             assert gm.min_gap > -1e-8
             assert gp.min_gap > -1e-8
@@ -231,29 +230,44 @@ class TestFullKernelGap:
         rng = np.random.default_rng(77)
         for _ in range(20):
             p = dg.make_parameters(1.0, 0.0, 2.0 * float(rng.uniform(-1.0, 1.0)))
-            vals = random_band_limited(rng, grid4096)
-            self.assert_matches_oracle(dg.ic_preset("from_samples", grid4096, values=vals), p)
+            self.assert_matches_oracle(random_band_limited(rng, grid4096), p)
 
 
 class TestRandomBandLimited:
     @pytest.mark.parametrize("seed, max_mode", [(0, 1), (5, 80), (2024, 1024), (7, 2048)])
     def test_matches_full_row_damping(self, grid4096, seed, max_mode):
-        # damping only the drawn band leaves the samples bit for bit as
-        # damping every bin of the row did
-        rng = np.random.default_rng(seed)
-        coeffs = np.zeros(grid4096.n_points // 2 + 1, dtype=complex)
-        modes = rng.integers(1, max_mode + 1, size=30)
-        coeffs[modes] = rng.normal(size=30) + 1j * rng.normal(size=30)
-        coeffs *= np.exp(-np.arange(coeffs.size) / (max_mode / 2.0))
-        vals = np.fft.irfft(coeffs, n=grid4096.n_points)
-        expected = vals / np.max(np.abs(vals))
+        # damping only the drawn band leaves the row bit for bit as
+        # damping every bin of it did, divided by the peak of its samples;
+        # the field's samples are those samples, to round-off
+        row, vals = full_row_draw(np.random.default_rng(seed), grid4096, 30, max_mode)
+        peak = np.max(np.abs(vals))
+        row[-1] = row[-1].real  # irfft reads only the real part of the Nyquist bin
         got = random_band_limited(np.random.default_rng(seed), grid4096, 30, max_mode)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got.spectrum, row / peak)
+        assert np.max(np.abs(got.values - vals / peak)) < 1e-15
+        assert np.max(np.abs(got.values)) == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(np.fft.rfft(got.values) - got.spectrum)) < 1e-12
+
+    def test_nyquist_bin_is_real(self):
+        # on 16 points, 30 draws over the bins 1..8 reach the Nyquist bin,
+        # whose imaginary part irfft ignores: the row drops it, so it stays
+        # the rfft of the field's samples
+        grid = dg.make_grid(20.0, 16)
+        f = random_band_limited(np.random.default_rng(3), grid, 30, 8)
+        assert f.spectrum[-1] != 0.0 and f.spectrum[-1].imag == 0.0
+        assert np.max(np.abs(np.fft.rfft(f.values) - f.spectrum)) < 1e-14
 
     @pytest.mark.parametrize("max_mode", [0, 513])
     def test_band_outside_grid_rejected(self, grid1024, max_mode):
         with pytest.raises(ValueError, match="max_mode"):
             random_band_limited(np.random.default_rng(0), grid1024, max_mode=max_mode)
+
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_no_modes_rejected(self, grid1024, n_modes):
+        # no mode would draw the zero field; a negative count would fail
+        # inside numpy
+        with pytest.raises(ValueError, match="n_modes"):
+            random_band_limited(np.random.default_rng(0), grid1024, n_modes=n_modes)
 
 
 class TestSobolevGap:
@@ -274,9 +288,7 @@ class TestSobolevGap:
     def test_random_fields_nonnegative(self, grid2048, params_ch):
         rng = np.random.default_rng(77)
         for _ in range(100):
-            u = dg.ic_preset(
-                "from_samples", grid2048, values=random_band_limited(rng, grid2048)
-            )
+            u = random_band_limited(rng, grid2048)
             assert sobolev_gap(u, params_ch) > -1e-9
 
 
@@ -342,7 +354,7 @@ class TestCriterionOneComponent:
         grid = grid2048
         sp = grid.spectral
         p = dg.make_parameters(1.0, 0.3 * (seed % 2), 0.4 * (seed // 2))
-        u0 = dg.ic_preset("from_samples", grid, values=amp * random_band_limited(rng, grid))
+        u0 = dg.ic_preset("from_samples", grid, values=amp * random_band_limited(rng, grid).values)
         v = dg.check_criterion_dgh(u0, p)
         u_hat = np.fft.rfft(u0.values)
         value, slope = sp.values(np.array([u_hat, sp.ik * u_hat]), sp.basis(v.x0_best))[:, 0]

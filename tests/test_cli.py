@@ -15,6 +15,7 @@ from dghlab import analysis, cli
 from dghlab.analysis import full_kernel_gap, one_sided_gaps
 from dghlab.cli import main
 from dghlab.core import Field
+from draws import full_row_draw
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "src" / "dghlab" / "schemas"
@@ -196,15 +197,19 @@ class TestLemmasCommand:
 
     def test_fft_calls_per_random_field(self, tmp_path, monkeypatch):
         # runs differing only in n_random differ only by their random
-        # fields: each costs one irfft for its samples, plus one rfft and
-        # one 2-row irfft each for its quarter band and for the one-sided
-        # pair, whose mean is the full-kernel gap
-        calls = []
+        # fields: each is built from its drawn row, whose irfft gives the
+        # peak it is divided by; its quarter band is one 2-row irfft of
+        # that row, and the one-sided pair, whose mean is the full-kernel
+        # gap, one rfft and one 2-row irfft: 4 calls, 6 length-N rows.
+        # [calls, rows] are counted as TestFftBudget counts them
+        calls = [0, 0]
 
         def counted(fn):
             def call(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                calls[0] += 1
+                calls[1] += out.size // out.shape[-1]
+                return out
             return call
 
         for name in ("rfft", "irfft", "fft", "ifft"):
@@ -212,11 +217,12 @@ class TestLemmasCommand:
         counts = []
         for n_random in (2, 6):
             cfg = write_config(tmp_path, lemmas={"n_random": n_random, "resolutions": [512]})
-            calls.clear()
+            calls[:] = [0, 0]
             assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out"),
                          "--seed", "11"]) == 0
-            counts.append(len(calls))
-        assert counts[1] - counts[0] <= 5 * 4
+            counts.append(list(calls))
+        assert counts[1][0] - counts[0][0] == 4 * 4
+        assert counts[1][1] - counts[0][1] == 6 * 4
 
     @pytest.mark.parametrize("lemmas", [
         {"max_mode": 513},
@@ -283,6 +289,20 @@ class TestLemmasCommand:
             fk = full_kernel_gap(u, one_sided_gaps(u, p))
             assert fields[name]["full_kernel"] == {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x}
         assert len(fields) == 4 + 4
+
+    def test_random_fields_match_the_same_draws_built_from_samples(self):
+        # a random field built from its drawn row moves its gap entries
+        # only at round-off from the same draw built from its samples,
+        # irfft(row) / peak
+        grid, params = dg.make_grid(20.0, 4096), dg.make_parameters(1.0)
+        fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 12, 30, 80)
+        redraw = np.random.default_rng(5)
+        for name, u, p in list(fields)[4:]:
+            assert p.k == float(redraw.uniform(-1.0, 1.0))
+            _, vals = full_row_draw(redraw, grid, 30, 80)
+            drawn = cli._gap_entries(Field(grid, vals / np.max(np.abs(vals))), p)
+            for quantity, entry in cli._gap_entries(u, p).items():
+                assert entry == pytest.approx(drawn[quantity], rel=0.0, abs=1e-13), name
 
     def test_seed_changes_fields_not_verdict(self, tmp_path):
         cfg = write_config(tmp_path, lemmas={"n_random": 4, "resolutions": [512]})
@@ -706,6 +726,13 @@ class TestDeterminism:
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
         main(["simulate", "--config", str(cfg), "--out", str(out1), "--seed", "7"])
         main(["simulate", "--config", str(cfg), "--out", str(out2), "--seed", "7"])
+        assert read_all(out1) == read_all(out2)
+
+    def test_lemmas_report_bit_identical(self, tmp_path):
+        cfg = write_config(tmp_path, lemmas={"n_random": 6, "resolutions": [512, 1024]})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        for out in (out1, out2):
+            assert main(["lemmas", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
         assert read_all(out1) == read_all(out2)
 
     def test_sweep_outputs_bit_identical_across_worker_counts(self, tmp_path):

@@ -142,18 +142,31 @@ class TestField:
         with pytest.raises(TypeError):
             dg.Field(grid1024)
 
-    def test_quarter_band_equals_per_row_transforms(self, grid1024):
-        # one rfft and one 2-row irfft give the bits of the two separate
-        # inverse transforms of the band-limited coefficients
-        f = dg.Field(grid1024, np.random.default_rng(7).standard_normal(1024))
-        u_hat = np.fft.rfft(f.values)
-        u_hat[1024 // 4 + 1 :] = 0.0
-        uv, ux = f.quarter_band
-        assert np.array_equal(uv, np.fft.irfft(u_hat, n=1024))
-        assert np.array_equal(ux, np.fft.irfft(grid1024.spectral.ik * u_hat, n=1024))
-        assert f.quarter_band is f.quarter_band
-        with pytest.raises(ValueError):
-            f.quarter_band[0, 0] = 1.0
+    def test_quarter_band_equals_per_row_transforms(self, grid1024, monkeypatch):
+        # one 2-row irfft of the field's row gives the bits of the two
+        # separate inverse transforms of the band-limited coefficients; the
+        # row of a field built from samples is their rfft (the one rfft it
+        # makes), and a field built from its row makes none
+        rng = np.random.default_rng(7)
+        samples = rng.standard_normal(1024)
+        row = np.fft.rfft(rng.standard_normal(1024))
+        cases = [(dg.Field(grid1024, samples), np.fft.rfft(samples), 1),
+                 (dg.Field(grid1024, rfft_row=row), row.copy(), 0)]
+        rfft = np.fft.rfft
+        for f, u_hat, n_rfft in cases:
+            u_hat[1024 // 4 + 1 :] = 0.0
+            expected = (np.fft.irfft(u_hat, n=1024),
+                        np.fft.irfft(grid1024.spectral.ik * u_hat, n=1024))
+            calls = []
+            monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
+            uv, ux = f.quarter_band
+            monkeypatch.setattr(np.fft, "rfft", rfft)
+            assert len(calls) == n_rfft
+            assert np.array_equal(uv, expected[0])
+            assert np.array_equal(ux, expected[1])
+            assert f.quarter_band is f.quarter_band
+            with pytest.raises(ValueError):
+                f.quarter_band[0, 0] = 1.0
 
     def test_quarter_band_never_shared(self, grid1024):
         samples = np.exp(-grid1024.nodes**2)
