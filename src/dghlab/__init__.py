@@ -10,12 +10,11 @@ from .core import (
     make_grid,
     make_parameters,
 )
-from .helmholtz import NonlocalOperator, green_kernel, make_operator
+from .helmholtz import NonlocalOperator, make_operator
 from .evolution import BlowupReport, SolverConfig, simulate
 from .characteristics import (
     CharacteristicPath,
     advect,
-    collapse_rate,
     momentum_residual,
     plain_ab,
     rho_invariant_residual,

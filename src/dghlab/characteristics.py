@@ -36,7 +36,6 @@ __all__ = [
     "advect",
     "weighted_ab_log",
     "plain_ab",
-    "collapse_rate",
     "momentum_residual",
     "rho_invariant_residual",
 ]
@@ -63,15 +62,6 @@ def weighted_ab_log(t, q, u, ux, params: Parameters):
         la = wa + np.log(np.abs(base_a))
         lb = -wa + np.log(np.abs(base_b))
     return np.sign(base_a), la, np.sign(base_b), lb
-
-
-def collapse_rate(a, b):
-    """h = sqrt(-A*B) for the unweighted pair where A*B < 0, NaN elsewhere
-    (scalars or equal-length arrays).  Along criterion-satisfying paths h
-    grows at least like h^2/2, which yields the breaking-time bound 2/h(0).
-    The root is taken per factor, so a finite h never overflows as A*B."""
-    opposite = np.sign(a) * np.sign(b) < 0.0
-    return np.where(opposite, np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), np.nan)[()]
 
 
 def momentum_residual(m, m0, qx, params: Parameters):
@@ -115,7 +105,6 @@ class CharacteristicPath:
     log_abs_b_w: np.ndarray
     a_plain: np.ndarray
     b_plain: np.ndarray
-    h_plain: np.ndarray
     momentum_res: np.ndarray
     rho_res: np.ndarray | None
     n_pre_detection: int
@@ -220,7 +209,6 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
             a_weighted=aw, b_weighted=bw,
             sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
             a_plain=ap, b_plain=bp,
-            h_plain=collapse_rate(ap, bp),
             momentum_res=momentum_residual(m_j, m_j[0], qx_j, params),
             rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if density else None,
             n_pre_detection=int(pre[n - 1]),

@@ -273,9 +273,6 @@ class _SlopeTracker:
         grid = state.u.grid
         self.sp = grid.spectral
         self.params = params
-        # the scalars of the rate rows, formed once
-        self._two_k = 2.0 * params.k
-        self._w_scale = 0.5 / params.alpha**2
 
         u0, rho0 = state.u, state.rho_tilde
         idx = [int(np.argmin(ux0)), int(np.argmin(_margin(ux0, u0.values, params)))]
@@ -295,18 +292,10 @@ class _SlopeTracker:
         """d/dt of the rows (q, w, w') in the fields of the evaluation ev."""
         p = self.params
         u, *rho, c = self.sp.values(ev.coef, self.sp.basis(y[0]))
-        rate = np.empty_like(y)
-        np.add(u, p.lam, out=rate[0])
-        rate[1] = y[2]
-        f = rate[2]
-        np.multiply(u, u, out=f)
-        f += self._two_k * u
-        f -= c
+        f = u * u + 2.0 * p.k * u - c
         if rho:
             f += p.sigma * (0.5 * rho[0] * rho[0] + rho[0])
-        f *= self._w_scale
-        f *= y[1]
-        return rate
+        return np.array([u + p.lam, y[2], (0.5 / p.alpha**2) * f * y[1]])
 
     def advance(
         self, ev0: _Eval, ev1: _Eval, t0: float, dt: float, threshold: float
@@ -315,10 +304,7 @@ class _SlopeTracker:
         (t_cross, g at the step's end, seed_x0) of the earliest one."""
         y = self.y
         r0 = self._rate(ev0, y)
-        y1 = self._rate(ev1, y + dt * r0)
-        y1 += r0
-        y1 *= 0.5 * dt
-        y1 += y
+        y1 = y + (0.5 * dt) * (r0 + self._rate(ev1, y + dt * r0))
         inside = _in_safe_box(y1[0], self.sp.half_length, self.params.alpha)
         phi = np.array([0.0, 0.5 * threshold, 1.0])  # w' + (M/2) w as a row vector
         cross = inside & (phi @ y1 < 0.0)

@@ -1,4 +1,4 @@
-"""Green kernel and inverse-Helmholtz convolution operators.
+"""Inverse-Helmholtz convolution operators and their Fourier symbols.
 
 Q = (1 - alpha^2 d_xx)^{-1} acts by convolution with the exponential
 kernel p(x) = exp(-|x|/alpha)/(2*alpha).  On the periodic grid the
@@ -10,8 +10,8 @@ A NonlocalOperator depends only on (grid, alpha), so each user builds
 its own: the solver reads the symbols of Q and d_x Q, advect the symbol
 of 1 - alpha^2 d_xx (u_hat to m_hat), and the inequality checks apply
 the one-sided kernel pair to grid samples, plain arrays in and out
-(core.Field checks the datum they come from).  green_kernel evaluates p
-in real space, as an independent check of them.
+(core.Field checks the datum they come from).  The tests evaluate p in
+real space, as an independent check of them.
 """
 from __future__ import annotations
 
@@ -22,14 +22,7 @@ import numpy as np
 
 from .core import Grid, Parameters
 
-__all__ = ["NonlocalOperator", "make_operator", "green_kernel"]
-
-
-def green_kernel(x, params: Parameters):
-    """Kernel p(x) = exp(-|x|/alpha)/(2*alpha) of the inverse Helmholtz
-    operator; unit mass on the line."""
-    a = params.alpha
-    return np.exp(-np.abs(x) / a) / (2.0 * a)
+__all__ = ["NonlocalOperator", "make_operator"]
 
 
 @dataclass(frozen=True, eq=False)

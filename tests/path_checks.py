@@ -1,6 +1,6 @@
 """Checks the tests make along characteristic paths: the resolved window
-of a path, the monotonicity of a signed log-magnitude series and the
-weighted pair in linear form."""
+of a path, the monotonicity of a signed log-magnitude series, the
+weighted pair in linear form and the collapse rate of the plain pair."""
 import numpy as np
 
 from dghlab.characteristics import CharacteristicPath, weighted_ab_log
@@ -62,3 +62,12 @@ def weighted_ab(t, q, u, ux, params: Parameters):
     sa, la, sb, lb = weighted_ab_log(t, q, u, ux, params)
     with np.errstate(over="ignore"):
         return sa * np.exp(la), sb * np.exp(lb)
+
+
+def collapse_rate(a, b):
+    """h = sqrt(-A*B) for the unweighted pair where A*B < 0, NaN elsewhere
+    (scalars or equal-length arrays).  Along criterion-satisfying paths h
+    grows at least like h^2/2, which yields the breaking-time bound 2/h(0).
+    The root is taken per factor, so a finite h never overflows as A*B."""
+    opposite = np.sign(a) * np.sign(b) < 0.0
+    return np.where(opposite, np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), np.nan)[()]

@@ -16,6 +16,7 @@ from dghlab.analysis import full_kernel_gap, one_sided_gaps, sobolev_gap
 from dghlab.cli import main
 from dghlab.analysis import random_band_limited
 from derivative import ddx
+from kernel import green_kernel
 from path_checks import monotone_violation, resolved_count
 
 
@@ -84,7 +85,7 @@ def test_criterion_02_operator_identities(grid4096, params_ch, op4096):
     assert residual < 1e-10
 
     L = grid4096.half_length
-    mass, _ = quad(lambda y: dg.green_kernel(y, params_ch), -L, L, points=[0.0])
+    mass, _ = quad(lambda y: green_kernel(y, params_ch), -L, L, points=[0.0])
     assert abs(mass - 1.0) < 1e-8
 
     lhs = np.sum(f * op4096.apply_q_values(g)) * grid4096.dx

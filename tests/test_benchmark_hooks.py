@@ -39,9 +39,11 @@ def test_tracer_installs_and_restores():
     assert all(getattr(cli, name) is fn for name, fn in before.items())
 
 
-def test_setup_probe_exits_0():
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.yaml")))
+def test_setup_probe_exits_0(config):
+    # every shipped config, so the dgh2 set-up (rho_initial) is built too
     run = subprocess.run(
-        [sys.executable, str(PERFBENCH / "setup_probe.py"), "configs/breaking_run.yaml"],
+        [sys.executable, str(PERFBENCH / "setup_probe.py"), f"configs/{config}"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr

@@ -691,8 +691,9 @@ class TestSlopeTracker:
 
     @pytest.mark.parametrize("two", [False, True])
     def test_rate_equals_plain_formula_bit_for_bit(self, grid1024, two):
-        # the rate rows are formed in place, in the order and grouping of
-        # the plain formula; alpha != 1 so that 1/(2 alpha^2) rounds
+        # the rate rows are the plain formula, bit for bit, so a rewrite of
+        # it must keep its order and grouping; alpha != 1 so that
+        # 1/(2 alpha^2) rounds
         p = dg.make_parameters(1.3, 0.7, 0.4)
         u0 = dg.ic_preset("gaussian_derivative", grid1024, a=2.0, center=-5.0)
         rho0 = dg.Field(grid1024, -np.exp(-(grid1024.nodes**2))) if two else None

@@ -5,26 +5,27 @@ from scipy.integrate import quad
 import dghlab as dg
 from dghlab.analysis import random_band_limited
 from derivative import ddx
+from kernel import green_kernel
 
 
 class TestGreenKernel:
     def test_value_at_origin(self, params_ch):
-        assert dg.green_kernel(0.0, params_ch) == 0.5
+        assert green_kernel(0.0, params_ch) == 0.5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_value_at_alpha(self, alpha):
         p = dg.make_parameters(alpha)
-        assert dg.green_kernel(alpha, p) == pytest.approx(np.exp(-1.0) / (2 * alpha), rel=1e-15, abs=0.0)
+        assert green_kernel(alpha, p) == pytest.approx(np.exp(-1.0) / (2 * alpha), rel=1e-15, abs=0.0)
 
     def test_unit_mass_on_box(self, grid4096, params_ch):
         # integrate over [-L, L], L = 20*alpha, splitting at the kernel
         # kink (plain trapezoid across the kink is only O(dx^2) and would
         # mask the e^{-L/alpha} tail this tolerance encodes)
         L = grid4096.half_length
-        mass, _ = quad(lambda y: dg.green_kernel(y, params_ch), -L, L, points=[0.0])
+        mass, _ = quad(lambda y: green_kernel(y, params_ch), -L, L, points=[0.0])
         assert mass == pytest.approx(1.0, abs=1e-8)
         # the grid-level trapezoid sum agrees to its own O(dx^2) accuracy
-        vals = dg.green_kernel(grid4096.nodes, params_ch)
+        vals = green_kernel(grid4096.nodes, params_ch)
         assert np.sum(vals) * grid4096.dx == pytest.approx(1.0, abs=grid4096.dx**2)
 
 
