@@ -370,10 +370,8 @@ def cmd_simulate(cfg: RunConfig, params: Parameters, solver: SolverConfig, state
 
 
 def cmd_criterion(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
-    if state.rho_tilde is None:
-        verdict = check_criterion_dgh(state.u, params)
-    else:
-        verdict = check_criterion_dgh2(state.u, state.rho_tilde, params)
+    # where _criterion_for gives none, check_criterion_dgh2 raises its gamma = 0 message
+    verdict = _criterion_for(state, params) or check_criterion_dgh2(state.u, state.rho_tilde, params)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {

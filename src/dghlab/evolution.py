@@ -206,52 +206,29 @@ def _step(ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters) -> np.
     the same k shifted by lam t, up to the time-stepping error of its
     slightly different CFL steps (the node maximum of |u| moves with the
     shift).  At lam = 0 the phase is skipped and this is classical RK4,
-    bit for bit.  All stages and the increment stay in Fourier space; each
-    stage point is built in the array of its scaled slope, the increment
-    is summed in k2's, and the phase multiplies only the u rows."""
+    bit for bit.  All stages and the increment stay in Fourier space."""
     y_hat, k1 = ev.coef[:-1], ev.k_hat
     half = full = None  # the phases E(dt/2) and E(dt); none at lam = 0
     if params.lam != 0.0:
         half = np.exp((-0.5 * dt * params.lam) * op.grid.spectral.ik)
         full = half * half
-    point = (0.5 * dt) * k1
-    point += y_hat
-    k2 = _stage(_transport(point, half), op, params)[0]
-    point = (0.5 * dt) * k2
-    _add_transported(point, y_hat, half)
-    # E(dt/2) k3 enters k4's point and the sum
-    k3 = _transport(_stage(point, op, params)[0], half)
-    point = dt * k3
-    _add_transported(point, y_hat, full)
-    k4 = _stage(point, op, params)[0]
-    # the increment, summed in k2's array, which then becomes y1
-    y1 = _transport(k2, half)
-    y1 *= 2.0
-    _add_transported(y1, k1, full)
-    k3 *= 2.0
-    y1 += k3
-    y1 += k4
-    y1 *= dt / 6.0
-    _add_transported(y1, y_hat, full)
-    return y1
+    k2 = _stage(_transported(y_hat + (0.5 * dt) * k1, half), op, params)[0]
+    k3 = _stage(_transported(y_hat, half) + (0.5 * dt) * k2, op, params)[0]
+    k3 = _transported(k3, half)  # E(dt/2) k3 enters k4's point and the sum
+    y_full = _transported(y_hat, full)
+    k4 = _stage(y_full + dt * k3, op, params)[0]
+    k1, k2 = _transported(k1, full), _transported(k2, half)
+    return y_full + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _transport(rows: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
-    """rows, with the u row multiplied in place by the transport phase
-    (none at lam = 0)."""
-    if phase is not None:
-        rows[0] *= phase
-    return rows
-
-
-def _add_transported(out: np.ndarray, rows: np.ndarray, phase: np.ndarray | None) -> None:
-    """out += rows with the u row of rows multiplied by the transport phase
-    (none at lam = 0); the rows the phase leaves alone are not copied."""
+def _transported(rows: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+    """A copy of rows with the u row multiplied by the transport phase;
+    rows itself where there is no phase (lam = 0)."""
     if phase is None:
-        out += rows
-    else:
-        out[0] += rows[0] * phase
-        out[1:] += rows[1:]
+        return rows
+    out = rows.copy()
+    out[0] *= phase
+    return out
 
 
 class _SlopeTracker:

@@ -672,6 +672,46 @@ class TestSteepDatum:
         assert bound == pytest.approx(2e-200, rel=1e-12, abs=0.0)
 
 
+class TestCommandsAgree:
+    """criterion, simulate and sweep take one verdict from one dispatch: for
+    the same datum they write the same criterion, and where it is not
+    stated (dgh2 at gamma != 0) criterion exits 2 and the others leave it
+    out."""
+
+    @pytest.mark.parametrize("config, gamma", [
+        ("breaking_run.yaml", None),
+        ("two_component_vacuum.yaml", None),
+        ("two_component_vacuum.yaml", 0.5),
+    ])
+    def test_same_verdict(self, tmp_path, capsys, config, gamma):
+        raw = yaml.safe_load((ROOT / "configs" / config).read_text())
+        raw["sweep"] = {"amplitudes": [0.5, 1.0]}
+        cfg = tmp_path / config
+        cfg.write_text(yaml.safe_dump(raw))
+        flags = ["--N", "512", "--tmax", "0.05", "--workers", "1"]
+        if gamma is not None:
+            flags += ["--gamma", str(gamma)]
+        outs = {c: tmp_path / c for c in ("criterion", "simulate", "sweep")}
+        codes = {c: main([c, "--config", str(cfg), "--out", str(o), *flags]) for c, o in outs.items()}
+        summary = strict_json(outs["simulate"] / "summary.json")
+        lines = (outs["sweep"] / "sweep.csv").read_text().splitlines()
+        row = next(r for r in (dict(zip(cli.SWEEP_HEADER, line.split(","))) for line in lines[1:])
+                   if float(r["amplitude"]) == 1.0)
+        cells = [row[k] for k in ("holds", "margin", "time_bound")]
+        if gamma is None:
+            assert codes == {"criterion": 0, "simulate": 0, "sweep": 0}
+            verdict = strict_json(outs["criterion"] / "verdict.json")["verdict"]
+            assert summary["criterion"] == verdict
+            assert cells == [str(verdict["holds"]).lower(), format(verdict["margin"], ".17g"),
+                             format(verdict["time_bound"], ".17g")]
+        else:
+            assert codes == {"criterion": 2, "simulate": 0, "sweep": 0}
+            assert not outs["criterion"].exists()
+            assert "requires gamma = 0" in capsys.readouterr().err
+            assert summary["criterion"] is None
+            assert cells == ["", "", ""]
+
+
 class TestSamplesFile:
     @pytest.mark.parametrize("case", ["all", "short", "missing"])
     def test_samples_file(self, tmp_path, capsys, case):
