@@ -24,8 +24,9 @@ phase carries.  Each point the integration reaches is
 evaluated once (_evaluate), with the grid values u[, rho~] as extra rows
 of the same irfft, so a step costs 8 batched FFT calls; that evaluation
 serves as the next step's first stage (also across NaN backoff), as the
-finiteness test, as the record's du/dt, min u_x, E and F, as the slope
-tracker's endpoint fields and as the grid-slope trigger.  A record keeps
+finiteness test, as the CFL speed, as the slope tracker's endpoint fields
+and as the grid-slope trigger, and at N as the record's du/dt, min u_x,
+E and F.  A record keeps
 only the state rows, as fields built from them (Field.spectrum), and
 du/dt as an rfft row, so the path integration (characteristics.advect)
 and the public E and F read them without a transform; a record field
@@ -34,6 +35,22 @@ batched irfft.  The grid's Fourier bookkeeping
 (derivative symbol, 2/3 filter rows, trigonometric interpolant) comes
 from grid.spectral, the Helmholtz symbols from the NonlocalOperator that
 simulate builds from the initial datum's grid and alpha.
+
+Resolution on demand.  A smooth solution does not need the full grid's N
+nodes, so simulate steps on the half grid N/2 (the rows truncated to
+bins <= N/4, exactly) while the state is resolved there: in the u row
+and the rho~ row, the largest |bin| from the top 16 bins of the half
+grid's 2/3 band up is under 1e-12 times the row's largest non-DC bin.
+From the first step whose state is not, it moves to N (the rows
+zero-padded, exactly) for the rest of the run.  A half-grid step is the
+same 8 calls at half the length, at the dt the full grid would take: its
+evaluation also samples u at the full grid's odd nodes (the half-cell
+phase, one more irfft row), so the CFL speed is max|u| over all N nodes,
+and a doubled dt, which the RK4 error would show, is never taken.  Each
+record made on the half grid pads the rows and evaluates them at N (2
+calls), so records, advect, the writers and the criterion only see
+full-grid rows.  The tracker is seeded from the initial evaluation at N
+and interpolates the rows of whichever grid the state is on.
 
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
@@ -62,7 +79,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import _energy_e, _energy_f, _margin, _vacuum_point
-from .core import Field, Parameters, State
+from .core import Field, Grid, Parameters, State
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -81,6 +98,12 @@ TRIGGER_DT = "dt_underflow"
 TRIGGER_HORIZON = "horizon_reached"
 
 _SPEED_FLOOR = 1e-12
+
+# a row is resolved on the half grid when its bins from the top _TAIL_BINS
+# of that grid's 2/3 band up stay under _HALF_GRID_TAIL times its largest
+# non-DC bin (module docstring, Resolution on demand)
+_HALF_GRID_TAIL = 1e-12
+_TAIL_BINS = 16
 
 _log = logging.getLogger(__name__)
 
@@ -102,7 +125,11 @@ class SolverConfig:
         for name in ("t_max", "dt_min", "slope_blowup_threshold"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.record_every < 1:
+        every = self.record_every
+        # steps % 2.5 == 0 every 5th step and True == 1: refused, as cli._integer does
+        if isinstance(every, (bool, np.bool_)) or (isinstance(every, float) and not every.is_integer()):
+            raise ValueError(f"record_every must be an integer, got {every!r}")
+        if every < 1:
             raise ValueError("record_every must be >= 1")
 
 
@@ -116,8 +143,11 @@ class _Eval(NamedTuple):
     coef: np.ndarray
     # time derivatives of the rows u[, rho~] without the transport lam u_x
     k_hat: np.ndarray
-    # samples u_f, u_x,f, u_x, u[, rho~][, rho~_f, rho~_x,f] (f: 2/3-filtered)
+    # samples u_f, u_x,f, u_x, u[, rho~][, u odd][, rho~_f, rho~_x,f] (f: 2/3-
+    # filtered; u odd, on the half grid only: u at the full grid's odd nodes)
     phys: np.ndarray
+    # max|u| over the full grid's nodes, the speed of the next CFL step
+    speed: float
 
     @property
     def y(self) -> np.ndarray:
@@ -130,11 +160,14 @@ def _stage(
     op: NonlocalOperator,
     params: Parameters,
     grid_rows: bool = False,
+    half_cell: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(time derivatives without lam u_x, convolution argument, samples)
     of the rfft rows y_hat = (u[, rho~]) with one batched irfft and one
-    batched rfft; the samples are u_f, u_x,f[, u_x, u[, rho~]][, rho~_f,
-    rho~_x,f], the rows in brackets only with grid_rows=True.  Each
+    batched rfft; the samples are u_f, u_x,f[, u_x, u[, rho~]][, u odd][,
+    rho~_f, rho~_x,f], the rows in the first brackets only with
+    grid_rows=True, u odd (u at x + dx/2, dx the spacing of op's grid)
+    only with the phase half_cell = exp(i xi dx/2) too.  Each
     quantity is formed once, in the array that is then transformed or
     returned: the derivatives and the convolution argument are rows of
     the products' rfft."""
@@ -143,10 +176,13 @@ def _stage(
     two = c == 2
     u_hat = y_hat[0]
     n_u = 3 if grid_rows else 2  # u's filter rows
-    spec = np.empty((n_u + (c if grid_rows else 0) + (2 if two else 0), u_hat.size), dtype=complex)
+    n_grid = (c + (half_cell is not None)) if grid_rows else 0
+    spec = np.empty((n_u + n_grid + (2 if two else 0), u_hat.size), dtype=complex)
     np.multiply(sp.filters[:n_u], u_hat, out=spec[:n_u])
     if grid_rows:
         spec[n_u : n_u + c] = y_hat
+        if half_cell is not None:
+            np.multiply(half_cell, u_hat, out=spec[n_u + c])
     if two:
         np.multiply(sp.filters[:2], y_hat[1], out=spec[-2:])
     phys = np.fft.irfft(spec, n=sp.n)
@@ -180,14 +216,52 @@ def _stage(
     return k_hat, conv_hat, phys
 
 
-def _evaluate(y_hat: np.ndarray, op: NonlocalOperator, params: Parameters) -> _Eval:
-    """Stage evaluation at a reached point, the rfft rows y_hat = (u[, rho~])."""
+def _evaluate(
+    y_hat: np.ndarray,
+    op: NonlocalOperator,
+    params: Parameters,
+    half_cell: np.ndarray | None = None,
+) -> _Eval:
+    """Stage evaluation at a reached point, the rfft rows y_hat = (u[, rho~])
+    on op's grid.  On the half grid half_cell is the phase that moves u by
+    half a cell, so the evaluation also samples u at the full grid's odd
+    nodes and its speed is the full grid's."""
     c = y_hat.shape[0]
     coef = np.empty((c + 1, op.symbol_q.size), dtype=complex)
     coef[:c] = y_hat
-    k_hat, conv_hat, phys = _stage(coef[:c], op, params, grid_rows=True)
+    k_hat, conv_hat, phys = _stage(coef[:c], op, params, grid_rows=True, half_cell=half_cell)
     np.multiply(op.symbol_q, conv_hat, out=coef[c])
-    return _Eval(coef, k_hat, phys)
+    u = phys[3] if half_cell is None else phys[3 : 4 + c : c]  # u[, u odd]
+    return _Eval(coef, k_hat, phys, max(float(u.max()), -float(u.min())))
+
+
+def _resolved(rows: np.ndarray, tail_from: int) -> bool:
+    """Whether every rfft row's bins from tail_from on stay under
+    _HALF_GRID_TAIL times its largest non-DC bin (a zero row does).
+    Leaving out DC keeps the test covariant under rho~ -> c (rho~ + 1) - 1."""
+    for mag in np.abs(rows):
+        top = mag[1:].max()
+        if not (mag[tail_from:].max() < _HALF_GRID_TAIL * top or top == 0.0):
+            return False
+    return True
+
+
+def _halved(rows: np.ndarray) -> np.ndarray:
+    """The rfft rows of the same function on the half grid: the bins up to
+    N/4, scaled by 1/2 (numpy's rfft is unnormalized); exact in floating
+    point."""
+    return 0.5 * rows[:, : rows.shape[1] // 2 + 1]
+
+
+def _doubled(rows: np.ndarray) -> np.ndarray:
+    """The half grid's rfft rows zero-padded to the full grid, scaled by 2;
+    its Nyquist bin, a cosine of weight 1 there, is the bin N/4 of weight
+    2 here, so it is halved.  Exact in floating point."""
+    n = rows.shape[1]
+    out = np.zeros((rows.shape[0], 2 * n - 1), dtype=complex)
+    np.multiply(rows, 2.0, out=out[:, :n])
+    out[:, n - 1] *= 0.5
+    return out
 
 
 def _step(ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters) -> np.ndarray:
@@ -243,7 +317,10 @@ class _SlopeTracker:
     and the corrector in those of its end (the linear blend in time at
     weights 0 and 1).  g crosses -M at the first sign change of
     phi = w' + (M/2) w on phi's cubic Hermite interpolant over the step.
-    A seed leaving the safe box (_in_safe_box) is deactivated.
+    A seed leaving the safe box (_in_safe_box) is deactivated.  The rows
+    are grid-free: sp, the Fourier bookkeeping of the grid the state is
+    on, interpolates the evaluations' rows, and simulate moves it with
+    the state from the half grid to the full one.
     """
 
     def __init__(self, state: State, ux0: np.ndarray, params: Parameters):
@@ -398,15 +475,18 @@ def simulate(
     retained).  The final record is the point the run stopped at, tagged
     at_detection iff the run blew up; its dt is the step that reached it
     (the cut last step at the horizon), or at dt underflow the refused one.
+
+    The run steps on the half grid N/2 while its rows are resolved there
+    and at N from then on, at the full grid's dt throughout (module
+    docstring, Resolution on demand); records hold rows and an
+    evaluation at N either way.
     """
     grid = initial.u.grid
     op = NonlocalOperator(grid, params.alpha)
     two = initial.rho_tilde is not None
 
-    # ev is the stage evaluation at the reached point, y its grid rows
-    # (u[, rho~]): the initial samples, then the rows of each evaluation
+    # ev is the stage evaluation at the reached point
     fields = [initial.u] + ([initial.rho_tilde] if two else [])
-    y = [f.values for f in fields]
     with np.errstate(over="ignore", invalid="ignore"):
         # the initial fields' rows, cached there for the caller's criterion
         ev = _evaluate(np.array([f.spectrum for f in fields]), op, params)
@@ -414,12 +494,15 @@ def simulate(
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
 
-    def snapshot(dt_used: float, at_detection: bool = False) -> None:
-        # the first record is the initial datum itself; a later one keeps
-        # only the state rows (the step loop has checked their samples)
-        state = initial if not records else State(
-            t, *(Field(grid, rfft_row=row) for row in ev.coef[:-1])
-        )
+    def snapshot(ev: _Eval, dt_used: float, at_detection: bool = False) -> None:
+        # the first record is the initial datum itself, with its samples; a
+        # later one keeps only the state rows (the step loop has checked
+        # their samples)
+        if records:
+            state = State(t, *(Field(grid, rfft_row=row) for row in ev.coef[:-1]))
+            y = ev.y
+        else:
+            state, y = initial, [f.values for f in fields]
         # the stages leave out lam u_x, which the step's phase carries
         du_dt_hat = ev.k_hat[0].copy()
         if params.lam != 0.0:
@@ -443,9 +526,31 @@ def simulate(
             )
         )
 
-    snapshot(dt_used=0.0)
+    snapshot(ev, dt_used=0.0)
 
     tracker = _SlopeTracker(initial, ev.phys[2], params)
+
+    # the grid the run steps on: the half grid while the rows are resolved
+    # there (half_cell set), else N; an N / 2 under 16 points or odd is no grid
+    level, half_cell = op, None
+    n = grid.n_points
+    if n % 4 == 0 and n >= 32:
+        half = Grid(grid.half_length, n // 2)
+        tail_from = max(half.spectral.cut - _TAIL_BINS, 1)
+        if _resolved(ev.coef[:-1], tail_from):
+            level = NonlocalOperator(half, params.alpha)
+            half_cell = np.exp((1j * grid.dx) * half.spectral.xi)
+            tracker.sp = half.spectral
+            with np.errstate(over="ignore", invalid="ignore"):
+                ev = _evaluate(_halved(ev.coef[:-1]), level, params, half_cell)
+    switch = None  # (step, t) of the move from the half grid to N
+
+    def at_full(ev: _Eval) -> _Eval:
+        """The evaluation at N of the point ev reached."""
+        if half_cell is None:
+            return ev
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _evaluate(_doubled(ev.coef[:-1]), op, params)
 
     horizon = config.t_max
     threshold = config.slope_blowup_threshold
@@ -453,17 +558,19 @@ def simulate(
     dt = 0.0  # the step that reached t
     dt_lo, dt_hi = np.inf, 0.0  # the smallest and largest step taken
     eps = 1e-12 * max(horizon, 1.0)
+    # only |u|: the step's phase carries the transport at lam exactly; the
+    # first step's speed is the initial samples', each later one ev's
+    u0 = initial.u.values
+    speed = max(float(u0.max()), -float(u0.min()))
 
     while t < horizon - eps:
-        # only |u|: the step's phase carries the transport at lam exactly
-        speed = max(float(y[0].max()), -float(y[0].min()))
         dt = config.cfl * grid.dx / max(speed, _SPEED_FLOOR)
         # overflow inside a trial step is the breakdown signal, not an error;
         # the floor holds for the CFL step and for each halving of it
         with np.errstate(over="ignore", invalid="ignore"):
             while dt >= config.dt_min:
                 dt = min(dt, horizon - t)
-                ev_new = _evaluate(_step(ev, dt, op, params), op, params)
+                ev_new = _evaluate(_step(ev, dt, level, params), level, params, half_cell)
                 if np.isfinite(ev_new.y).all():
                     break
                 dt *= 0.5
@@ -476,10 +583,15 @@ def simulate(
 
         crossing = tracker.advance(ev, ev_new, t, dt, threshold)
         ev = ev_new
-        y = ev.y
         t += dt
         steps += 1
         dt_lo, dt_hi = min(dt_lo, dt), max(dt_hi, dt)
+        if half_cell is not None and not _resolved(ev.coef[:-1], tail_from):
+            # the state has outgrown the half grid: N for the rest of the run
+            ev = at_full(ev)
+            level, half_cell, tracker.sp = op, None, grid.spectral
+            switch = (steps, t)
+        speed = ev.speed
 
         min_ux_grid = float(ev.phys[2].min())
         if crossing is not None:
@@ -489,19 +601,26 @@ def simulate(
             report = BlowupReport(True, TRIGGER_SLOPE, t, min_ux_grid)
             break
         if steps % config.record_every == 0:
-            snapshot(dt_used=dt)
+            snapshot(at_full(ev), dt_used=dt)
     else:  # no exit above: the horizon
         report = BlowupReport(False, TRIGGER_HORIZON)
 
     # the point the run stopped at, recorded once
     if records[-1].state.t < t - eps:
-        snapshot(dt_used=dt, at_detection=report.blew_up)
+        snapshot(at_full(ev), dt_used=dt, at_detection=report.blew_up)
     elif report.blew_up:
         records[-1] = replace(records[-1], at_detection=True)
 
+    if switch is not None:
+        on_half, moved = switch[0], "moved to N at step %d, t = %.17g" % switch
+    elif level is op:
+        on_half, moved = 0, "started at N"
+    else:
+        on_half, moved = steps, "never moved to N"
     _log.debug(
         "simulate: %d steps, dt %.4g to %.4g, trigger %s; tracker seeds %s, "
-        "%d active at the end",
+        "%d active at the end; steps at N/2 = %d and N = %d: %d and %d, %s",
         steps, dt_lo, dt_hi, report.trigger, tracker.seeds_x0, tracker.x0.size,
+        n // 2, n, on_half, steps - on_half, moved,
     )
     return records, report

@@ -1,10 +1,12 @@
 import logging
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import dghlab as dg
+from dghlab import evolution
 from dghlab.evolution import (
     TRIGGER_DT,
     TRIGGER_HORIZON,
@@ -61,6 +63,9 @@ class TestSolverConfig:
             dict(t_max=1.0, dt_min=0.0),
             dict(t_max=1.0, slope_blowup_threshold=-1.0),
             dict(t_max=1.0, record_every=0),
+            # int() would truncate these, and steps % 2.5 == 0 every 5th step
+            dict(t_max=1.0, record_every=2.5),
+            dict(t_max=1.0, record_every=True),
         ],
     )
     def test_validation(self, kw):
@@ -578,12 +583,37 @@ class TestFftBudget:
     """The state stays as rfft rows: a step is three stages (one batched
     irfft and one batched rfft each) and the evaluation of the reached
     point, whose irfft also gives the grid values: 8 batched calls for one
-    component and two.  A run adds the rfft of each initial field and the
-    initial point's evaluation.  Records copy rows the evaluation holds,
-    so they cost no call, and advect reads those rows.  Transforming the
-    increment back to the grid and the new point forward again cost 10
-    per step, and advect re-transformed 2 rows per record (3 with the
-    density)."""
+    component and two, on either grid.  A run adds the rfft of each
+    initial field and the initial point's evaluation.  A run that starts
+    on the half grid adds the evaluation of its truncated rows there, and
+    one evaluation at N of the padded rows per record made on the half
+    grid and at the move to N (ceil(h / record_every) of them after h steps
+    there), each 2 calls; every evaluation on the half grid carries one
+    more row, u at the full grid's odd nodes.  Records copy rows an
+    evaluation at N holds, so they cost no other call, and advect reads
+    those rows.  Transforming the increment back to the grid and the new
+    point forward again cost 10 per step, and advect re-transformed 2 rows
+    per record (3 with the density)."""
+
+    # [calls, rows] at the start: the rfft of u0 (and of rho~0) and the
+    # initial evaluation, for dgh2 with a vacuum point also the one-row
+    # irfft of u0_x in the vacuum-point search
+    START = {False: (3, 7), True: (4, 12), "vacuum": (5, 13)}
+    # of a step at N (3 stages of 2 + 2 rows and the evaluation's 4 + 2;
+    # 3 of 4 + 3 and 7 + 3) and of an evaluation at N
+    STEP = {False: (8, 18), True: (8, 31)}
+    EVAL = {False: (2, 6), True: (2, 10)}
+
+    @classmethod
+    def budget(cls, start, two, half, full, record_every):
+        """[calls, rows] of a run of half steps on N/2 and full steps at N."""
+        (c0, r0), (cs, rs), (ce, re_) = cls.START[start], cls.STEP[two], cls.EVAL[two]
+        calls, rows = c0 + cs * (half + full), r0 + rs * (half + full)
+        if half:
+            at_n = -(-half // record_every)
+            calls += ce * (1 + at_n)
+            rows += (re_ + 1) + re_ * at_n + half
+        return [calls, rows]
 
     @staticmethod
     def count_calls(monkeypatch) -> list[int]:
@@ -605,12 +635,21 @@ class TestFftBudget:
         return calls
 
     @staticmethod
+    def grid_steps(caplog) -> tuple[int, int]:
+        """The steps on N/2 and at N, read off the run's debug record."""
+        (rec,) = [r for r in caplog.records if r.name == "dghlab.evolution"]
+        m = re.search(r"steps at N/2 = \d+ and N = \d+: (\d+) and (\d+),", rec.getMessage())
+        half, full = int(m[1]), int(m[2])
+        assert rec.getMessage().startswith(f"simulate: {half + full} steps,")
+        return half, full
+
+    @staticmethod
     def datum(grid, two):
         u0 = dg.ic_preset("gaussian_bump", grid, a=0.5)
         rho0 = dg.ic_preset("gaussian_bump", grid, a=0.3, center=1.0) if two else None
         return dg.State(0.0, u0, rho0)
 
-    def calls_and_steps(self, grid, params, two, monkeypatch, record_every=None):
+    def calls_and_steps(self, grid, params, two, monkeypatch, caplog, record_every=None):
         # the step sequence does not depend on the record cadence
         cfg = dg.SolverConfig(t_max=0.5, record_every=1)
         traj, _ = dg.simulate(self.datum(grid, two), cfg, params)
@@ -618,55 +657,62 @@ class TestFftBudget:
 
         state = self.datum(grid, two)  # fields whose rows are not yet made
         calls = self.count_calls(monkeypatch)
-        cfg = dg.SolverConfig(t_max=0.5, record_every=record_every or 10 * steps)
-        traj, rep = dg.simulate(state, cfg, params)
+        every = record_every or 10 * steps
+        with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
+            traj, rep = dg.simulate(state, dg.SolverConfig(t_max=0.5, record_every=every), params)
         assert rep.trigger == TRIGGER_HORIZON
         assert len(traj) == (steps + 1 if record_every == 1 else 2) and steps > 10
-        return calls[0], steps
+        half, full = self.grid_steps(caplog)
+        assert half + full == steps and half > 0
+        return calls, half, full, every
 
     @pytest.mark.parametrize(
-        "two, budget, gamma",
+        "two, gamma",
         [
-            pytest.param(False, 8, 0.0, id="False-8"),
-            pytest.param(True, 8, 0.0, id="True-8"),
+            pytest.param(False, 0.0, id="False-8"),
+            pytest.param(True, 0.0, id="True-8"),
             # the transport phase at lam != 0 is a multiplier, not a transform
-            pytest.param(False, 8, 0.7, id="False-8-lam"),
-            pytest.param(True, 8, 0.7, id="True-8-lam"),
+            pytest.param(False, 0.7, id="False-8-lam"),
+            pytest.param(True, 0.7, id="True-8-lam"),
         ],
     )
-    def test_fft_calls_per_step(self, grid1024, monkeypatch, two, budget, gamma):
+    def test_fft_calls_per_step(self, grid1024, monkeypatch, caplog, two, gamma):
         params = dg.make_parameters(1.0, gamma, 0.4 if gamma else 0.0)
-        calls, steps = self.calls_and_steps(grid1024, params, two, monkeypatch)
-        assert calls <= budget * steps + 2 + (2 if two else 1)
+        calls, half, full, every = self.calls_and_steps(grid1024, params, two, monkeypatch, caplog)
+        assert calls == self.budget(two, two, half, full, every)
 
-    @pytest.mark.parametrize("two, budget", [(False, 8), (True, 8)])
-    def test_fft_calls_per_recorded_step(self, grid1024, params_ch, monkeypatch, two, budget):
-        calls, steps = self.calls_and_steps(grid1024, params_ch, two, monkeypatch, 1)
-        assert calls <= budget * steps + 2 + (2 if two else 1)
+    @pytest.mark.parametrize("two", [False, True], ids=["False-8", "True-8"])
+    def test_fft_calls_per_recorded_step(self, grid1024, params_ch, monkeypatch, caplog, two):
+        calls, half, full, every = self.calls_and_steps(
+            grid1024, params_ch, two, monkeypatch, caplog, 1
+        )
+        assert calls == self.budget(two, two, half, full, every)
 
     @pytest.mark.parametrize(
-        "two, per_step, at_start",
+        "two, preset, on_half",
         [
-            # rows per step: 3 stages of (2 + 2) and the evaluation's 4 + 2;
-            # at the start: the rfft of u0 and the initial evaluation
-            pytest.param(False, (8, 18), (3, 7), id="dgh"),
-            # 3 stages of (4 + 3) and 7 + 3; rfft of u0 and rho~0, the
-            # evaluation and the one-row irfft of u0_x in the vacuum-point search
-            pytest.param(True, (8, 31), (5, 13), id="dgh2"),
+            pytest.param(False, "gaussian_derivative", True, id="dgh"),
+            pytest.param(True, "gaussian_derivative", True, id="dgh2"),
+            # the peakon's kink keeps its spectrum's tail far above the
+            # half grid's threshold: all steps at N, 8 calls and 18 rows each
+            pytest.param(False, "peakon_shifted", False, id="dgh-never-half"),
         ],
     )
     def test_transform_budget_of_a_run(self, grid1024, params_ch, monkeypatch, caplog,
-                                       two, per_step, at_start):
-        u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
+                                       two, preset, on_half):
+        kw = dict(a=1.0) if preset == "gaussian_derivative" else dict(c=0.5)
+        u0 = dg.ic_preset(preset, grid1024, params_ch, **kw)
         rho0 = dg.ic_preset("gaussian_bump", grid1024, a=-1.0, width=2.0**-0.5) if two else None
         calls = self.count_calls(monkeypatch)
+        cfg = dg.SolverConfig(t_max=1.0)
         with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
-            _, rep = dg.simulate(dg.State(0.0, u0, rho0), dg.SolverConfig(t_max=1.0), params_ch)
-        (rec,) = [r for r in caplog.records if r.name == "dghlab.evolution"]
-        steps = int(rec.getMessage().split()[1])
-        assert rec.getMessage().startswith(f"simulate: {steps} steps,")
-        assert rep.trigger == TRIGGER_HORIZON and steps > 40
-        assert calls == [per_step[0] * steps + at_start[0], per_step[1] * steps + at_start[1]]
+            _, rep = dg.simulate(dg.State(0.0, u0, rho0), cfg, params_ch)
+        half, full = self.grid_steps(caplog)
+        assert rep.trigger == TRIGGER_HORIZON and half + full > 40
+        assert (half > 0) == on_half
+        assert calls == self.budget("vacuum" if two else two, two, half, full, cfg.record_every)
+        if not on_half:
+            assert calls == [8 * full + 3, 18 * full + 7]
 
     @pytest.mark.parametrize("two", [False, True])
     def test_criterion_reuses_the_rows_simulate_made(self, grid1024, params_ch, monkeypatch, two):
@@ -696,6 +742,42 @@ class TestFftBudget:
         paths = dg.advect(traj, [0.0, 1.0], params_ch)
         assert calls[0] == 0
         assert all(len(p.t) == len(traj) for p in paths)
+
+
+class TestHalfGridStart:
+    """A run starts on the half grid N/2 while its rows are resolved there
+    and moves to N for good when they stop being resolved, at the full
+    grid's dt throughout.  A threshold of 0 resolves no nonzero row, so it
+    gives the all-N run; the two agree up to round-off.  t_detect moved by
+    9.6e-16, 1.8e-14 and 1.5e-16 relative on the three cases below (the
+    breaking datum at N = 1024, dgh2 with the vacuum bump); the gate,
+    1e-13, is 5.6 times the largest."""
+
+    @staticmethod
+    def run(monkeypatch, caplog, state, params, t_max, threshold=evolution._HALF_GRID_TAIL):
+        caplog.clear()
+        with monkeypatch.context() as m, caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
+            m.setattr(evolution, "_HALF_GRID_TAIL", threshold)
+            traj, rep = dg.simulate(state, dg.SolverConfig(t_max=t_max), params)
+        return traj, rep, TestFftBudget.grid_steps(caplog)
+
+    @pytest.mark.parametrize("gamma, c0, two", [
+        (0.0, 0.0, False), (0.7, 0.5, False), (0.0, 0.0, True),
+    ])
+    def test_reproduces_the_full_grid_run(self, grid1024, monkeypatch, caplog, gamma, c0, two):
+        params = dg.make_parameters(1.0, gamma, c0)
+        u0 = dg.ic_preset("gaussian_derivative", grid1024, a=1.0)
+        rho0 = dg.ic_preset("gaussian_bump", grid1024, a=-1.0, width=2.0**-0.5) if two else None
+        t_max = 2.5 if two else 3.0
+        traj0, rep0, (half0, _) = self.run(
+            monkeypatch, caplog, dg.State(0.0, u0, rho0), params, t_max, threshold=0.0
+        )
+        traj, rep, (half, full) = self.run(monkeypatch, caplog, dg.State(0.0, u0, rho0), params, t_max)
+        assert half0 == 0 and half > 0 and full > 0
+        assert rep.trigger == rep0.trigger == TRIGGER_SLOPE
+        assert rep.detector_x0 == rep0.detector_x0
+        assert len(traj) == len(traj0)
+        assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-13, abs=0.0)
 
 
 class TestSlopeTracker:
