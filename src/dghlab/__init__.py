@@ -14,6 +14,7 @@ from .helmholtz import NonlocalOperator, make_operator
 from .evolution import BlowupReport, SolverConfig, simulate
 from .characteristics import (
     CharacteristicPath,
+    PathIntegrator,
     advect,
     momentum_residual,
     plain_ab,

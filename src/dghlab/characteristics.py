@@ -6,6 +6,9 @@ time derivative of the fields) combined with trigonometric interpolation
 in space, so the diagnostics keep spectral accuracy without re-running
 the solver.  Both read the rfft rows the records carry (the fields'
 ``spectrum`` and ``du_dt_hat``), record by record, so a call makes no FFT.
+The integrator (PathIntegrator) is fed one record at a time and holds
+only the previous one, so it can take each record as simulate hands it
+over; advect runs it over any iterable of records.
 All seeds advance together through one multi-point value+derivative
 evaluator; one cos/sin pass at a record gives u, u_x, m and rho~ for every
 seed and doubles as the first RK4 stage, so each recorded interval costs
@@ -23,6 +26,7 @@ monotonicity can be checked without overflow.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ from .helmholtz import NonlocalOperator
 
 __all__ = [
     "CharacteristicPath",
+    "PathIntegrator",
     "advect",
     "weighted_ab_log",
     "plain_ab",
@@ -112,9 +117,138 @@ class CharacteristicPath:
     weight_overflow: bool
 
 
-def advect(records: list[TrajectoryRecord], x0, params: Parameters):
+class PathIntegrator:
+    """advect's integrator, fed a run's records one at a time, in order:
+    ``integrator(record)`` takes the next record, so the integrator can be
+    simulate's consumer, and ``paths()`` gives what advect returns.  It
+    holds the previous record and the seeds' small per-record series, no
+    more.  x0 is checked against the domain at the first record.
+    """
+
+    def __init__(self, x0, params: Parameters):
+        self.x0 = x0
+        self.params = params
+        self.seeds = np.atleast_1d(np.asarray(x0, dtype=float))
+        # per record fed: t and whether it precedes detection; per record
+        # reached by a live seed: (q, q_x, u, u_x, m, rho~) of every seed
+        self.times: list[float] = []
+        self.pre: list[bool] = []
+        self.series: list[np.ndarray] = []
+        # the previous record and u, u_x of the live seeds there
+        self.prev: tuple[TrajectoryRecord, np.ndarray, np.ndarray] | None = None
+
+    def _start(self, record: TrajectoryRecord) -> None:
+        grid = record.state.u.grid
+        L = grid.half_length
+        for x in self.seeds:
+            if not (-L <= x < L):
+                raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
+        self.sp = grid.spectral
+        # the density invariant holds along paths moving at u, and these move
+        # at u + lam: at lam != 0 a path has no density residual
+        self.density = record.state.rho_tilde is not None and self.params.lam == 0.0
+        # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
+        self.helm = NonlocalOperator(grid, self.params.alpha).symbol_helm
+        self.length = np.zeros(self.seeds.size, dtype=int)
+        self.truncated = np.zeros(self.seeds.size, dtype=bool)
+        self.q = self.seeds.copy()
+        self.qx = np.ones_like(self.q)
+        # live seeds are still inside the safe box
+        self.live = np.arange(self.seeds.size)
+
+    def __call__(self, record: TrajectoryRecord) -> None:
+        if not self.times:
+            self._start(record)
+        elif self.live.size:
+            self._step(record)
+        self.times.append(record.state.t)
+        self.pre.append(not record.at_detection)
+        if self.live.size:
+            self._visit(record)
+
+    def _visit(self, r: TrajectoryRecord) -> None:
+        """The live seeds' series at the record r, whose u, u_x are also
+        the first RK4 stage of the step from it."""
+        ev, live = self.sp, self.live
+        basis = ev.basis(self.q[live])
+        c0 = r.state.u.spectrum
+        u_val = ev.values(c0, basis)
+        ux_val = ev.slopes(c0, basis)
+        row = np.full((self.seeds.size, 6), np.nan)
+        row[live, 0] = self.q[live]
+        row[live, 1] = self.qx[live]
+        row[live, 2] = u_val
+        row[live, 3] = ux_val
+        row[live, 4] = ev.values(self.helm * c0, basis)
+        if self.density:
+            row[live, 5] = ev.values(r.state.rho_tilde.spectrum, basis)
+        self.series.append(row)
+        self.length[live] += 1
+        self.prev = (r, u_val, ux_val)
+
+    def _rhs(self, coef, qq, qqx):
+        basis = self.sp.basis(qq)
+        return self.sp.values(coef, basis) + self.params.lam, self.sp.slopes(coef, basis) * qqx
+
+    def _step(self, nxt: TrajectoryRecord) -> None:
+        """One RK4 step of the live seeds across the recorded interval
+        from the previous record to nxt."""
+        (r, u_val, ux_val), self.prev = self.prev, None
+        rhs, lam, live, qx = self._rhs, self.params.lam, self.live, self.qx
+        dt = nxt.state.t - r.state.t
+        c0, c1 = r.state.u.spectrum, nxt.state.u.spectrum
+        # cubic Hermite blend at the interval midpoint (weights 1/2, 1/2,
+        # dt/8, -dt/8)
+        cm = 0.5 * c0 + 0.5 * c1 + dt * (0.125 * r.du_dt_hat - 0.125 * nxt.du_dt_hat)
+        qq, qqx = self.q[live], qx[live]
+        k1 = (u_val + lam, ux_val * qqx)
+        k2 = rhs(cm, qq + 0.5 * dt * k1[0], qqx + 0.5 * dt * k1[1])
+        k3 = rhs(cm, qq + 0.5 * dt * k2[0], qqx + 0.5 * dt * k2[1])
+        k4 = rhs(c1, qq + dt * k3[0], qqx + dt * k3[1])
+        qq = qq + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        self.q[live] = qq
+
+        inside = _in_safe_box(qq, self.sp.half_length, self.params.alpha)
+        self.truncated[live[~inside]] = True
+        self.live = live[inside]
+
+    def paths(self):
+        """One CharacteristicPath for a single seed x0, else a list of
+        them in seed order, over the records fed so far."""
+        if not self.times:
+            raise ValueError("no records to integrate along")
+        params = self.params
+        series = np.array(self.series)
+        times = np.array(self.times)
+        pre = np.cumsum(self.pre)
+        paths = []
+        for j, x in enumerate(self.seeds):
+            n = self.length[j]
+            q_j, qx_j, u_j, ux_j, m_j, rho_j = np.ascontiguousarray(series[:n, j].T)
+            t_j = times[:n]
+            sa, la, sb, lb = weighted_ab_log(t_j, q_j, u_j, ux_j, params)
+            with np.errstate(over="ignore"):  # the weighted pair from its log form
+                aw, bw = sa * np.exp(la), sb * np.exp(lb)
+            ap, bp = plain_ab(u_j, ux_j, params)
+            paths.append(CharacteristicPath(
+                x0=float(x), t=t_j, q=q_j, qx=qx_j, u=u_j, g=ux_j,
+                a_weighted=aw, b_weighted=bw,
+                sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
+                a_plain=ap, b_plain=bp,
+                momentum_res=momentum_residual(m_j, m_j[0], qx_j, params),
+                rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if self.density else None,
+                n_pre_detection=int(pre[n - 1]),
+                truncated=bool(self.truncated[j]),
+                weight_overflow=bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw))),
+            ))
+        return paths[0] if np.ndim(self.x0) == 0 else paths
+
+
+def advect(records: Iterable[TrajectoryRecord], x0, params: Parameters):
     """Integrate the particle paths seeded at x0 through the records of a
-    run (simulate's list) and evaluate all path diagnostics at their times.
+    run and evaluate all path diagnostics at their times: one pass of a
+    PathIntegrator over records, simulate's list or any other iterable.
 
     x0 is one seed, which gives one CharacteristicPath, or a sequence of
     seeds, which gives a list of paths in seed order.  All seeds advance
@@ -126,93 +260,7 @@ def advect(records: list[TrajectoryRecord], x0, params: Parameters):
     its series is truncated there and flagged, since the periodic box no
     longer approximates the line.
     """
-    grid = records[0].state.u.grid
-    L = grid.half_length
-    seeds = np.atleast_1d(np.asarray(x0, dtype=float))
-    for x in seeds:
-        if not (-L <= x < L):
-            raise ValueError(f"seed {x} outside the domain [-{L}, {L})")
-
-    ev = grid.spectral
-    # the density invariant holds along paths moving at u, and these move
-    # at u + lam: at lam != 0 a path has no density residual
-    density = records[0].state.rho_tilde is not None and params.lam == 0.0
-    n_rec = len(records)
-    times = np.array([r.state.t for r in records])
-    lam = params.lam
-    # momentum coefficients at record times: m_hat = (1 + alpha^2 xi^2) u_hat
-    helm = NonlocalOperator(grid, params.alpha).symbol_helm
-
-    def rhs(coef, qq, qqx):
-        basis = ev.basis(qq)
-        return ev.values(coef, basis) + lam, ev.slopes(coef, basis) * qqx
-
-    # (q, q_x, u, u_x, m, rho~) per record and seed; live seeds are still
-    # inside the safe box
-    series = np.full((n_rec, seeds.size, 6), np.nan)
-    length = np.zeros(seeds.size, dtype=int)
-    truncated = np.zeros(seeds.size, dtype=bool)
-    q = seeds.copy()
-    qx = np.ones_like(q)
-    live = np.arange(seeds.size)
-    for i in range(n_rec):
-        basis = ev.basis(q[live])
-        r = records[i]
-        c0 = r.state.u.spectrum
-        u_val = ev.values(c0, basis)
-        ux_val = ev.slopes(c0, basis)
-        series[i, live, 0] = q[live]
-        series[i, live, 1] = qx[live]
-        series[i, live, 2] = u_val
-        series[i, live, 3] = ux_val
-        series[i, live, 4] = ev.values(helm * c0, basis)
-        if density:
-            series[i, live, 5] = ev.values(r.state.rho_tilde.spectrum, basis)
-        length[live] += 1
-        if i == n_rec - 1:
-            break
-
-        # one RK4 step across the recorded interval
-        dt = times[i + 1] - times[i]
-        nxt = records[i + 1]
-        c1 = nxt.state.u.spectrum
-        # cubic Hermite blend at the interval midpoint (weights 1/2, 1/2,
-        # dt/8, -dt/8)
-        cm = 0.5 * c0 + 0.5 * c1 + dt * (0.125 * r.du_dt_hat - 0.125 * nxt.du_dt_hat)
-        qq, qqx = q[live], qx[live]
-        k1 = (u_val + lam, ux_val * qqx)
-        k2 = rhs(cm, qq + 0.5 * dt * k1[0], qqx + 0.5 * dt * k1[1])
-        k3 = rhs(cm, qq + 0.5 * dt * k2[0], qqx + 0.5 * dt * k2[1])
-        k4 = rhs(c1, qq + dt * k3[0], qqx + dt * k3[1])
-        qq = qq + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        qx[live] = qqx + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        q[live] = qq
-
-        inside = _in_safe_box(qq, L, params.alpha)
-        truncated[live[~inside]] = True
-        live = live[inside]
-        if live.size == 0:
-            break
-
-    pre = np.cumsum([not r.at_detection for r in records])
-    paths = []
-    for j, x in enumerate(seeds):
-        n = length[j]
-        q_j, qx_j, u_j, ux_j, m_j, rho_j = np.ascontiguousarray(series[:n, j].T)
-        t_j = times[:n]
-        sa, la, sb, lb = weighted_ab_log(t_j, q_j, u_j, ux_j, params)
-        with np.errstate(over="ignore"):  # the weighted pair from its log form
-            aw, bw = sa * np.exp(la), sb * np.exp(lb)
-        ap, bp = plain_ab(u_j, ux_j, params)
-        paths.append(CharacteristicPath(
-            x0=float(x), t=t_j, q=q_j, qx=qx_j, u=u_j, g=ux_j,
-            a_weighted=aw, b_weighted=bw,
-            sign_a_w=sa, log_abs_a_w=la, sign_b_w=sb, log_abs_b_w=lb,
-            a_plain=ap, b_plain=bp,
-            momentum_res=momentum_residual(m_j, m_j[0], qx_j, params),
-            rho_res=rho_invariant_residual(rho_j, rho_j[0], qx_j) if density else None,
-            n_pre_detection=int(pre[n - 1]),
-            truncated=bool(truncated[j]),
-            weight_overflow=bool(np.any(np.isinf(aw)) or np.any(np.isinf(bw))),
-        ))
-    return paths[0] if np.ndim(x0) == 0 else paths
+    integrate = PathIntegrator(x0, params)
+    for record in records:
+        integrate(record)
+    return integrate.paths()

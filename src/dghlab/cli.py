@@ -50,10 +50,11 @@ from .analysis import (
     random_band_limited,
     sobolev_gap,
 )
-from .characteristics import advect
+# advect and make_operator are kept for perfbench: its tracer wraps both
+# names here, and setup_probe.py calls make_operator
+from .characteristics import PathIntegrator, advect
 from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
 from .evolution import SolverConfig, simulate
-# make_operator is kept for perfbench: setup_probe.py and the tracer
 from .helmholtz import NonlocalOperator, make_operator
 
 __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
@@ -310,15 +311,23 @@ def _criterion_for(state: State, params: Parameters) -> CriterionVerdict | None:
 
 
 def cmd_simulate(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
+    # each record goes into the path integrator and a trajectory.csv row as
+    # simulate hands it over, so at most two records are alive at a time
+    rows = []
+    integrate = PathIntegrator(cfg.seeds, params)
+
+    def take(record) -> None:
+        rows.append((record.state.t, *astuple(record.diagnostics)))
+        integrate(record)
+
     t0 = time.perf_counter()
-    records, report = simulate(state, solver, params)
+    _, report = simulate(state, solver, params, take)
     wall = time.perf_counter() - t0
-    paths = advect(records, cfg.seeds, params)
+    paths = integrate.paths()
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "trajectory.csv", ["t", "min_ux", "max_abs_u", "E", "F", "dt"],
-               ((r.state.t, *astuple(r.diagnostics)) for r in records))
+    _write_csv(out / "trajectory.csv", ["t", "min_ux", "max_abs_u", "E", "F", "dt"], rows)
 
     char_meta = []
     for i, (x0, path) in enumerate(zip(cfg.seeds, paths)):
@@ -353,7 +362,7 @@ def cmd_simulate(cfg: RunConfig, params: Parameters, solver: SolverConfig, state
         "seeds": [float(s) for s in cfg.seeds],
         "blowup_report": asdict(report),
         "criterion": asdict(verdict) if verdict is not None else None,
-        "n_records": len(records),
+        "n_records": len(rows),
         "outputs": {
             "trajectory_csv": "trajectory.csv",
             "characteristics": char_meta,
@@ -363,7 +372,7 @@ def cmd_simulate(cfg: RunConfig, params: Parameters, solver: SolverConfig, state
     print(
         f"{cfg.equation}: trigger={report.trigger}"
         + (f", t_detect={report.t_detect:.6g}" if report.t_detect is not None else "")
-        + f", records={len(records)} -> {out}"
+        + f", records={len(rows)} -> {out}"
     )
     print(f"wall time: {wall:.2f}s", file=sys.stderr)
     return 0
@@ -496,7 +505,8 @@ def _run_cell(solver: SolverConfig, base: State, cell: tuple[int, float, Paramet
     state = State(0.0, u0, base.rho_tilde)
     try:
         v = _criterion_for(state, params)
-        _, report = simulate(state, solver, params)
+        # a consumer that keeps no record: a cell's memory does not grow with its run
+        _, report = simulate(state, solver, params, lambda record: None)
     except ArithmeticError as exc:
         return head + ["", "", "", "", "", "", "", f"error: {type(exc).__name__}: {exc}"]
     return head + [

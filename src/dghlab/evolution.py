@@ -74,7 +74,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -457,7 +457,10 @@ class BlowupReport:
 
 
 def simulate(
-    initial: State, config: SolverConfig, params: Parameters
+    initial: State,
+    config: SolverConfig,
+    params: Parameters,
+    consumer: Callable[[TrajectoryRecord], object] | None = None,
 ) -> tuple[list[TrajectoryRecord], BlowupReport]:
     """Integrate until the horizon, a slope-threshold crossing, or dt
     underflow; record the initial state, every record_every-th step and the
@@ -480,6 +483,12 @@ def simulate(
     and at N from then on, at the full grid's dt throughout (module
     docstring, Resolution on demand); records hold rows and an
     evaluation at N either way.
+
+    Each record is handed to consumer, in order, once it is final: the
+    last one made is held back until the next is due or the run stops,
+    so that the stop point can still be tagged at_detection.  Without a
+    consumer the records are collected in the list returned; with one
+    simulate keeps none and the list returned is empty.
     """
     grid = initial.u.grid
     op = NonlocalOperator(grid, params.alpha)
@@ -493,16 +502,18 @@ def simulate(
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
+    take = records.append if consumer is None else consumer
 
-    def snapshot(ev: _Eval, dt_used: float, at_detection: bool = False) -> None:
+    def snapshot(ev: _Eval, dt_used: float, at_detection: bool = False,
+                 state: State | None = None) -> TrajectoryRecord:
         # the first record is the initial datum itself, with its samples; a
         # later one keeps only the state rows (the step loop has checked
         # their samples)
-        if records:
+        if state is None:
             state = State(t, *(Field(grid, rfft_row=row) for row in ev.coef[:-1]))
             y = ev.y
         else:
-            state, y = initial, [f.values for f in fields]
+            y = [f.values for f in fields]
         # the stages leave out lam u_x, which the step's phase carries
         du_dt_hat = ev.k_hat[0].copy()
         if params.lam != 0.0:
@@ -517,16 +528,17 @@ def simulate(
                 energy_f=_energy_f(ev.phys[0], ev.phys[1], rf, params, grid.dx),
                 dt=dt_used,
             )
-        records.append(
-            TrajectoryRecord(
-                state=state,
-                diagnostics=diag,
-                du_dt_hat=du_dt_hat,
-                at_detection=at_detection,
-            )
+        return TrajectoryRecord(
+            state=state,
+            diagnostics=diag,
+            du_dt_hat=du_dt_hat,
+            at_detection=at_detection,
         )
 
-    snapshot(ev, dt_used=0.0)
+    # the last record made, held back until it is final; it is handed over
+    # before the next is made, so a consumer that keeps the previous one
+    # holds two records at most
+    last = snapshot(ev, dt_used=0.0, state=initial)
 
     tracker = _SlopeTracker(initial, ev.phys[2], params)
 
@@ -601,15 +613,18 @@ def simulate(
             report = BlowupReport(True, TRIGGER_SLOPE, t, min_ux_grid)
             break
         if steps % config.record_every == 0:
-            snapshot(at_full(ev), dt_used=dt)
+            take(last)
+            last = snapshot(at_full(ev), dt_used=dt)
     else:  # no exit above: the horizon
         report = BlowupReport(False, TRIGGER_HORIZON)
 
     # the point the run stopped at, recorded once
-    if records[-1].state.t < t - eps:
-        snapshot(at_full(ev), dt_used=dt, at_detection=report.blew_up)
+    if last.state.t < t - eps:
+        take(last)
+        last = snapshot(at_full(ev), dt_used=dt, at_detection=report.blew_up)
     elif report.blew_up:
-        records[-1] = replace(records[-1], at_detection=True)
+        last = replace(last, at_detection=True)
+    take(last)
 
     if switch is not None:
         on_half, moved = switch[0], "moved to N at step %d, t = %.17g" % switch

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,70 @@ class TestMultiSeedAdvect:
         traj, _, _, params = runs.get("two_smooth")
         paths = self.check(traj, [0.0, 0.5, -1.0], params)
         assert all(p.rho_res is not None for p in paths)
+
+
+class TestStreamedAdvect:
+    """advect is one integrator fed record by record: over a one-pass
+    generator, and as simulate's consumer, it gives the paths of advect
+    over the list, bit for bit."""
+
+    @staticmethod
+    def assert_same_paths(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for f in dataclasses.fields(dg.CharacteristicPath):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(y, np.ndarray):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+                else:
+                    assert type(x) is type(y) and x == y, f.name
+
+    def check(self, traj, seeds, params):
+        want = dg.advect(traj, seeds, params)
+        got = dg.advect((r for r in traj), seeds, params)
+        self.assert_same_paths(got, want)
+        return want
+
+    def test_blown_up_run(self, breaking_run):
+        traj, rep, verdict, params = breaking_run
+        assert rep.blew_up and traj[-1].at_detection
+        paths = self.check(traj, [verdict.x0_best, -1.0, 1.0], params)
+        for path in paths:
+            assert not path.truncated and path.t.size == len(traj)
+            assert path.n_pre_detection == len(traj) - 1
+
+    def test_seed_truncated_at_the_safe_box(self, grid1024, params_ch):
+        traj, _ = dg.simulate(
+            constant_state(grid1024, 0.5), dg.SolverConfig(t_max=2.0, record_every=2),
+            params_ch,
+        )
+        L = grid1024.half_length
+        paths = self.check(traj, [L - 2.3, 0.0], params_ch)
+        assert paths[0].truncated and paths[0].t.size < len(traj)
+        assert paths[0].n_pre_detection == paths[0].t.size
+        # one seed gives one path, not a list
+        self.assert_same_paths([dg.advect(iter(traj), L - 2.3, params_ch)], paths[:1])
+
+    def test_two_component(self, runs):
+        traj, _, _, params = runs.get("two_smooth")
+        assert all(p.rho_res is not None for p in self.check(traj, [0.0, 0.5], params))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_as_simulate_consumer(self, grid1024, gamma):
+        # the path work dgh-lab simulate does while the run steps
+        params = dg.make_parameters(1.0, gamma, 0.5 if gamma else 0.0)
+        state = dg.State(0.0, dg.ic_preset("gaussian_derivative", grid1024, a=1.0))
+        cfg = dg.SolverConfig(t_max=3.0)
+        seeds = [0.0, -1.0, 1.0]
+        traj, rep = dg.simulate(state, cfg, params)
+        integrate = dg.PathIntegrator(seeds, params)
+        assert dg.simulate(state, cfg, params, integrate) == ([], rep)
+        assert rep.blew_up
+        self.assert_same_paths(integrate.paths(), dg.advect(traj, seeds, params))
+
+    def test_no_records(self, params_ch):
+        with pytest.raises(ValueError, match="no records"):
+            dg.advect(iter(()), 0.0, params_ch)
 
 
 class TestPathFunctionals:

@@ -132,6 +132,34 @@ class TestSimulateCommand:
         assert rep["t_detect"] < 2.0
         assert rep["t_detect"] < summary["criterion"]["time_bound"]
 
+    def test_streams_records_into_the_paths_and_rows(self, tmp_path, monkeypatch):
+        # simulate hands each record to the path integrator and its
+        # trajectory.csv row and keeps none; the files read as the list
+        # run's records and advect paths, to the last bit
+        kept = []
+
+        def streamed(*args):
+            records, report = dg.simulate(*args)
+            kept.append(records)
+            return records, report
+
+        monkeypatch.setattr(cli, "simulate", streamed)
+        cfg = write_config(tmp_path, solver={"t_max": 3.0, "record_every": 4})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert kept == [[]]
+        params = dg.make_parameters(1.0)
+        state = dg.State(0.0, dg.ic_preset("gaussian_derivative", dg.make_grid(20.0, 1024), a=1.0))
+        records, _ = dg.simulate(state, dg.SolverConfig(t_max=3.0, record_every=4), params)
+        summary = json.loads((out / "summary.json").read_text())
+        traj = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert summary["blowup_report"]["blew_up"] and summary["n_records"] == len(records)
+        assert np.array_equal(traj[:, 0], [r.state.t for r in records])
+        for i, path in enumerate(dg.advect(records, [0.0, 1.0], params)):
+            cols = np.loadtxt(out / f"characteristic_{i:03d}.csv", delimiter=",", skiprows=1).T
+            for col, want in zip(cols, (path.t, path.q, path.g, path.qx)):
+                assert np.array_equal(col, want)
+
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -325,6 +353,19 @@ class TestSweepCommand:
         )
         base.update(over)
         return write_config(tmp_path, **base)
+
+    def test_cells_keep_no_record(self, tmp_path, monkeypatch):
+        kept = []
+
+        def counted(*args):
+            records, report = dg.simulate(*args)
+            kept.append(records)
+            return records, report
+
+        monkeypatch.setattr(cli, "simulate", counted)
+        cfg = self.sweep_config(tmp_path, solver={"t_max": 0.5, "record_every": 1})
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"), "--workers", "1"]) == 0
+        assert kept == [[], [], []]
 
     def test_amplitude_sweep_matches_bounds(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

@@ -1,6 +1,8 @@
 import logging
 import re
 import tracemalloc
+import weakref
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from dghlab.evolution import (
     TRIGGER_DT,
     TRIGGER_HORIZON,
     TRIGGER_SLOPE,
+    TrajectoryRecord,
     _SlopeTracker,
     _evaluate,
     _step,
@@ -577,6 +580,94 @@ class TestTrajectoryRecords:
         grid_min = min(r.diagnostics.min_ux for r in traj)
         assert grid_min > -100.0
         assert rep.min_slope_at_detect < -1e4
+
+
+class TestRecordConsumer:
+    """simulate hands each record to its consumer once it is final, the
+    last one held back until the run makes another or stops; the consumer
+    gets exactly the records the list path returns."""
+
+    @staticmethod
+    def datum(grid, case):
+        u0 = dg.ic_preset("gaussian_derivative", grid, a=1.0)
+        if case == "dgh2-vacuum":
+            rho0 = dg.ic_preset("gaussian_bump", grid, a=-1.0, width=2.0**-0.5)
+            return dg.State(0.0, u0, rho0), dg.SolverConfig(t_max=2.5)
+        if case == "horizon":
+            # 26 steps at record_every 4: the final record, at t_max, is
+            # made by the final-record rule after the held-back one
+            u0 = dg.ic_preset("gaussian_bump", grid, a=1.0)
+            return dg.State(0.0, u0), dg.SolverConfig(t_max=0.3)
+        if case == "refused":
+            # the first CFL step (cfl dx / max|u| = 0.0193) is under dt_min:
+            # the run stops at t = 0 and its only record is re-tagged
+            return dg.State(0.0, u0), dg.SolverConfig(t_max=1.0, dt_min=0.05)
+        return dg.State(0.0, u0), dg.SolverConfig(t_max=3.0)
+
+    @staticmethod
+    def bits(x) -> bytes:
+        return np.asarray(x).tobytes()
+
+    @pytest.mark.parametrize("case, trigger", [
+        ("breaking", TRIGGER_SLOPE), ("dgh2-vacuum", TRIGGER_SLOPE),
+        ("horizon", TRIGGER_HORIZON), ("refused", TRIGGER_DT),
+    ])
+    def test_consumer_gets_the_listed_records(self, grid1024, params_ch, case, trigger):
+        state, cfg = self.datum(grid1024, case)
+        want, rep0 = dg.simulate(state, cfg, params_ch)
+        got = []
+        kept, rep = dg.simulate(state, cfg, params_ch, got.append)
+        assert kept == [] and rep == rep0 and rep.trigger == trigger
+        assert len(got) == len(want) and got[0].state is want[0].state is state
+
+        def fields(r):
+            return [f for f in (r.state.u, r.state.rho_tilde) if f is not None]
+
+        for a, b in zip(got, want):
+            assert a.at_detection == b.at_detection
+            assert a.state.t == b.state.t
+            assert self.bits(astuple(a.diagnostics)) == self.bits(astuple(b.diagnostics))
+            assert self.bits(a.du_dt_hat) == self.bits(b.du_dt_hat)
+            assert len(fields(a)) == len(fields(b)) == (2 if case == "dgh2-vacuum" else 1)
+            for f, g in zip(fields(a), fields(b)):
+                assert self.bits(f.spectrum) == self.bits(g.spectrum)
+        assert got[-1].at_detection == rep.blew_up
+        assert not any(r.at_detection for r in got[:-1])
+        if case == "refused":
+            # the initial record re-tagged, not a record made again
+            (only,) = got
+            assert only.state is state and only.at_detection and only.diagnostics.dt == 0.0
+        if case == "horizon":
+            assert len(got) == 8 and got[-1].state.t == cfg.t_max
+
+    @pytest.mark.parametrize("keeps_previous", [False, True])
+    def test_at_most_two_records_alive_at_each_hand_over(self, grid1024, params_ch,
+                                                         monkeypatch, keeps_previous):
+        # every record simulate makes is watched: the next record is made
+        # only after the held-back one is handed over, so at a hand-over
+        # only the record handed over is alive, and with the path
+        # integrator, which keeps the record before, two
+        made = []
+
+        class Watched(TrajectoryRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(evolution, "TrajectoryRecord", Watched)
+        state, _ = self.datum(grid1024, "breaking")
+        alive = []
+        integrate = dg.PathIntegrator([0.0, 1.0], params_ch)
+
+        def consumer(record):
+            alive.append(sum(ref() is not None for ref in made))
+            if keeps_previous:
+                integrate(record)
+
+        cfg = dg.SolverConfig(t_max=3.0, record_every=1)
+        _, rep = dg.simulate(state, cfg, params_ch, consumer)
+        assert rep.trigger == TRIGGER_SLOPE and len(alive) > 50
+        assert max(alive) == (2 if keeps_previous else 1)
 
 
 class TestFftBudget:
