@@ -8,7 +8,7 @@ at the boundary.  All containers are immutable value objects.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -121,7 +121,7 @@ def make_grid(half_length: float, n_points: int) -> Grid:
     return Grid(half_length, n_points)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Field:
     """Real samples of a function on a Grid, with their rfft row: the one
     checked datum of the package (initial data and recorded states).
@@ -137,11 +137,32 @@ class Field:
     arrays.  Samples and row are read-only copies, so spectral
     data cached on the field (``spectrum``, ``quarter_band``) stays valid
     for its lifetime.
+
+    A field built from its row may also be given its quarter band
+    (keyword ``band``, shape (2, N), finite; TypeError without
+    ``rfft_row``) when its maker already has it from the transform that
+    made the row: it is kept as a read-only copy in place of the band
+    ``quarter_band`` would build.  It must be that band up to round-off;
+    it need not agree with it bit for bit.
     """
 
     grid: Grid
-    samples: InitVar[np.ndarray | None] = None
-    rfft_row: InitVar[np.ndarray | None] = None
+
+    def __init__(self, grid: Grid, samples: np.ndarray | None = None,
+                 rfft_row: np.ndarray | None = None, *, band: np.ndarray | None = None) -> None:
+        if band is not None and rfft_row is None:
+            raise TypeError("a quarter band is supplied only with the rfft row")
+        object.__setattr__(self, "grid", grid)
+        self.__post_init__(samples, rfft_row)
+        if band is None:
+            return
+        rows = np.array(band, dtype=float, copy=True)
+        if rows.shape != (2, grid.n_points):
+            raise ValueError(f"quarter band of shape {rows.shape} does not fit the grid")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("quarter band contains non-finite values")
+        rows.setflags(write=False)
+        self.__dict__["quarter_band"] = rows  # the cached value of quarter_band
 
     def __post_init__(self, samples: np.ndarray | None, rfft_row: np.ndarray | None) -> None:
         if (samples is None) == (rfft_row is None):
@@ -189,7 +210,9 @@ class Field:
         <= N/4, where every quadratic product is alias-free on the grid;
         built on first use from the field's row (``spectrum``) with one
         2-row irfft, read-only.  A field built from its row makes no rfft
-        for it; one built from samples makes the rfft ``spectrum`` caches."""
+        for it; one built from samples makes the rfft ``spectrum`` caches.
+        A field given its band at construction (``band``) holds that band
+        instead, which agrees with this one to round-off, not bit for bit."""
         sp = self.grid.spectral
         cut = sp.n // 4 + 1
         rows = np.zeros((2, sp.xi.size), dtype=complex)

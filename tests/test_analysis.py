@@ -269,6 +269,59 @@ class TestRandomBandLimited:
         with pytest.raises(ValueError, match="n_modes"):
             random_band_limited(np.random.default_rng(0), grid1024, n_modes=n_modes)
 
+    @pytest.mark.parametrize("max_mode", [1, 80, 1024])
+    def test_supplied_band_matches_built_band(self, grid4096, max_mode):
+        # inside the quarter band (max_mode <= N/4) the field holds the
+        # band of the transform that found its peak: the band it would
+        # build from its row, to round-off, not bit for bit
+        rng = np.random.default_rng(max_mode)
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            u = random_band_limited(rng, grid4096, 30, max_mode)
+            band = u.quarter_band
+            built = dg.Field(grid4096, rfft_row=u.spectrum).quarter_band
+            for got, want in zip(band, built):
+                assert np.max(np.abs(got - want)) <= 16 * eps * np.max(np.abs(want))
+            assert np.max(np.abs(band[0])) == 1.0
+
+    def test_supplied_band_is_read_only_and_unshared(self, grid4096):
+        rng = np.random.default_rng(11)
+        u, v = (random_band_limited(rng, grid4096) for _ in range(2))
+        band = u.quarter_band
+        assert not band.flags.writeable
+        with pytest.raises(ValueError):
+            band[0, 0] = 0.0
+        for other in (u.spectrum, v.spectrum, v.quarter_band):
+            assert not np.shares_memory(band, other)
+        # the field keeps a copy: its maker's array stays its maker's
+        given = np.array(band)
+        w = dg.Field(grid4096, rfft_row=u.spectrum, band=given)
+        given[0, 0] += 1.0
+        assert w.quarter_band[0, 0] == band[0, 0] and given.flags.writeable
+
+    @pytest.mark.parametrize("max_mode", [1025, 2048])
+    def test_wide_draw_builds_its_own_band(self, grid4096, max_mode):
+        # a draw above the quarter band is cut by it: the field builds its
+        # band from its row, bit for bit as a fresh field does
+        u = random_band_limited(np.random.default_rng(max_mode), grid4096, 30, max_mode)
+        built = dg.Field(grid4096, rfft_row=u.spectrum).quarter_band
+        assert np.array_equal(u.quarter_band, built)
+
+    @pytest.mark.parametrize("band", [
+        np.zeros((2, 1023)),
+        np.zeros(1024),
+        np.full((2, 1024), np.nan),
+        np.array([np.zeros(1024), np.r_[np.inf, np.zeros(1023)]]),
+    ], ids=["short_rows", "one_row", "nan", "inf"])
+    def test_field_refuses_bad_band(self, grid1024, band):
+        row = np.zeros(513, dtype=complex)
+        with pytest.raises(ValueError, match="quarter band"):
+            dg.Field(grid1024, rfft_row=row, band=band)
+
+    def test_field_refuses_band_with_samples(self, grid1024):
+        with pytest.raises(TypeError, match="quarter band"):
+            dg.Field(grid1024, np.zeros(1024), band=np.zeros((2, 1024)))
+
 
 class TestSobolevGap:
     def test_zero(self, grid1024, params_ch):

@@ -225,10 +225,11 @@ class TestLemmasCommand:
 
     def test_fft_calls_per_random_field(self, tmp_path, monkeypatch):
         # runs differing only in n_random differ only by their random
-        # fields: each is built from its drawn row, whose irfft gives the
-        # peak it is divided by; its quarter band is one 2-row irfft of
-        # that row, and the one-sided pair, whose mean is the full-kernel
-        # gap, one rfft and one 2-row irfft: 4 calls, 6 length-N rows.
+        # fields: each is built from its drawn row, and one 2-row irfft of
+        # that row and its derivative gives both the peak it is divided by
+        # and, divided too, its quarter band; the one-sided pair, whose
+        # mean is the full-kernel gap, costs one rfft and one 2-row irfft:
+        # 3 calls, 5 length-N rows.
         # [calls, rows] are counted as TestFftBudget counts them
         calls = [0, 0]
 
@@ -249,8 +250,8 @@ class TestLemmasCommand:
             assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out"),
                          "--seed", "11"]) == 0
             counts.append(list(calls))
-        assert counts[1][0] - counts[0][0] == 4 * 4
-        assert counts[1][1] - counts[0][1] == 6 * 4
+        assert counts[1][0] - counts[0][0] == 3 * 4
+        assert counts[1][1] - counts[0][1] == 5 * 4
 
     @pytest.mark.parametrize("lemmas", [
         {"max_mode": 513},
