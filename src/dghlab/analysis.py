@@ -175,41 +175,31 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
 
 
 def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> Field:
-    """Random smooth periodic field, unit amplitude up to round-off: n_modes
-    random coefficients on the wavenumber bins 1..max_mode, damped by
-    exp(-bin/(max_mode/2)) and divided by the peak of their samples.  The
-    field is built from that rfft row.  One 2-row irfft of the row and its
-    derivative gives the samples whose peak is found and their slopes;
-    divided by the peak too, they are the field's quarter band when the
-    draw lies in it (max_mode <= N/4), and the field holds them, so the
-    gap checks make no transform for it (a band that agrees with the one
-    ``Field.quarter_band`` builds to round-off, not bit for bit).  A wider
-    draw's field builds its own band.  ValueError unless n_modes >= 1 and
-    1 <= max_mode <= N/2."""
+    """Random smooth periodic field in the quarter band, unit amplitude up to
+    round-off: n_modes random coefficients on the wavenumber bins
+    1..max_mode, damped by exp(-bin/(max_mode/2)) and divided by the peak of
+    their samples, from ``Spectral.quarter_band`` of the drawn bins.  The
+    field is built from that rfft row and holds that band, divided by the
+    peak too, so the gap checks make no transform for it (it agrees with the
+    band ``Field.quarter_band`` builds to round-off, not bit for bit).
+    ValueError unless n_modes >= 1 and 1 <= max_mode <= N/4."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
-    if not 1 <= max_mode <= grid.n_points // 2:
-        raise ValueError(f"max_mode must lie in 1..{grid.n_points // 2}, got {max_mode}")
     sp = grid.spectral
-    rows = np.zeros((2, sp.xi.size), dtype=complex)
-    coeffs = rows[0]
+    if not 1 <= max_mode <= sp.quarter:
+        raise ValueError(f"max_mode must lie in 1..N/4 = {sp.quarter}, got {max_mode}")
+    coeffs = np.zeros(sp.xi.size, dtype=complex)
     modes = rng.integers(1, max_mode + 1, size=n_modes)
     coeffs[modes] = rng.normal(size=n_modes) + 1j * rng.normal(size=n_modes)
-    # the bins above max_mode hold zeros: scale only the drawn band
+    # the bins above max_mode hold zeros: scale and transform only the drawn band
     drawn = coeffs[: max_mode + 1]
     drawn *= np.exp(-np.arange(max_mode + 1) / (max_mode / 2.0))
-    # irfft reads only the real part of the Nyquist bin: keep the row the
-    # rfft of the field's samples
-    coeffs[-1] = coeffs[-1].real
-    np.multiply(sp.ik[: max_mode + 1], drawn, out=rows[1, : max_mode + 1])
-    # row 0 of the batched irfft is bit for bit the 1-row irfft of coeffs
-    band = np.fft.irfft(rows, n=sp.n)
+    band = sp.quarter_band(drawn)
     peak = np.max(np.abs(band[0]))
     if peak > 0:
         drawn /= peak
         band /= peak
-    # a draw above the quarter band is cut by it: its field builds its band
-    return Field(grid, rfft_row=coeffs, band=band if max_mode <= sp.n // 4 else None)
+    return Field(grid, rfft_row=coeffs, band=band)
 
 
 def peakon_witness_study(params: Parameters, resolutions) -> dict:

@@ -53,7 +53,7 @@ from .analysis import (
 # advect and make_operator are kept for perfbench: its tracer wraps both
 # names here, and setup_probe.py calls make_operator
 from .characteristics import PathIntegrator, advect
-from .core import Field, Grid, Parameters, State, ic_preset, make_grid, make_parameters
+from .core import Field, Grid, Parameters, State, as_int, ic_preset, make_grid, make_parameters
 from .evolution import SolverConfig, simulate
 from .helmholtz import NonlocalOperator, make_operator
 
@@ -153,25 +153,24 @@ def _text(value) -> str:
     return value
 
 
-def _integer(value) -> int:
-    """int(value), refusing what int() would truncate: bools and floats
-    with a fractional part (or no finite value)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+def _number(value) -> float:
+    """float(value), refusing booleans: YAML's true and yes are not 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _count(value) -> int:
-    """_integer(value), refusing negatives."""
-    n = _integer(value)
+    """as_int(value), refusing negatives."""
+    n = as_int(value)
     if n < 0:
         raise ValueError(f"expected a non-negative integer, got {n}")
     return n
 
 
 def _floats(value) -> list[float]:
-    """float(v) of every item, refusing NaN and infinities."""
-    out = [float(v) for v in value]
+    """_number(v) of every item, refusing NaN and infinities."""
+    out = [_number(v) for v in value]
     if not all(map(math.isfinite, out)):
         raise ValueError(f"expected finite numbers, got {out}")
     return out
@@ -185,27 +184,27 @@ _FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
 # key is the RunConfig attribute of the same name.
 CONFIG_KEYS = {
     "equation": _text,
-    "parameters": {"alpha": float, "gamma": float, "c0": float, "sigma": float},
-    "grid": {"half_length": float, "n_points": _integer},
+    "parameters": {"alpha": _number, "gamma": _number, "c0": _number, "sigma": _number},
+    "grid": {"half_length": _number, "n_points": as_int},
     "solver": {
-        "t_max": float,
-        "cfl": float,
-        "dt_min": float,
-        "slope_blowup_threshold": float,
-        "record_every": _integer,
+        "t_max": _number,
+        "cfl": _number,
+        "dt_min": _number,
+        "slope_blowup_threshold": _number,
+        "record_every": as_int,
     },
     "initial": _FIELD_KEYS,
     "rho_initial": _FIELD_KEYS,
     "seeds": _floats,
     "out_dir": _text,
     "rng_seed": _count,
-    "workers": _integer,
+    "workers": as_int,
     "lemmas": {
         "n_random": _count,
-        "n_modes": _integer,
-        "max_mode": _integer,
+        "n_modes": as_int,
+        "max_mode": as_int,
         # each a grid size the witness study can build
-        "resolutions": lambda v: [make_grid(1.0, _integer(n)).n_points for n in v],
+        "resolutions": lambda v: [make_grid(1.0, as_int(n)).n_points for n in v],
     },
     "sweep": {
         "amplitudes": _floats,
@@ -435,9 +434,9 @@ def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: 
     resolutions = lem.get("resolutions", [1024, 2048, 4096])
     # a mode above N/4 would be cut by the quarter band the gaps are
     # checked on, so the checked field would not be the drawn one
-    if not 1 <= max_mode <= grid.n_points // 4:
+    if not 1 <= max_mode <= grid.spectral.quarter:
         raise ConfigError(
-            f"lemmas.max_mode must lie in 1..N/4 = {grid.n_points // 4}, got {max_mode}"
+            f"lemmas.max_mode must lie in 1..N/4 = {grid.spectral.quarter}, got {max_mode}"
         )
     if n_modes < 1:
         # no mode draws the zero field, so no random field would be tested

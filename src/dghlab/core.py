@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def as_int(value, name: str = "value") -> int:
+    """int(value), refusing what int() would truncate: booleans and floats
+    with a fractional part or no finite value (ValueError naming ``name``)."""
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Physical constants of the DGH model plus derived transport constants.
@@ -80,9 +88,10 @@ def make_parameters(
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [-L, L) with N nodes, N even; its spacing
-    dx = 2L/N, its Nyquist wavenumber pi/dx and that wavenumber's square
-    (the largest symbol of d_xx) are positive and finite."""
+    """Uniform periodic grid on [-L, L) with N nodes, N an even integer
+    (``as_int``, so 64.5 is refused); its spacing dx = 2L/N, its Nyquist
+    wavenumber pi/dx and its square (the largest symbol of d_xx) are
+    positive and finite."""
 
     half_length: float
     n_points: int
@@ -91,7 +100,7 @@ class Grid:
 
     def __post_init__(self) -> None:
         L = float(self.half_length)
-        n = int(self.n_points)
+        n = as_int(self.n_points, "n_points")
         if not (0.0 < L < math.inf):
             raise ValueError(f"half_length must be positive and finite, got {L}")
         if n < 16 or n % 2 != 0:
@@ -141,9 +150,9 @@ class Field:
     A field built from its row may also be given its quarter band
     (keyword ``band``, shape (2, N), finite; TypeError without
     ``rfft_row``) when its maker already has it from the transform that
-    made the row: it is kept as a read-only copy in place of the band
-    ``quarter_band`` would build.  It must be that band up to round-off;
-    it need not agree with it bit for bit.
+    made the row (``random_band_limited``): it is kept as a read-only copy
+    in place of the band ``quarter_band`` would build.  It must be that
+    band up to round-off; it need not agree with it bit for bit.
     """
 
     grid: Grid
@@ -206,19 +215,11 @@ class Field:
 
     @cached_property
     def quarter_band(self) -> np.ndarray:
-        """Rows (u, u_x) of the field band-limited to wavenumber bins
-        <= N/4, where every quadratic product is alias-free on the grid;
-        built on first use from the field's row (``spectrum``) with one
-        2-row irfft, read-only.  A field built from its row makes no rfft
-        for it; one built from samples makes the rfft ``spectrum`` caches.
-        A field given its band at construction (``band``) holds that band
-        instead, which agrees with this one to round-off, not bit for bit."""
-        sp = self.grid.spectral
-        cut = sp.n // 4 + 1
-        rows = np.zeros((2, sp.xi.size), dtype=complex)
-        rows[0, :cut] = self.spectrum[:cut]
-        np.multiply(sp.ik[:cut], rows[0, :cut], out=rows[1, :cut])
-        band = np.fft.irfft(rows, n=sp.n)
+        """Rows (u, u_x) of the field band-limited to bins <= N/4, read-only:
+        ``Spectral.quarter_band`` of ``spectrum``, built on first use (with an
+        rfft only for a field built from samples); or the ``band`` given at
+        construction, which agrees with it to round-off, not bit for bit."""
+        band = self.grid.spectral.quarter_band(self.spectrum)
         band.setflags(write=False)
         return band
 
@@ -303,6 +304,8 @@ class Spectral:
     Owns the wavenumbers ``xi`` on rfft bins, the derivative symbol ``ik``
     (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
     antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
+    the quarter band (bins <= ``quarter`` = N/4, where every quadratic
+    product is alias-free) and its one transform ``quarter_band``,
     and the multi-point trigonometric interpolant: ``basis`` makes
     the one cos/sin pass at a set of points, which ``values`` and
     ``slopes`` share across any number of coefficient rows, and
@@ -325,6 +328,7 @@ class Spectral:
         self.ik[-1] = 0.0
         # 2/3 rule on rfft bins: keep k <= N/3, zero the bins from cut on
         self.cut = self.n // 3 + 1
+        self.quarter = self.n // 4  # top bin of the quarter band
         for a in (self.xi, self.ik):
             a.setflags(write=False)
         # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t);
@@ -343,6 +347,16 @@ class Spectral:
         rows = np.array([mask, self.ik * mask, self.ik])
         rows.setflags(write=False)
         return rows
+
+    def quarter_band(self, row: np.ndarray) -> np.ndarray:
+        """Rows (u, u_x) at the nodes of the rfft row ``row`` limited to bins
+        <= ``quarter``, from one 2-row irfft; bins past the end of a shorter
+        row count as zero, so a caller passes only the bins it holds."""
+        cut = min(row.size, self.quarter + 1)
+        rows = np.zeros((2, self.xi.size), dtype=complex)
+        rows[0, :cut] = row[:cut]
+        np.multiply(self.ik[:cut], rows[0, :cut], out=rows[1, :cut])
+        return np.fft.irfft(rows, n=self.n)
 
     def basis(self, x) -> np.ndarray:
         """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),

@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import _energy_e, _energy_f, _margin, _vacuum_point
-from .core import Field, Grid, Parameters, State
+from .core import Field, Grid, Parameters, State, as_int
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -125,11 +125,8 @@ class SolverConfig:
         for name in ("t_max", "dt_min", "slope_blowup_threshold"):
             if not (0.0 < getattr(self, name) < math.inf):
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        every = self.record_every
-        # steps % 2.5 == 0 every 5th step and True == 1: refused, as cli._integer does
-        if isinstance(every, (bool, np.bool_)) or (isinstance(every, float) and not every.is_integer()):
-            raise ValueError(f"record_every must be an integer, got {every!r}")
-        if every < 1:
+        # steps % 2.5 == 0 every 5th step and True == 1: both refused
+        if as_int(self.record_every, "record_every") < 1:
             raise ValueError("record_every must be >= 1")
 
 

@@ -527,6 +527,13 @@ class TestConfigErrors:
         ({"lemmas": {"resolutions": [512, 17]}}, "lemmas.resolutions"),
         ({"sweep": {"c0_gamma": [[np.nan, 0.0]]}}, "sweep.c0_gamma"),
         ({"rng_seed": -1}, "rng_seed"),
+        # number keys refuse YAML booleans, which float() would take as 1.0
+        ({"parameters": {"alpha": True}}, "parameters.alpha"),
+        ({"solver": {"t_max": True}}, "solver.t_max"),
+        ({"grid": {"half_length": True}}, "grid.half_length"),
+        ({"seeds": [0.0, True]}, "seeds"),
+        ({"sweep": {"amplitudes": [True, 0.5]}}, "sweep.amplitudes"),
+        ({"sweep": {"c0_gamma": [[0.0, False]]}}, "sweep.c0_gamma"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_malformed_value_exits_2_naming_path(self, tmp_path, capsys, over, path):
         # lemmas is the command that reads the resolutions and the seed

@@ -62,7 +62,8 @@ class TestGrid:
         assert np.allclose(steps, g.dx, rtol=0, atol=1e-13)
         assert g.nodes[0] == -20.0
 
-    @pytest.mark.parametrize("n", [15, 14, 0, 127])
+    # 64.5 is refused, not truncated to 64
+    @pytest.mark.parametrize("n", [15, 14, 0, 127, 64.5])
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             dg.make_grid(20.0, n)
@@ -167,6 +168,11 @@ class TestField:
             assert f.quarter_band is f.quarter_band
             with pytest.raises(ValueError):
                 f.quarter_band[0, 0] = 1.0
+        # the transform reads a row shorter than the band as zero-padded
+        sp = grid1024.spectral
+        padded = np.zeros_like(row)
+        padded[:81] = row[:81]
+        assert np.array_equal(sp.quarter_band(row[:81]), sp.quarter_band(padded))
 
     def test_quarter_band_never_shared(self, grid1024):
         samples = np.exp(-grid1024.nodes**2)
