@@ -104,6 +104,15 @@ def _gap_field(values: np.ndarray, grid: Grid) -> GapField:
     return GapField(values, min_gap=float(values[i]), argmin_x=float(grid.nodes[i]))
 
 
+def _band(u: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(u at the N grid nodes, (u, u_x) at the m nodes of the working grid)
+    of u's quarter band: row 0 of the band where m = N, else u's own
+    samples, which a field with no bin above N/4 already holds (to
+    round-off) without a length-N transform of the band."""
+    rows = u.quarter_band
+    return (rows[0] if rows.shape[1] == u.grid.n_points else u.values), rows
+
+
 def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     """Gaps of the two sharp one-sided convolution inequalities
 
@@ -112,6 +121,11 @@ def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     with p the kernel of u's grid and params.alpha.  Equality holds for the
     peakon family u = c*exp(-|x-y|/alpha) - k, on x <= y for the minus
     sign and x >= y for the plus sign.
+
+    The convolution argument w is formed on the working grid of u's
+    quarter band (m nodes, ``Spectral.quarter_band``) and convolved back
+    to the N nodes, where the right-hand side is formed; for the presets,
+    the peakon witness and user samples m = N.
     """
     # in the quarter band every quadratic product below is alias-free, so
     # the discrete gap equals the continuum gap of a genuine finite-energy
@@ -120,15 +134,15 @@ def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     # each quantity is formed in place, one array pass per operation, in
     # the order and grouping of the plain formulas
     #   w   = 0.5 * alpha**2 * ux * ux + uv * uv + 2.0 * k * uv
-    #   rhs = 0.5 * (uv + k) ** 2 - k**2
-    uv, ux = u.quarter_band
+    #   rhs = 0.5 * (u + k) ** 2 - k**2
+    u_n, (uv, ux) = _band(u)
     w = np.multiply(0.5 * params.alpha**2, ux)
     w *= ux
     term = np.multiply(uv, uv)
     w += term
     w += np.multiply(2.0 * params.k, uv, out=term)
     minus, plus = NonlocalOperator(u.grid, params.alpha).one_sided_convolutions(w)
-    rhs = np.add(uv, params.k, out=w)  # reuses w: the convolutions no longer read it
+    rhs = np.add(u_n, params.k)
     rhs *= rhs
     rhs *= 0.5
     rhs -= params.k**2
@@ -160,29 +174,30 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     """Slack in the sharp embedding max|u| <= ||u||_{H1,alpha}/sqrt(2 alpha);
     equality is attained by the peakon profile.
 
-    Evaluated on the quarter-band representative of u, for which the node
-    maximum is a lower bound on the true sup and the norm is Parseval
-    exact, so the reported slack is never spuriously negative.
+    Evaluated on the quarter-band representative of u: the norm on its
+    working grid (m nodes, ``Spectral.quarter_band``), where it is Parseval
+    exact, and the maximum at the N grid nodes, a lower bound on the true
+    sup, so the reported slack is never spuriously negative.
     """
-    uv, ux = u.quarter_band
+    u_n, (uv, ux) = _band(u)
     # uv * uv + alpha**2 * ux * ux, one array pass per operation
     dens = np.multiply(params.alpha**2, ux)
     dens *= ux
     dens += np.multiply(uv, uv)
-    norm = np.sqrt(_quadrature(dens, u.grid.dx))
-    np.abs(uv, out=dens)
-    return float(norm / np.sqrt(2.0 * params.alpha) - np.max(dens))
+    # the working grid's spacing: N/m is a power of two, so this is exact
+    norm = np.sqrt(_quadrature(dens, u.grid.dx * (u.grid.n_points // uv.size)))
+    return float(norm / np.sqrt(2.0 * params.alpha) - np.max(np.abs(u_n)))
 
 
 def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> Field:
     """Random smooth periodic field in the quarter band, unit amplitude up to
     round-off: n_modes random coefficients on the wavenumber bins
     1..max_mode, damped by exp(-bin/(max_mode/2)) and divided by the peak of
-    their samples, from ``Spectral.quarter_band`` of the drawn bins.  The
-    field is built from that rfft row and holds that band, divided by the
-    peak too, so the gap checks make no transform for it (it agrees with the
-    band ``Field.quarter_band`` builds to round-off, not bit for bit).
-    ValueError unless n_modes >= 1 and 1 <= max_mode <= N/4."""
+    their samples, from one length-N irfft of the drawn bins.  The field is
+    built from that rfft row and holds those samples, divided by the peak
+    too (they agree with the row's own irfft to round-off, not bit for
+    bit); its gap checks transform its band on the working grid of its top
+    drawn bin.  ValueError unless n_modes >= 1 and 1 <= max_mode <= N/4."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     sp = grid.spectral
@@ -194,12 +209,12 @@ def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
     # the bins above max_mode hold zeros: scale and transform only the drawn band
     drawn = coeffs[: max_mode + 1]
     drawn *= np.exp(-np.arange(max_mode + 1) / (max_mode / 2.0))
-    band = sp.quarter_band(drawn)
-    peak = np.max(np.abs(band[0]))
+    values = np.fft.irfft(drawn, n=sp.n)
+    peak = np.max(np.abs(values))
     if peak > 0:
         drawn /= peak
-        band /= peak
-    return Field(grid, rfft_row=coeffs, band=band)
+        values /= peak
+    return Field(grid, rfft_row=coeffs, values=values)
 
 
 def peakon_witness_study(params: Parameters, resolutions) -> dict:

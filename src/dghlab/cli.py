@@ -53,7 +53,7 @@ from .analysis import (
 # advect and make_operator are kept for perfbench: its tracer wraps both
 # names here, and setup_probe.py calls make_operator
 from .characteristics import PathIntegrator, advect
-from .core import Field, Grid, Parameters, State, as_int, ic_preset, make_grid, make_parameters
+from .core import Field, Grid, Parameters, State, as_float, as_int, ic_preset, make_grid, make_parameters
 from .evolution import SolverConfig, simulate
 from .helmholtz import NonlocalOperator, make_operator
 
@@ -153,13 +153,6 @@ def _text(value) -> str:
     return value
 
 
-def _number(value) -> float:
-    """float(value), refusing booleans: YAML's true and yes are not 1.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _count(value) -> int:
     """as_int(value), refusing negatives."""
     n = as_int(value)
@@ -169,8 +162,8 @@ def _count(value) -> int:
 
 
 def _floats(value) -> list[float]:
-    """_number(v) of every item, refusing NaN and infinities."""
-    out = [_number(v) for v in value]
+    """as_float(v) of every item, refusing NaN and infinities."""
+    out = [as_float(v) for v in value]
     if not all(map(math.isfinite, out)):
         raise ValueError(f"expected finite numbers, got {out}")
     return out
@@ -184,13 +177,13 @@ _FIELD_KEYS = {"preset": _text, "args": dict, "samples_file": _text}
 # key is the RunConfig attribute of the same name.
 CONFIG_KEYS = {
     "equation": _text,
-    "parameters": {"alpha": _number, "gamma": _number, "c0": _number, "sigma": _number},
-    "grid": {"half_length": _number, "n_points": as_int},
+    "parameters": {"alpha": as_float, "gamma": as_float, "c0": as_float, "sigma": as_float},
+    "grid": {"half_length": as_float, "n_points": as_int},
     "solver": {
-        "t_max": _number,
-        "cfl": _number,
-        "dt_min": _number,
-        "slope_blowup_threshold": _number,
+        "t_max": as_float,
+        "cfl": as_float,
+        "dt_min": as_float,
+        "slope_blowup_threshold": as_float,
         "record_every": as_int,
     },
     "initial": _FIELD_KEYS,

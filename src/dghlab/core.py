@@ -34,6 +34,14 @@ def as_int(value, name: str = "value") -> int:
     return int(value)
 
 
+def as_float(value, name: str = "value") -> float:
+    """float(value), refusing booleans (ValueError naming ``name``): a
+    True that float() would take as 1.0 is not a number."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Parameters:
     """Physical constants of the DGH model plus derived transport constants.
@@ -42,7 +50,8 @@ class Parameters:
     ``k = (c0 + gamma/alpha**2)/2`` the effective wave-speed offset; both
     are recomputed from the raw constants at construction so they can never
     drift out of sync, and must come out finite, as must a positive
-    alpha**2.  ``in_band`` records whether gamma + c0*alpha**2 >= 0
+    alpha**2.  The raw constants are stored as floats (``as_float``, so a
+    boolean is refused).  ``in_band`` records whether gamma + c0*alpha**2 >= 0
     (the linear well-posedness band); construction outside the band succeeds
     with the flag set to False.
     """
@@ -57,6 +66,7 @@ class Parameters:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma", "c0", "sigma"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
@@ -83,13 +93,14 @@ def make_parameters(
     alpha: float, gamma: float = 0.0, c0: float = 0.0, sigma: float = 1.0
 ) -> Parameters:
     """Build a Parameters object, deriving lam, k and the band flag."""
-    return Parameters(float(alpha), float(gamma), float(c0), float(sigma))
+    return Parameters(alpha, gamma, c0, sigma)
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [-L, L) with N nodes, N an even integer
-    (``as_int``, so 64.5 is refused); its spacing dx = 2L/N, its Nyquist
+    (``as_int``, so 64.5 is refused) and L a number (``as_float``, so True
+    is refused); its spacing dx = 2L/N, its Nyquist
     wavenumber pi/dx and its square (the largest symbol of d_xx) are
     positive and finite."""
 
@@ -99,7 +110,7 @@ class Grid:
     nodes: np.ndarray = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        L = float(self.half_length)
+        L = as_float(self.half_length, "half_length")
         n = as_int(self.n_points, "n_points")
         if not (0.0 < L < math.inf):
             raise ValueError(f"half_length must be positive and finite, got {L}")
@@ -147,31 +158,24 @@ class Field:
     data cached on the field (``spectrum``, ``quarter_band``) stays valid
     for its lifetime.
 
-    A field built from its row may also be given its quarter band
-    (keyword ``band``, shape (2, N), finite; TypeError without
-    ``rfft_row``) when its maker already has it from the transform that
-    made the row (``random_band_limited``): it is kept as a read-only copy
-    in place of the band ``quarter_band`` would build.  It must be that
-    band up to round-off; it need not agree with it bit for bit.
+    A field built from its row may also be given that row's samples
+    (keyword ``values``, one finite sample per node; TypeError without
+    ``rfft_row``) when its maker already has them from its own transform
+    of the row (``random_band_limited``): they are kept as a read-only
+    copy in place of the irfft ``values`` would make.  They must be that
+    irfft up to round-off; they need not agree with it bit for bit.
     """
 
     grid: Grid
 
     def __init__(self, grid: Grid, samples: np.ndarray | None = None,
-                 rfft_row: np.ndarray | None = None, *, band: np.ndarray | None = None) -> None:
-        if band is not None and rfft_row is None:
-            raise TypeError("a quarter band is supplied only with the rfft row")
+                 rfft_row: np.ndarray | None = None, *, values: np.ndarray | None = None) -> None:
+        if values is not None and rfft_row is None:
+            raise TypeError("the samples of a row are supplied only with the rfft row")
         object.__setattr__(self, "grid", grid)
         self.__post_init__(samples, rfft_row)
-        if band is None:
-            return
-        rows = np.array(band, dtype=float, copy=True)
-        if rows.shape != (2, grid.n_points):
-            raise ValueError(f"quarter band of shape {rows.shape} does not fit the grid")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("quarter band contains non-finite values")
-        rows.setflags(write=False)
-        self.__dict__["quarter_band"] = rows  # the cached value of quarter_band
+        if values is not None:
+            self.__dict__["values"] = self._checked(np.array(values, dtype=float, copy=True))
 
     def __post_init__(self, samples: np.ndarray | None, rfft_row: np.ndarray | None) -> None:
         if (samples is None) == (rfft_row is None):
@@ -202,7 +206,8 @@ class Field:
     def values(self) -> np.ndarray:
         """Samples at the grid nodes, read-only: as given, or the irfft of
         the row the field was built from (bit for bit the samples the
-        solver's batched irfft of that row gave)."""
+        solver's batched irfft of that row gave), or the ``values`` given
+        with that row, which agree with its irfft to round-off."""
         return self._checked(np.fft.irfft(self.spectrum, n=self.grid.n_points))
 
     @cached_property
@@ -215,10 +220,11 @@ class Field:
 
     @cached_property
     def quarter_band(self) -> np.ndarray:
-        """Rows (u, u_x) of the field band-limited to bins <= N/4, read-only:
-        ``Spectral.quarter_band`` of ``spectrum``, built on first use (with an
-        rfft only for a field built from samples); or the ``band`` given at
-        construction, which agrees with it to round-off, not bit for bit."""
+        """Rows (u, u_x) of the field band-limited to bins <= N/4, at the m
+        nodes of its working grid, read-only: ``Spectral.quarter_band`` of
+        ``spectrum``, built on first use (with an rfft only for a field built
+        from samples, whose row as a rule holds round-off up to bin N/4, so
+        m = N)."""
         band = self.grid.spectral.quarter_band(self.spectrum)
         band.setflags(write=False)
         return band
@@ -305,9 +311,10 @@ class Spectral:
     (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
     antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
     the quarter band (bins <= ``quarter`` = N/4, where every quadratic
-    product is alias-free) and its one transform ``quarter_band``,
-    and the multi-point trigonometric interpolant: ``basis`` makes
-    the one cos/sin pass at a set of points, which ``values`` and
+    product is alias-free) and its one transform ``quarter_band``, which
+    samples a row's band on the smallest grid that keeps its products
+    alias-free, and the multi-point trigonometric interpolant: ``basis``
+    makes the one cos/sin pass at a set of points, which ``values`` and
     ``slopes`` share across any number of coefficient rows, and
     ``refine_min`` moves discrete minima off the grid on it.
     The Nyquist mode is interpolated as a pure cosine, the standard
@@ -349,14 +356,28 @@ class Spectral:
         return rows
 
     def quarter_band(self, row: np.ndarray) -> np.ndarray:
-        """Rows (u, u_x) at the nodes of the rfft row ``row`` limited to bins
-        <= ``quarter``, from one 2-row irfft; bins past the end of a shorter
-        row count as zero, so a caller passes only the bins it holds."""
-        cut = min(row.size, self.quarter + 1)
-        rows = np.zeros((2, self.xi.size), dtype=complex)
-        rows[0, :cut] = row[:cut]
-        np.multiply(self.ik[:cut], rows[0, :cut], out=rows[1, :cut])
-        return np.fft.irfft(rows, n=self.n)
+        """Rows (u, u_x) of the rfft row ``row`` limited to bins <= ``quarter``,
+        at the m nodes of its working grid, from one 2-row irfft of length m.
+
+        With B the top nonzero bin of the row within the band, m is the
+        fewest nodes above 4B of the form N/2^j (j >= 0, m even); on a
+        power-of-two grid, the least power of two above 4B, capped at N.
+        Every product of two rows of bins <= B is alias-free on m nodes
+        (Orszag's rule).  The bins are scaled by m/N, a power of two, so the
+        scaling is exact.  The rfft row of sampled data (the presets, the
+        peakon witness, user samples) as a rule holds round-off up to bin
+        N/4, so B = N/4 and m = N, where this is the irfft of the band
+        itself.  Bins past the end of a shorter row count as zero."""
+        band = row[: self.quarter + 1]
+        nonzero = np.flatnonzero(band)
+        top = int(nonzero[-1]) if nonzero.size else 0
+        m = self.n
+        while m % 4 == 0 and m // 2 > 4 * top:
+            m //= 2
+        rows = np.zeros((2, m // 2 + 1), dtype=complex)
+        np.multiply(band[: top + 1], m / self.n, out=rows[0, : top + 1])
+        np.multiply(self.ik[: top + 1], rows[0, : top + 1], out=rows[1, : top + 1])
+        return np.fft.irfft(rows, n=m)
 
     def basis(self, x) -> np.ndarray:
         """w_k exp(i xi_k (x + L)) / N at the points x, shape (points, bins),

@@ -79,7 +79,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .analysis import _energy_e, _energy_f, _margin, _vacuum_point
-from .core import Field, Grid, Parameters, State, as_int
+from .core import Field, Grid, Parameters, State, as_float, as_int
 from .helmholtz import NonlocalOperator
 
 __all__ = [
@@ -110,7 +110,9 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping knobs; defaults are safe for desk-scale runs."""
+    """Time-stepping knobs; defaults are safe for desk-scale runs.  The
+    float knobs are stored as floats (``as_float``, so True, which float()
+    would take as 1.0, is refused)."""
 
     t_max: float
     cfl: float = 0.3
@@ -119,6 +121,8 @@ class SolverConfig:
     record_every: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("t_max", "cfl", "dt_min", "slope_blowup_threshold"):
+            object.__setattr__(self, name, as_float(getattr(self, name), name))
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         # a NaN fails every comparison, so each test is written to fail on it

@@ -9,8 +9,9 @@ whole-line operator.
 A NonlocalOperator depends only on (grid, alpha), so each user builds
 its own: the solver reads the symbols of Q and d_x Q, advect the symbol
 of 1 - alpha^2 d_xx (u_hat to m_hat), and the inequality checks apply
-the one-sided kernel pair to grid samples, plain arrays in and out
-(core.Field checks the datum they come from).  The tests evaluate p in
+the one-sided kernel pair to samples on the grid or on a working grid
+of fewer nodes, plain arrays in and out (core.Field checks the datum
+they come from).  The tests evaluate p in
 real space, as an independent check of them.
 """
 from __future__ import annotations
@@ -70,20 +71,31 @@ class NonlocalOperator:
         return np.fft.irfft(self.symbol_q * np.fft.rfft(values), n=n)
 
     def one_sided_convolutions(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f) of grid samples f,
-        as two writable arrays.
+        """((p - alpha*d_x p) * f, (p + alpha*d_x p) * f) at the N grid nodes,
+        as two writable arrays, of the samples f of a function on m nodes of
+        the same interval, where N/m is a power of two (m = N: grid samples;
+        m < N: a working grid of ``Spectral.quarter_band``).
 
         These combinations are the one-sided exponential kernels
         2*p*1_{x>0} and 2*p*1_{x<0}; assembling them from Q and d_x Q keeps
         a single code path for all convolutions.  Q f and d_x Q f come from
-        one rfft and one 2-row irfft of the symbol products, written into
-        one buffer, and alpha * d_x Q f is formed once for both kernels.
+        one rfft of length m and one 2-row irfft of length N of the symbol
+        products, written into one buffer, and alpha * d_x Q f is formed
+        once for both kernels.  For m < N the bins of f below m/2 are scaled
+        by N/m (exact) and the rest are zero: f must hold no content at
+        the working grid's Nyquist bin m/2, which is dropped.
         """
+        n, m = self.grid.n_points, values.size
+        if n % m or (n // m) & (n // m - 1):
+            raise ValueError(f"{m} samples are not on a working grid of the {n}-node grid")
         fh = np.fft.rfft(values)
-        rows = np.empty((2, fh.size), dtype=complex)
-        np.multiply(self.symbol_q, fh, out=rows[0])
-        np.multiply(self.symbol_dq, fh, out=rows[1])
-        qf, adqf = np.fft.irfft(rows, n=self.grid.n_points)
+        if m < n:
+            fh = fh[: m // 2]
+            fh *= n // m
+        rows = np.zeros((2, n // 2 + 1), dtype=complex)
+        np.multiply(self.symbol_q[: fh.size], fh, out=rows[0, : fh.size])
+        np.multiply(self.symbol_dq[: fh.size], fh, out=rows[1, : fh.size])
+        qf, adqf = np.fft.irfft(rows, n=n)
         adqf *= self.alpha
         minus = qf - adqf
         qf += adqf

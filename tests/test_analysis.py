@@ -8,6 +8,7 @@ from dghlab.analysis import _margin, full_kernel_gap, one_sided_gaps, sobolev_ga
 from dghlab.analysis import random_band_limited
 from derivative import ddx
 from draws import full_row_draw
+from lemma_oracle import n_grid_band, n_grid_gaps
 
 
 def zeros_state(grid):
@@ -206,8 +207,8 @@ class TestFullKernelGap:
     @staticmethod
     def direct_gap(u, op, p):
         # independent oracle: Q(alpha^2/2 u_x^2 + (u+k)^2) - (u+k)^2/2 on
-        # the quarter band, with Q applied by its own transform
-        uv, ux = u.quarter_band
+        # the quarter band at the N nodes, with Q applied by its own transform
+        uv, ux = n_grid_band(u)
         conv = op.apply_q_values(0.5 * p.alpha**2 * ux * ux + (uv + p.k) ** 2)
         return conv - 0.5 * (uv + p.k) ** 2
 
@@ -263,47 +264,137 @@ class TestRandomBandLimited:
     @pytest.mark.parametrize("max_mode", [1, 80, 1024])
     def test_supplied_band_matches_built_band(self, grid4096, max_mode):
         # up to the quarter band's top bin (max_mode <= N/4) the field holds
-        # the band of the transform that found its peak: the band it would
-        # build from its row, to round-off, not bit for bit
+        # the samples of the transform that found its peak: its row's own
+        # irfft, to round-off, not bit for bit; its quarter band is the one
+        # a field built from the same row alone makes, bit for bit
         rng = np.random.default_rng(max_mode)
         eps = np.finfo(float).eps
         for _ in range(10):
             u = random_band_limited(rng, grid4096, 30, max_mode)
-            band = u.quarter_band
-            built = dg.Field(grid4096, rfft_row=u.spectrum).quarter_band
-            for got, want in zip(band, built):
-                assert np.max(np.abs(got - want)) <= 16 * eps * np.max(np.abs(want))
-            assert np.max(np.abs(band[0])) == 1.0
+            built = dg.Field(grid4096, rfft_row=u.spectrum)
+            want = built.values
+            assert np.max(np.abs(u.values - want)) <= 16 * eps * np.max(np.abs(want))
+            assert np.max(np.abs(u.values)) == 1.0
+            assert np.array_equal(u.quarter_band, built.quarter_band)
 
     def test_supplied_band_is_read_only_and_unshared(self, grid4096):
+        # the samples a random field is given with its row
         rng = np.random.default_rng(11)
         u, v = (random_band_limited(rng, grid4096) for _ in range(2))
-        band = u.quarter_band
-        assert not band.flags.writeable
+        vals = u.values
+        assert not vals.flags.writeable
         with pytest.raises(ValueError):
-            band[0, 0] = 0.0
-        for other in (u.spectrum, v.spectrum, v.quarter_band):
-            assert not np.shares_memory(band, other)
+            vals[0] = 0.0
+        for other in (u.spectrum, u.quarter_band, v.spectrum, v.values):
+            assert not np.shares_memory(vals, other)
         # the field keeps a copy: its maker's array stays its maker's
-        given = np.array(band)
-        w = dg.Field(grid4096, rfft_row=u.spectrum, band=given)
-        given[0, 0] += 1.0
-        assert w.quarter_band[0, 0] == band[0, 0] and given.flags.writeable
+        given = np.array(vals)
+        w = dg.Field(grid4096, rfft_row=u.spectrum, values=given)
+        given[0] += 1.0
+        assert w.values[0] == vals[0] and given.flags.writeable
 
-    @pytest.mark.parametrize("band", [
+    @pytest.mark.parametrize("values", [
         np.zeros((2, 1023)),
-        np.zeros(1024),
-        np.full((2, 1024), np.nan),
-        np.array([np.zeros(1024), np.r_[np.inf, np.zeros(1023)]]),
+        np.zeros((1, 1024)),
+        np.full(1024, np.nan),
+        np.r_[np.inf, np.zeros(1023)],
     ], ids=["short_rows", "one_row", "nan", "inf"])
-    def test_field_refuses_bad_band(self, grid1024, band):
+    def test_field_refuses_bad_band(self, grid1024, values):
+        # samples supplied with a row: one finite sample per node
         row = np.zeros(513, dtype=complex)
-        with pytest.raises(ValueError, match="quarter band"):
-            dg.Field(grid1024, rfft_row=row, band=band)
+        with pytest.raises(ValueError, match="samples|non-finite"):
+            dg.Field(grid1024, rfft_row=row, values=values)
 
     def test_field_refuses_band_with_samples(self, grid1024):
-        with pytest.raises(TypeError, match="quarter band"):
-            dg.Field(grid1024, np.zeros(1024), band=np.zeros((2, 1024)))
+        with pytest.raises(TypeError, match="rfft row"):
+            dg.Field(grid1024, np.zeros(1024), values=np.zeros(1024))
+
+
+class TestWorkingGrid:
+    """The gaps of a field whose top bin B lies below N/8 are formed on the
+    working grid of m = N/2^j > 4B nodes; the tests hold them to the same
+    gaps formed on all N nodes (tests/lemma_oracle.py)."""
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    @pytest.mark.parametrize("max_mode", [1, 7, 8, 63, 64, 80, 200, "quarter"])
+    def test_random_fields_match_n_grid_oracle(self, n, max_mode):
+        grid = dg.make_grid(20.0, n)
+        max_mode = n // 4 if max_mode == "quarter" else max_mode
+        rng = np.random.default_rng(max_mode)
+        for _ in range(5):
+            p = dg.make_parameters(1.0, 0.0, 2.0 * float(rng.uniform(-1.0, 1.0)))
+            u = random_band_limited(rng, grid, 30, max_mode)
+            minus, plus, slack = n_grid_gaps(u, p)
+            pair = one_sided_gaps(u, p)
+            want = (minus, plus, 0.5 * (minus + plus))
+            for gap, oracle in zip((*pair, full_kernel_gap(u, pair)), want):
+                assert np.max(np.abs(gap.values - oracle)) < 1e-14
+                assert gap.argmin_x == grid.nodes[np.argmin(oracle)]
+            assert abs(sobolev_gap(u, p) - slack) < 1e-14
+
+    @pytest.mark.parametrize("n, top, m", [
+        (4096, 0, 2), (4096, 1, 8), (4096, 7, 32), (4096, 8, 64), (4096, 63, 256),
+        (4096, 64, 512), (4096, 80, 512), (4096, 200, 1024), (4096, 511, 2048), (4096, 512, 4096),
+        (4096, 1024, 4096), (1024, 80, 512), (1024, 200, 1024),
+        # N = 1000 = 8 * 125: m = N/2^j stays even, and N/m a power of two
+        (1000, 80, 500), (1000, 1, 250),
+    ])
+    def test_working_grid_is_least_alias_free_fraction(self, n, top, m):
+        # m = N/2^j, the fewest such (even) nodes above 4B, B the row's top
+        # nonzero bin within the quarter band: on a power-of-two grid the
+        # least power of two above 4B, capped at N; the bins above N/4 are
+        # not read
+        grid = dg.make_grid(20.0, n)
+        sp = grid.spectral
+        row = np.zeros(sp.xi.size, dtype=complex)
+        row[top] = 0.5 + 0.25j
+        row[sp.quarter + 1 :] = 1.0
+        uv, ux = sp.quarter_band(row)
+        assert uv.size == m
+        # the rows are the band's samples at the m nodes -L + 2L j/m, every
+        # (N/m)-th node of the grid
+        row[sp.quarter + 1 :] = 0.0
+        for got, coeffs in zip((uv, ux), (row, sp.ik * row)):
+            want = np.fft.irfft(coeffs, n=n)[:: n // m]
+            assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(want)))
+
+    def test_sample_built_fields_use_all_nodes(self, grid1024, grid4096, params_ch):
+        # a field built from samples has round-off up to bin N/4, so B = N/4
+        # and m = N: the presets, the peakon witness and user samples
+        rng = np.random.default_rng(3)
+        for grid in (grid1024, grid4096):
+            n = grid.n_points
+            fields = [dg.ic_preset(name, grid) for name in ("gaussian_bump", "gaussian_derivative",
+                                                            "sech_bump")]
+            fields.append(peakon(grid, params_ch, k=params_ch.k))
+            fields.append(dg.ic_preset("from_samples", grid, values=rng.standard_normal(n)))
+            for u in fields:
+                assert u.quarter_band.shape == (2, n)
+
+    def test_convolutions_from_working_grid_samples(self, grid4096, params_ch):
+        # samples of a function of bins < m/2 on m nodes convolve to what
+        # its samples on all N nodes do, and the working grid's Nyquist bin
+        # m/2, which no alias-free product holds, is dropped
+        op = dg.NonlocalOperator(grid4096, params_ch.alpha)
+        row = np.zeros(2049, dtype=complex)
+        row[1:100] = np.random.default_rng(5).standard_normal(99) * np.exp(-np.arange(1, 100) / 20.0)
+        full = dg.Field(grid4096, rfft_row=row)
+        for m in (256, 512, 4096):
+            band = dg.Field(grid4096, rfft_row=row * (m / 4096))
+            samples = np.fft.irfft(band.spectrum, n=m)
+            for got, want in zip(op.one_sided_convolutions(samples),
+                                 op.one_sided_convolutions(full.values)):
+                assert np.max(np.abs(got - want)) < 1e-14
+        for m in (8, 256, 512):
+            nyquist = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
+            for conv in op.one_sided_convolutions(nyquist):
+                assert conv.shape == (4096,) and np.max(np.abs(conv)) == 0.0
+
+    @pytest.mark.parametrize("m", [1000, 3, 8192])
+    def test_convolutions_refuse_other_grids(self, grid4096, m):
+        op = dg.NonlocalOperator(grid4096, 1.0)
+        with pytest.raises(ValueError, match="working grid"):
+            op.one_sided_convolutions(np.ones(m))
 
 
 class TestSobolevGap:

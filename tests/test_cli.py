@@ -225,33 +225,48 @@ class TestLemmasCommand:
 
     def test_fft_calls_per_random_field(self, tmp_path, monkeypatch):
         # runs differing only in n_random differ only by their random
-        # fields: each is built from its drawn row, and one 2-row irfft of
-        # that row and its derivative gives both the peak it is divided by
-        # and, divided too, its quarter band; the one-sided pair, whose
-        # mean is the full-kernel gap, costs one rfft and one 2-row irfft:
-        # 3 calls, 5 length-N rows.
-        # [calls, rows] are counted as TestFftBudget counts them
-        calls = [0, 0]
+        # fields: each is built from its drawn row, and one length-N irfft
+        # of that row gives the peak it is divided by and, divided too, its
+        # samples; its quarter band is one 2-row irfft on its working grid
+        # (max_mode 80: m = 512 < N = 1024), and the one-sided pair, whose
+        # mean is the full-kernel gap, one rfft there and one 2-row irfft
+        # at N: 4 calls, 3 length-N rows and 3 working-grid rows.
+        # [calls, rows] are counted as TestFftBudget counts them, the rows
+        # split by the length of the transform's real side
+        n = 1024
+        calls = [0, 0, 0]
 
-        def counted(fn):
+        def counted(fn, real_input):
             def call(*args, **kwargs):
                 out = fn(*args, **kwargs)
+                length = (args[0] if real_input else out).shape[-1]
                 calls[0] += 1
-                calls[1] += out.size // out.shape[-1]
+                calls[1 if length == n else 2] += out.size // out.shape[-1]
                 return out
             return call
 
         for name in ("rfft", "irfft", "fft", "ifft"):
-            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), name == "rfft"))
         counts = []
         for n_random in (2, 6):
             cfg = write_config(tmp_path, lemmas={"n_random": n_random, "resolutions": [512]})
-            calls[:] = [0, 0]
+            calls[:] = [0, 0, 0]
             assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out"),
-                         "--seed", "11"]) == 0
+                         "--seed", "11", "--N", str(n)]) == 0
             counts.append(list(calls))
-        assert counts[1][0] - counts[0][0] == 3 * 4
-        assert counts[1][1] - counts[0][1] == 5 * 4
+        assert counts[1][0] - counts[0][0] == 4 * 4
+        assert counts[1][1] - counts[0][1] == 3 * 4
+        assert counts[1][2] - counts[0][2] == 3 * 4
+
+    def test_report_is_deterministic(self, tmp_path):
+        # two runs at one seed write the same bytes
+        cfg = write_config(tmp_path, lemmas={"n_random": 6, "max_mode": 20, "resolutions": [512]})
+        reports = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert main(["lemmas", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 0
+            reports.append((out / "lemmas_report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("lemmas", [
         {"max_mode": 513},

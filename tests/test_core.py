@@ -41,6 +41,18 @@ class TestParameters:
         with pytest.raises(ValueError, match=match):
             dg.make_parameters(alpha, gamma)
 
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "c0", "sigma"])
+    def test_rejects_booleans(self, name):
+        # float(True) is 1.0: a boolean is refused where a number is meant,
+        # by make_parameters and by Parameters itself
+        kw = {"alpha": 1.0, name: True}
+        for build in (dg.make_parameters, dg.Parameters):
+            with pytest.raises(ValueError, match=name):
+                build(**kw)
+        with pytest.raises(ValueError, match=name):
+            dg.make_parameters(**{"alpha": 1.0, name: np.bool_(False)})
+        assert type(dg.Parameters(1).alpha) is float
+
     @given(
         alpha=st.floats(0.01, 100.0),
         gamma=st.floats(-50.0, 50.0),
@@ -67,6 +79,12 @@ class TestGrid:
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             dg.make_grid(20.0, n)
+
+    @pytest.mark.parametrize("L", [True, np.bool_(True)])
+    def test_rejects_boolean_length(self, L):
+        # float(True) would make a grid of half-length 1.0
+        with pytest.raises(ValueError, match="half_length"):
+            dg.make_grid(L, 64)
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):

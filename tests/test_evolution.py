@@ -75,6 +75,13 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             dg.SolverConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["t_max", "cfl", "dt_min", "slope_blowup_threshold"])
+    def test_float_knobs_refuse_booleans(self, name):
+        # float(True) is 1.0, which would run to t = 1 (or at cfl 1)
+        with pytest.raises(ValueError, match=name):
+            dg.SolverConfig(**{"t_max": 1.0, name: True})
+        assert type(dg.SolverConfig(t_max=2).t_max) is float
+
 
 class TestRhsOneComponent:
     def test_zero_datum(self, grid1024, params_ch):
