@@ -35,7 +35,7 @@ __all__ = [
 
 def _quadrature(values: np.ndarray, dx: float) -> float:
     """Trapezoid rule on the periodic grid (all nodes have equal weight)."""
-    return float(np.sum(values) * dx)
+    return float(values.sum() * dx)
 
 
 def _energy_e(u, ux, rho, params: Parameters, dx: float) -> float:
@@ -99,7 +99,7 @@ class GapField:
 
 
 def _gap_field(values: np.ndarray, grid: Grid) -> GapField:
-    i = int(np.argmin(values))
+    i = int(values.argmin())
     values.setflags(write=False)
     return GapField(values, min_gap=float(values[i]), argmin_x=float(grid.nodes[i]))
 
@@ -186,7 +186,7 @@ def sobolev_gap(u: Field, params: Parameters) -> float:
     dens += np.multiply(uv, uv)
     # the working grid's spacing: N/m is a power of two, so this is exact
     norm = np.sqrt(_quadrature(dens, u.grid.dx * (u.grid.n_points // uv.size)))
-    return float(norm / np.sqrt(2.0 * params.alpha) - np.max(np.abs(u_n)))
+    return float(norm / np.sqrt(2.0 * params.alpha) - np.abs(u_n).max())
 
 
 def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> Field:
@@ -210,7 +210,7 @@ def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
     drawn = coeffs[: max_mode + 1]
     drawn *= np.exp(-np.arange(max_mode + 1) / (max_mode / 2.0))
     values = np.fft.irfft(drawn, n=sp.n)
-    peak = np.max(np.abs(values))
+    peak = np.abs(values).max()
     if peak > 0:
         drawn /= peak
         values /= peak

@@ -186,7 +186,7 @@ class Field:
         row = np.array(rfft_row, dtype=complex, copy=True)
         if row.shape != (self.grid.n_points // 2 + 1,):
             raise ValueError(f"rfft row of shape {row.shape} does not fit the grid")
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             raise ValueError("field contains non-finite values")
         row.setflags(write=False)
         self.__dict__["spectrum"] = row  # the cached value of spectrum
@@ -197,7 +197,7 @@ class Field:
             raise ValueError(
                 f"expected {self.grid.n_points} samples, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field contains non-finite values")
         vals.setflags(write=False)
         return vals
@@ -313,7 +313,9 @@ class Spectral:
     the quarter band (bins <= ``quarter`` = N/4, where every quadratic
     product is alias-free) and its one transform ``quarter_band``, which
     samples a row's band on the smallest grid that keeps its products
-    alias-free, and the multi-point trigonometric interpolant: ``basis``
+    alias-free, the memo ``helmholtz_symbols`` of the grid's Helmholtz
+    symbols per alpha (filled by ``NonlocalOperator``), and the multi-point
+    trigonometric interpolant: ``basis``
     makes the one cos/sin pass at a set of points, which ``values`` and
     ``slopes`` share across any number of coefficient rows, and
     ``refine_min`` moves discrete minima off the grid on it.
@@ -338,6 +340,9 @@ class Spectral:
         self.quarter = self.n // 4  # top bin of the quarter band
         for a in (self.xi, self.ik):
             a.setflags(write=False)
+        # alpha -> the read-only Helmholtz symbols (helm, q, dq) on xi, which
+        # only helmholtz.NonlocalOperator forms and fills in
+        self.helmholtz_symbols: dict[float, tuple[np.ndarray, ...]] = {}
         # bin k = B*j + b (B = _BLOCK): exp(i k t) = exp(i B j t) exp(i b t);
         # ~N/B + B cos/sin calls per point instead of N/2 (BENCH_2.json
         # "basis_ablation": simulate_dgh cmd_s -15% against direct cos/sin)
@@ -345,6 +350,11 @@ class Spectral:
         self._factors = np.concatenate(
             (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))
         ).astype(float)
+
+    def __getstate__(self) -> dict:
+        # a pickled grid (a sweep cell's datum) leaves its symbols behind:
+        # unpickled arrays are writable, so the copy forms its own
+        return {**self.__dict__, "helmholtz_symbols": {}}
 
     @cached_property
     def filters(self) -> np.ndarray:
@@ -369,8 +379,9 @@ class Spectral:
         N/4, so B = N/4 and m = N, where this is the irfft of the band
         itself.  Bins past the end of a shorter row count as zero."""
         band = row[: self.quarter + 1]
-        nonzero = np.flatnonzero(band)
-        top = int(nonzero[-1]) if nonzero.size else 0
+        nonzero = band[::-1] != 0  # from the band's top bin down; -0.0 is zero
+        last = int(nonzero.argmax())
+        top = band.size - 1 - last if nonzero[last] else 0
         m = self.n
         while m % 4 == 0 and m // 2 > 4 * top:
             m //= 2

@@ -7,7 +7,9 @@ periodized kernel; for L >> alpha that is indistinguishable from the
 whole-line operator.
 
 A NonlocalOperator depends only on (grid, alpha), so each user builds
-its own: the solver reads the symbols of Q and d_x Q, advect the symbol
+its own, and its symbols are formed once per Grid object and alpha and
+shared read-only by every operator built from the two: the solver reads
+the symbols of Q and d_x Q, advect the symbol
 of 1 - alpha^2 d_xx (u_hat to m_hat), and the inequality checks apply
 the one-sided kernel pair to samples on the grid or on a working grid
 of fewer nodes, plain arrays in and out (core.Field checks the datum
@@ -37,6 +39,11 @@ class NonlocalOperator:
     Nyquist bin zeroed to match the spectral derivative convention.  A
     grid and an alpha whose largest symbol, at the Nyquist wavenumber,
     overflows are refused with a ValueError.
+
+    The three symbols are formed once per Grid object and alpha, after
+    that check, and kept read-only in ``grid.spectral.helmholtz_symbols``
+    (arrays only, so nothing there refers back to the grid or to an
+    operator); every later operator of that grid and alpha shares them.
     """
 
     grid: Grid
@@ -53,11 +60,10 @@ class NonlocalOperator:
                 f"alpha = {self.alpha} on a grid of spacing dx = {self.grid.dx}: the "
                 "Helmholtz symbol 1 + (alpha pi/dx)**2 overflows"
             )
-        sym_helm = 1.0 + (self.alpha * sp.xi) ** 2
-        sym_q = 1.0 / sym_helm
-        sym_dq = sp.ik * sym_q
-        for name, sym in (("symbol_helm", sym_helm), ("symbol_q", sym_q), ("symbol_dq", sym_dq)):
-            sym.setflags(write=False)
+        symbols = sp.helmholtz_symbols.get(self.alpha)
+        if symbols is None:
+            symbols = sp.helmholtz_symbols[self.alpha] = _symbols(sp.xi, sp.ik, self.alpha)
+        for name, sym in zip(("symbol_helm", "symbol_q", "symbol_dq"), symbols):
             object.__setattr__(self, name, sym)
 
     def apply_q_values(self, values: np.ndarray) -> np.ndarray:
@@ -100,6 +106,17 @@ class NonlocalOperator:
         minus = qf - adqf
         qf += adqf
         return minus, qf
+
+
+def _symbols(xi: np.ndarray, ik: np.ndarray, alpha: float) -> tuple[np.ndarray, ...]:
+    """The read-only symbols of 1 - alpha^2 d_xx, Q and d_x Q on the
+    wavenumbers xi, with ik the derivative symbol."""
+    sym_helm = 1.0 + (alpha * xi) ** 2
+    sym_q = 1.0 / sym_helm
+    sym_dq = ik * sym_q
+    for sym in (sym_helm, sym_q, sym_dq):
+        sym.setflags(write=False)
+    return sym_helm, sym_q, sym_dq
 
 
 def make_operator(grid: Grid, params: Parameters) -> NonlocalOperator:

@@ -332,14 +332,21 @@ class TestWorkingGrid:
                 assert gap.argmin_x == grid.nodes[np.argmin(oracle)]
             assert abs(sobolev_gap(u, p) - slack) < 1e-14
 
-    @pytest.mark.parametrize("n, top, m", [
-        (4096, 0, 2), (4096, 1, 8), (4096, 7, 32), (4096, 8, 64), (4096, 63, 256),
-        (4096, 64, 512), (4096, 80, 512), (4096, 200, 1024), (4096, 511, 2048), (4096, 512, 4096),
-        (4096, 1024, 4096), (1024, 80, 512), (1024, 200, 1024),
-        # N = 1000 = 8 * 125: m = N/2^j stays even, and N/m a power of two
-        (1000, 80, 500), (1000, 1, 250),
+    @pytest.mark.parametrize("n, top, m, signed_zero", [
+        *(pytest.param(n, top, m, None, id=f"{n}-{top}-{m}") for n, top, m in (
+            (4096, 0, 2), (4096, 1, 8), (4096, 7, 32), (4096, 8, 64), (4096, 63, 256),
+            (4096, 64, 512), (4096, 80, 512), (4096, 200, 1024), (4096, 511, 2048),
+            (4096, 512, 4096), (4096, 1024, 4096), (1024, 80, 512), (1024, 200, 1024),
+            # N = 1000 = 8 * 125: m = N/2^j stays even, and N/m a power of two
+            (1000, 80, 500), (1000, 1, 250),
+        )),
+        # no nonzero bin in the band, bin 0 included (content only above
+        # N/4): B = 0, as np.flatnonzero finds no bin
+        pytest.param(4096, None, 2, None, id="4096-zero_band-2"),
+        # -0.0 in the would-be top bin 100 is zero, as for np.flatnonzero: B = 7
+        pytest.param(4096, 7, 32, 100, id="4096-7-32-signed_zero_above"),
     ])
-    def test_working_grid_is_least_alias_free_fraction(self, n, top, m):
+    def test_working_grid_is_least_alias_free_fraction(self, n, top, m, signed_zero):
         # m = N/2^j, the fewest such (even) nodes above 4B, B the row's top
         # nonzero bin within the quarter band: on a power-of-two grid the
         # least power of two above 4B, capped at N; the bins above N/4 are
@@ -347,7 +354,10 @@ class TestWorkingGrid:
         grid = dg.make_grid(20.0, n)
         sp = grid.spectral
         row = np.zeros(sp.xi.size, dtype=complex)
-        row[top] = 0.5 + 0.25j
+        if top is not None:
+            row[top] = 0.5 + 0.25j
+        if signed_zero is not None:
+            row[signed_zero] = complex(-0.0, -0.0)
         row[sp.quarter + 1 :] = 1.0
         uv, ux = sp.quarter_band(row)
         assert uv.size == m

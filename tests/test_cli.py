@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import dghlab as dg
-from dghlab import analysis, cli
+from dghlab import analysis, cli, helmholtz
 from dghlab.analysis import full_kernel_gap, one_sided_gaps
 from dghlab.cli import main
 from dghlab.core import Field
@@ -257,6 +257,22 @@ class TestLemmasCommand:
         assert counts[1][0] - counts[0][0] == 4 * 4
         assert counts[1][1] - counts[0][1] == 3 * 4
         assert counts[1][2] - counts[0][2] == 3 * 4
+
+    def test_helmholtz_symbols_formed_once_per_grid(self, tmp_path, monkeypatch):
+        # the CLI's operator check and every field's gap operator share the
+        # config grid's symbols (N = 1024), and each resolution of the
+        # peakon witness study is a grid of its own: 1 + 2 formations
+        formed = []
+        form = helmholtz._symbols
+
+        def counted(xi, ik, alpha):
+            formed.append(xi.size)
+            return form(xi, ik, alpha)
+
+        monkeypatch.setattr(helmholtz, "_symbols", counted)
+        cfg = write_config(tmp_path, lemmas={"n_random": 20, "resolutions": [512, 1024]})
+        assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert formed == [513, 257, 513]
 
     def test_report_is_deterministic(self, tmp_path):
         # two runs at one seed write the same bytes

@@ -1,9 +1,13 @@
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import dghlab as dg
-from dghlab.analysis import random_band_limited
+from dghlab.analysis import one_sided_gaps, random_band_limited
 from derivative import ddx
 from kernel import green_kernel
 
@@ -48,6 +52,52 @@ class TestSymbols:
 
     def test_dq_symbol_nyquist_zeroed(self, op4096):
         assert op4096.symbol_dq[-1] == 0.0
+
+    def test_symbols_formed_once_per_grid_and_alpha(self):
+        # operators of one Grid object and alpha share the read-only symbol
+        # arrays; another alpha, and another Grid equal to the first, each
+        # form their own
+        grid = dg.make_grid(20.0, 512)
+        first, second = dg.NonlocalOperator(grid, 1.0), dg.NonlocalOperator(grid, 1.0)
+        for name in ("symbol_helm", "symbol_q", "symbol_dq"):
+            assert getattr(first, name) is getattr(second, name)
+        assert dg.NonlocalOperator(grid, 1.3).symbol_q is not first.symbol_q
+        twin = dg.make_grid(20.0, 512)
+        assert twin == grid
+        other = dg.NonlocalOperator(twin, 1.0)
+        assert other.symbol_q is not first.symbol_q
+        assert np.array_equal(other.symbol_q, first.symbol_q)
+
+    def test_pickled_grid_forms_its_own_symbols(self):
+        # unpickled arrays are writable: a grid's copy in a sweep worker
+        # forms its own read-only symbols rather than share writable ones
+        grid = dg.make_grid(20.0, 512)
+        dg.NonlocalOperator(grid, 1.0)
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy.spectral.helmholtz_symbols == {}
+        op = dg.NonlocalOperator(copy, 1.0)
+        assert not any(s.flags.writeable for s in (op.symbol_helm, op.symbol_q, op.symbol_dq))
+        assert grid.spectral.helmholtz_symbols[1.0][1] is not op.symbol_q
+
+    def test_grid_freed_without_the_cycle_collector(self, params_ch):
+        # the symbols a grid keeps for its operators refer to nothing, so no
+        # grid <-> operator cycle waits for the cyclic collector: with it
+        # off, a grid used by the gap checks and by a short simulate is
+        # freed as soon as its last reference goes
+        grid = dg.make_grid(20.0, 256)
+        ref = weakref.ref(grid)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            u = random_band_limited(np.random.default_rng(1), grid, 10, 20)
+            one_sided_gaps(u, params_ch)
+            state = dg.State(0.0, dg.ic_preset("gaussian_derivative", grid))
+            dg.simulate(state, dg.SolverConfig(t_max=0.05), params_ch)
+            del u, state, grid
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_refuses_an_overflowing_symbol(self):
         # alpha**2 = 1e308 and (pi/dx)**2 = 1e4 are finite, their product
