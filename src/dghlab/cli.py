@@ -61,42 +61,85 @@ __all__ = ["RunConfig", "load_config", "main", "cmd_simulate", "cmd_criterion",
            "cmd_lemmas", "cmd_sweep"]
 
 GAP_TOLERANCE = 1e-8
+# libyaml's safe loader where PyYAML was built with it: it builds the same
+# objects as the pure-Python SafeLoader, several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _fmt(x) -> str:
-    """17 significant digits: round-trip exact and bit-stable across runs."""
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, str):
-        return x.replace(",", ";")
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    """A CSV cell: a number as a float with 17 significant digits (round-trip
+    exact and bit-stable across runs), bools as true/false, None empty."""
+    if not isinstance(x, float):
+        if x is None:
+            return ""
+        if isinstance(x, bool):
+            return str(x).lower()
+        if isinstance(x, str):
+            return x.replace(",", ";")
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        x = float(x)
+    return format(x, ".17g")
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # an array's rows as Python floats: one .tolist() in place of a numpy
+    # scalar per cell
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
-def _finite_or_null(x):
-    """The payload x with every non-finite float replaced by None."""
+_quote = json.encoder.encode_basestring_ascii
+_float_text = float.__repr__
+
+
+def _json(x, pad: str) -> str:
+    """The text json.dumps(x, indent=2, sort_keys=True) gives, with null for
+    every non-finite float; ``pad`` is a newline and the indent of x's line.
+    A tuple is written as a list.  Dict keys must be strings, as every
+    payload's are; another key, or a value json refuses (a numpy integer or
+    bool, a set), raises TypeError.  One join per dict or list; a finite
+    float item, the common leaf, is written in place, without a call."""
     if isinstance(x, dict):
-        return {k: _finite_or_null(v) for k, v in x.items()}
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_quote(k)}: "
+                 f"{_float_text(v) if type(v) is float and math.isfinite(v) else _json(v, inner)}"
+                 for k, v in sorted(x.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     if isinstance(x, (list, tuple)):
-        return [_finite_or_null(v) for v in x]
-    return None if isinstance(x, float) and not math.isfinite(x) else x
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        items = [_float_text(v) if type(v) is float and math.isfinite(v) else _json(v, inner)
+                 for v in x]
+        return f"[{inner}{(',' + inner).join(items)}{pad}]"
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, float):
+        return _float_text(x) if math.isfinite(x) else "null"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    """Standard JSON (RFC 8259): a NaN or an infinity is written as null."""
+    """Standard JSON (RFC 8259) in json.dump's layout with indent=2 and
+    sort_keys=True, ASCII-escaped: a NaN or an infinity is written as null.
+    A payload that does not encode raises before the file is opened."""
+    text = _json(payload, "\n") + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_finite_or_null(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 class ConfigError(Exception):
@@ -255,7 +298,7 @@ def load_config(path: str | None, overrides: argparse.Namespace | None) -> RunCo
         if not p.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = yaml.safe_load(p.read_text(encoding="utf-8")) or {}
+            raw = yaml.load(p.read_text(encoding="utf-8"), Loader=_YAML_LOADER) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
     flags = {}

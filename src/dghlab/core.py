@@ -26,6 +26,15 @@ __all__ = [
 ]
 
 
+def _unpickle_read_only(self, state: dict) -> None:
+    """``__setstate__`` of the classes that keep read-only arrays: pickle
+    gives an object's arrays back writable, so they are frozen again."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    self.__dict__.update(state)
+
+
 def as_int(value, name: str = "value") -> int:
     """int(value), refusing what int() would truncate: booleans and floats
     with a fractional part or no finite value (ValueError naming ``name``)."""
@@ -131,6 +140,8 @@ class Grid:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "nodes", nodes)
 
+    __setstate__ = _unpickle_read_only
+
     @cached_property
     def spectral(self) -> Spectral:
         """The grid's Fourier bookkeeping, built on first use."""
@@ -228,6 +239,8 @@ class Field:
         band = self.grid.spectral.quarter_band(self.spectrum)
         band.setflags(write=False)
         return band
+
+    __setstate__ = _unpickle_read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,11 +363,14 @@ class Spectral:
         self._factors = np.concatenate(
             (self._BLOCK * np.arange(self._n_coarse), np.arange(self._BLOCK))
         ).astype(float)
+        self._factors.setflags(write=False)
 
     def __getstate__(self) -> dict:
-        # a pickled grid (a sweep cell's datum) leaves its symbols behind:
-        # unpickled arrays are writable, so the copy forms its own
+        # a pickled grid (a sweep cell's datum) leaves its symbols behind,
+        # which keeps the pickle small; the copy forms its own
         return {**self.__dict__, "helmholtz_symbols": {}}
+
+    __setstate__ = _unpickle_read_only
 
     @cached_property
     def filters(self) -> np.ndarray:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,29 @@ class TestField:
         h = dg.Field(dg.make_grid(10.0, 1024), f.values)
         assert np.array_equal(h.quarter_band[0], band[0])
         assert not np.array_equal(h.quarter_band[1], band[1])
+
+    @pytest.mark.parametrize("source", ["samples", "rfft_row"])
+    def test_unpickled_arrays_stay_read_only(self, source):
+        # a sweep cell's datum reaches its worker pickled: the grid, its
+        # Spectral and the field come back with the same read-only arrays,
+        # so the spectral data cached on the field stays valid there
+        grid = dg.make_grid(20.0, 256)
+        samples = np.exp(-grid.nodes**2)
+        f = (dg.Field(grid, samples) if source == "samples"
+             else dg.Field(grid, rfft_row=np.fft.rfft(samples)))
+        f.values, f.spectrum, f.quarter_band, grid.spectral.filters  # cache every array
+        copy = pickle.loads(pickle.dumps(f))
+        sp = copy.grid.spectral
+        arrays = {"nodes": copy.grid.nodes, "xi": sp.xi, "ik": sp.ik, "filters": sp.filters,
+                  "values": copy.values, "spectrum": copy.spectrum,
+                  "quarter_band": copy.quarter_band}
+        for name, a in arrays.items():
+            assert not a.flags.writeable, name
+        # each was unpickled, not made again
+        assert {"values", "spectrum", "quarter_band"} <= copy.__dict__.keys()
+        assert "filters" in sp.__dict__
+        assert np.array_equal(copy.quarter_band, f.quarter_band)
+        assert copy.grid == grid
 
     def test_state_requires_shared_grid(self, grid1024, grid2048):
         u = dg.Field(grid1024, np.zeros(1024))
