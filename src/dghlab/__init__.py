@@ -23,7 +23,6 @@ from .characteristics import (
 )
 from .analysis import (
     CriterionVerdict,
-    GapField,
     check_criterion_dgh,
     check_criterion_dgh2,
     energy_E,

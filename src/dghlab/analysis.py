@@ -1,7 +1,7 @@
 """Conserved functionals, sharp-inequality gap fields and blowup criteria.
 
-The inequality checks return the pointwise difference LHS - RHS as a
-GapField; validity means the minimum gap is nonnegative up to round-off.
+The inequality checks return the pointwise difference LHS - RHS as an
+array; validity means the minimum gap is nonnegative up to round-off.
 The local blowup criterion scans the initial datum for a point where
 alpha*u0'(x) + |u0(x) + k| is negative and, when one exists, reports the
 explicit breaking-time bound 2/sqrt(u0'(x0)^2 - (u0(x0)+k)^2/alpha^2).
@@ -19,13 +19,13 @@ from .core import Field, Grid, Parameters, State, ic_preset, make_grid
 from .helmholtz import NonlocalOperator
 
 __all__ = [
-    "GapField",
     "CriterionVerdict",
     "energy_E",
     "energy_F",
     "one_sided_gaps",
     "full_kernel_gap",
     "sobolev_gap",
+    "gap_minimum",
     "random_band_limited",
     "peakon_witness_study",
     "check_criterion_dgh",
@@ -87,45 +87,27 @@ def energy_F(state: State, params: Parameters) -> float:
     return _energy_f(uf, uxf, rf, params, grid.dx)
 
 
-@dataclass(frozen=True, eq=False)
-class GapField:
-    """LHS - RHS of one pointwise inequality at the grid nodes, a read-only
-    array (an intermediate, not a checked Field); min_gap >= -tol
-    certifies the inequality."""
-
-    values: np.ndarray
-    min_gap: float
-    argmin_x: float
+def gap_minimum(gap: np.ndarray, grid: Grid) -> dict:
+    """{"min_gap", "argmin_x"}: the least gap at the nodes of ``grid`` and the
+    first node where it is taken; min_gap >= -tol certifies the inequality."""
+    i = int(gap.argmin())
+    return {"min_gap": float(gap[i]), "argmin_x": float(grid.nodes[i])}
 
 
-def _gap_field(values: np.ndarray, grid: Grid) -> GapField:
-    i = int(values.argmin())
-    values.setflags(write=False)
-    return GapField(values, min_gap=float(values[i]), argmin_x=float(grid.nodes[i]))
-
-
-def _band(u: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(u at the N grid nodes, (u, u_x) at the m nodes of the working grid)
-    of u's quarter band: row 0 of the band where m = N, else u's own
-    samples, which a field with no bin above N/4 already holds (to
-    round-off) without a length-N transform of the band."""
-    rows = u.quarter_band
-    return (rows[0] if rows.shape[1] == u.grid.n_points else u.values), rows
-
-
-def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
+def one_sided_gaps(grid: Grid, samples, band, params: Parameters) -> tuple[np.ndarray, np.ndarray]:
     """Gaps of the two sharp one-sided convolution inequalities
 
         (p -+ alpha d_x p) * (alpha^2/2 u_x^2 + u^2 + 2k u) >= (u+k)^2/2 - k^2,
 
-    with p the kernel of u's grid and params.alpha.  Equality holds for the
+    with p the kernel of ``grid`` and params.alpha.  Equality holds for the
     peakon family u = c*exp(-|x-y|/alpha) - k, on x <= y for the minus
     sign and x >= y for the plus sign.
 
-    The convolution argument w is formed on the working grid of u's
-    quarter band (m nodes, ``Spectral.quarter_band``) and convolved back
-    to the N nodes, where the right-hand side is formed; for the presets,
-    the peakon witness and user samples m = N.
+    ``band`` is ``Spectral.quarter_band`` of u's rfft row, (u, u_x) at the m
+    nodes of its working grid, where w is formed and convolved back to the N
+    nodes; the right-hand side is formed there from band row 0 where m = N
+    (the presets and the peakon), else from u's ``samples``, which a field
+    with no bin above N/4 holds (to round-off) without a length-N transform.
     """
     # in the quarter band every quadratic product below is alias-free, so
     # the discrete gap equals the continuum gap of a genuine finite-energy
@@ -135,25 +117,26 @@ def one_sided_gaps(u: Field, params: Parameters) -> tuple[GapField, GapField]:
     # the order and grouping of the plain formulas
     #   w   = 0.5 * alpha**2 * ux * ux + uv * uv + 2.0 * k * uv
     #   rhs = 0.5 * (u + k) ** 2 - k**2
-    u_n, (uv, ux) = _band(u)
+    uv, ux = band
+    u = uv if uv.size == grid.n_points else samples
     w = np.multiply(0.5 * params.alpha**2, ux)
     w *= ux
     term = np.multiply(uv, uv)
     w += term
     w += np.multiply(2.0 * params.k, uv, out=term)
-    minus, plus = NonlocalOperator(u.grid, params.alpha).one_sided_convolutions(w)
-    rhs = np.add(u_n, params.k)
+    minus, plus = NonlocalOperator(grid, params.alpha).one_sided_convolutions(w)
+    rhs = np.add(u, params.k)
     rhs *= rhs
     rhs *= 0.5
     rhs -= params.k**2
     minus -= rhs
     plus -= rhs
-    return _gap_field(minus, u.grid), _gap_field(plus, u.grid)
+    return minus, plus
 
 
-def full_kernel_gap(u: Field, pair: tuple[GapField, GapField]) -> GapField:
+def full_kernel_gap(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2, as the mean of
-    ``pair``, the gaps one_sided_gaps(u, params) made at the params wanted.
+    ``pair``, the gaps one_sided_gaps made for u at the params wanted.
 
     The one-sided kernels p -+ alpha p_x are 2p 1_{x>0} and 2p 1_{x<0}, so
     p is their mean, and with w = alpha^2/2 u_x^2 + u^2 + 2k u
@@ -164,40 +147,40 @@ def full_kernel_gap(u: Field, pair: tuple[GapField, GapField]) -> GapField:
     the full-kernel gap, because p has unit mass: p * k^2 = k^2, on the
     grid too, where the symbol of Q is 1 at xi = 0 (symbol_q[0] = 1).
     """
-    gm, gp = pair
-    mean = np.add(gm.values, gp.values)
+    mean = np.add(*pair)
     mean *= 0.5
-    return _gap_field(mean, u.grid)
+    return mean
 
 
-def sobolev_gap(u: Field, params: Parameters) -> float:
+def sobolev_gap(grid: Grid, samples, band, params: Parameters) -> float:
     """Slack in the sharp embedding max|u| <= ||u||_{H1,alpha}/sqrt(2 alpha);
     equality is attained by the peakon profile.
 
-    Evaluated on the quarter-band representative of u: the norm on its
-    working grid (m nodes, ``Spectral.quarter_band``), where it is Parseval
+    Evaluated on the quarter-band representative of u, given as for
+    one_sided_gaps: the norm on its working grid, where it is Parseval
     exact, and the maximum at the N grid nodes, a lower bound on the true
     sup, so the reported slack is never spuriously negative.
     """
-    u_n, (uv, ux) = _band(u)
+    uv, ux = band
+    u = uv if uv.size == grid.n_points else samples
     # uv * uv + alpha**2 * ux * ux, one array pass per operation
     dens = np.multiply(params.alpha**2, ux)
     dens *= ux
     dens += np.multiply(uv, uv)
     # the working grid's spacing: N/m is a power of two, so this is exact
-    norm = np.sqrt(_quadrature(dens, u.grid.dx * (u.grid.n_points // uv.size)))
-    return float(norm / np.sqrt(2.0 * params.alpha) - np.abs(u_n).max())
+    norm = np.sqrt(_quadrature(dens, grid.dx * (grid.n_points // uv.size)))
+    return float(norm / np.sqrt(2.0 * params.alpha) - np.abs(u).max())
 
 
-def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30, max_mode: int = 80) -> Field:
-    """Random smooth periodic field in the quarter band, unit amplitude up to
-    round-off: n_modes random coefficients on the wavenumber bins
-    1..max_mode, damped by exp(-bin/(max_mode/2)) and divided by the peak of
-    their samples, from one length-N irfft of the drawn bins.  The field is
-    built from that rfft row and holds those samples, divided by the peak
-    too (they agree with the row's own irfft to round-off, not bit for
-    bit); its gap checks transform its band on the working grid of its top
-    drawn bin.  ValueError unless n_modes >= 1 and 1 <= max_mode <= N/4."""
+def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
+                        max_mode: int = 80) -> tuple[np.ndarray, np.ndarray]:
+    """(rfft row, samples), read-only, of a random smooth periodic field in
+    the quarter band, unit amplitude up to round-off: n_modes random
+    coefficients on the wavenumber bins 1..max_mode, damped by
+    exp(-bin/(max_mode/2)) and divided by the peak of their samples, from
+    one length-N irfft of the drawn bins; those samples, divided by the peak
+    too, agree with the row's own irfft to round-off, not bit for bit.
+    ValueError unless n_modes >= 1 and 1 <= max_mode <= N/4."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be at least 1, got {n_modes}")
     sp = grid.spectral
@@ -214,7 +197,9 @@ def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
     if peak > 0:
         drawn /= peak
         values /= peak
-    return Field(grid, rfft_row=coeffs, values=values)
+    coeffs.setflags(write=False)
+    values.setflags(write=False)
+    return coeffs, values
 
 
 def peakon_witness_study(params: Parameters, resolutions) -> dict:
@@ -230,17 +215,18 @@ def peakon_witness_study(params: Parameters, resolutions) -> dict:
     for n in resolutions:
         grid = make_grid(20.0 * params.alpha, n)
         u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
-        gm, _ = one_sided_gaps(u, params)
+        band = grid.spectral.quarter_band(u.spectrum)
+        gm, _ = one_sided_gaps(grid, u.values, band, params)
         x = grid.nodes
         ipk = int(np.argmin(np.abs(x)))
         region = x <= -exclusion
         levels.append(
             {
                 "n_points": n,
-                "gap_at_peak": float(gm.values[ipk]),
-                "gap_equality_region": float(np.max(np.abs(gm.values[region]))),
-                "min_gap": gm.min_gap,
-                "sup_embedding_gap": float(sobolev_gap(u, params)),
+                "gap_at_peak": float(gm[ipk]),
+                "gap_equality_region": float(np.max(np.abs(gm[region]))),
+                "min_gap": gap_minimum(gm, grid)["min_gap"],
+                "sup_embedding_gap": sobolev_gap(grid, u.values, band, params),
             }
         )
     order = np.nan

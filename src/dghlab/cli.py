@@ -35,6 +35,7 @@ import time
 from dataclasses import asdict, astuple, dataclass, field as dc_field, replace
 from functools import partial
 from itertools import product
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .analysis import (
     check_criterion_dgh,
     check_criterion_dgh2,
     full_kernel_gap,
+    gap_minimum,
     one_sided_gaps,
     peakon_witness_study,
     random_band_limited,
@@ -434,31 +436,35 @@ def cmd_criterion(cfg: RunConfig, params: Parameters, solver: SolverConfig, stat
     return 0
 
 
-def _gap_entries(u: Field, params: Parameters) -> dict:
-    gm, gp = one_sided_gaps(u, params)
-    fk = full_kernel_gap(u, (gm, gp))
+def _gap_entries(grid: Grid, row: np.ndarray, samples: np.ndarray, params: Parameters) -> dict:
+    """Report entries of the field with rfft row ``row`` and samples
+    ``samples``: its quarter band is formed once, for all three gaps."""
+    band = grid.spectral.quarter_band(row)
+    gm, gp = one_sided_gaps(grid, samples, band, params)
     return {
-        "one_sided_minus": {"min_gap": gm.min_gap, "argmin_x": gm.argmin_x},
-        "one_sided_plus": {"min_gap": gp.min_gap, "argmin_x": gp.argmin_x},
-        "full_kernel": {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x},
-        "sup_embedding": {"min_gap": sobolev_gap(u, params)},
+        "one_sided_minus": gap_minimum(gm, grid),
+        "one_sided_plus": gap_minimum(gp, grid),
+        "full_kernel": gap_minimum(full_kernel_gap((gm, gp)), grid),
+        "sup_embedding": {"min_gap": sobolev_gap(grid, samples, band, params)},
     }
 
 
 def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
                   n_random: int, n_modes: int, max_mode: int):
-    """(name, field, parameters) of the lemma suite, built one at a time so
-    that a field and its cached quarter band are freed once checked: the
-    three smooth presets, the peakon witness, then n_random band-limited
-    fields, each at its own k drawn before its row."""
+    """(name, rfft row, samples, parameters) of the lemma suite, made one at
+    a time so that each field is freed once checked: the three smooth
+    presets, the peakon witness, then n_random band-limited fields, each
+    at its own k drawn before its row."""
+    row_and_samples = attrgetter("spectrum", "values")
     for name in ("gaussian_bump", "gaussian_derivative", "sech_bump"):
-        yield name, ic_preset(name, grid), params
+        yield name, *row_and_samples(ic_preset(name, grid)), params
     yield ("peakon_witness",
-           ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k), params)
+           *row_and_samples(ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)),
+           params)
     for i in range(n_random):
         kv = float(rng.uniform(-1.0, 1.0))
         pk = make_parameters(params.alpha, 0.0, 2.0 * kv, params.sigma)
-        yield f"random_{i:03d}", random_band_limited(rng, grid, n_modes, max_mode), pk
+        yield f"random_{i:03d}", *random_band_limited(rng, grid, n_modes, max_mode), pk
 
 
 def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
@@ -481,12 +487,9 @@ def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: 
         raise ConfigError("lemmas.resolutions must name at least one grid size")
     rng = np.random.default_rng(cfg.rng_seed)
 
-    results = {}
-    worst = np.inf
-    for name, u, pars in _lemma_fields(grid, params, rng, n_random, n_modes, max_mode):
-        entry = _gap_entries(u, pars)
-        results[name] = entry
-        worst = min(worst, *(e["min_gap"] for e in entry.values()))
+    fields = _lemma_fields(grid, params, rng, n_random, n_modes, max_mode)
+    results = {name: _gap_entries(grid, row, samples, pars) for name, row, samples, pars in fields}
+    worst = min(np.inf, *(e["min_gap"] for entry in results.values() for e in entry.values()))
 
     witness = peakon_witness_study(params, resolutions)
 

@@ -8,7 +8,7 @@ at the boundary.  All containers are immutable value objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import InitVar, dataclass, field as dc_field
 from functools import cached_property
 
 import numpy as np
@@ -152,7 +152,7 @@ def make_grid(half_length: float, n_points: int) -> Grid:
     return Grid(half_length, n_points)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Field:
     """Real samples of a function on a Grid, with their rfft row: the one
     checked datum of the package (initial data and recorded states).
@@ -165,28 +165,13 @@ class Field:
     one source, so its samples and its row cannot disagree.  There is
     one finite sample per node, checked when the samples are given or
     derived, so no caller repeats either check; intermediates stay plain
-    arrays.  Samples and row are read-only copies, so spectral
-    data cached on the field (``spectrum``, ``quarter_band``) stays valid
-    for its lifetime.
-
-    A field built from its row may also be given that row's samples
-    (keyword ``values``, one finite sample per node; TypeError without
-    ``rfft_row``) when its maker already has them from its own transform
-    of the row (``random_band_limited``): they are kept as a read-only
-    copy in place of the irfft ``values`` would make.  They must be that
-    irfft up to round-off; they need not agree with it bit for bit.
+    arrays.  Samples and row are read-only copies, so the ``spectrum``
+    cached on the field stays valid for its lifetime.
     """
 
     grid: Grid
-
-    def __init__(self, grid: Grid, samples: np.ndarray | None = None,
-                 rfft_row: np.ndarray | None = None, *, values: np.ndarray | None = None) -> None:
-        if values is not None and rfft_row is None:
-            raise TypeError("the samples of a row are supplied only with the rfft row")
-        object.__setattr__(self, "grid", grid)
-        self.__post_init__(samples, rfft_row)
-        if values is not None:
-            self.__dict__["values"] = self._checked(np.array(values, dtype=float, copy=True))
+    samples: InitVar[np.ndarray | None] = None
+    rfft_row: InitVar[np.ndarray | None] = None
 
     def __post_init__(self, samples: np.ndarray | None, rfft_row: np.ndarray | None) -> None:
         if (samples is None) == (rfft_row is None):
@@ -217,8 +202,7 @@ class Field:
     def values(self) -> np.ndarray:
         """Samples at the grid nodes, read-only: as given, or the irfft of
         the row the field was built from (bit for bit the samples the
-        solver's batched irfft of that row gave), or the ``values`` given
-        with that row, which agree with its irfft to round-off."""
+        solver's batched irfft of that row gave)."""
         return self._checked(np.fft.irfft(self.spectrum, n=self.grid.n_points))
 
     @cached_property
@@ -228,17 +212,6 @@ class Field:
         row = np.fft.rfft(self.values)
         row.setflags(write=False)
         return row
-
-    @cached_property
-    def quarter_band(self) -> np.ndarray:
-        """Rows (u, u_x) of the field band-limited to bins <= N/4, at the m
-        nodes of its working grid, read-only: ``Spectral.quarter_band`` of
-        ``spectrum``, built on first use (with an rfft only for a field built
-        from samples, whose row as a rule holds round-off up to bin N/4, so
-        m = N)."""
-        band = self.grid.spectral.quarter_band(self.spectrum)
-        band.setflags(write=False)
-        return band
 
     __setstate__ = _unpickle_read_only
 

@@ -12,8 +12,7 @@ shared read-only by every operator built from the two: the solver reads
 the symbols of Q and d_x Q, advect the symbol
 of 1 - alpha^2 d_xx (u_hat to m_hat), and the inequality checks apply
 the one-sided kernel pair to samples on the grid or on a working grid
-of fewer nodes, plain arrays in and out (core.Field checks the datum
-they come from).  The tests evaluate p in
+of fewer nodes, plain arrays in and out.  The tests evaluate p in
 real space, as an independent check of them.
 """
 from __future__ import annotations

@@ -90,3 +90,19 @@ def test_lemmas_command_opens_three_gap_spans_per_field(tmp_path):
     fields = json.loads((tmp_path / "o" / "lemmas_report.json").read_text())["fields"]
     assert len(fields) == 4 + 3
     assert [sp.name for sp in tracer.spans].count("analysis.gaps") == 3 * len(fields)
+
+
+def test_lemmas_command_opens_one_convolution_span_per_field_and_level(tmp_path):
+    # each checked field and each witness level convolves through
+    # NonlocalOperator.one_sided_convolutions once, or the benchmark's
+    # helmholtz.convolution_s misses the convolutions made elsewhere
+    cfg = tmp_path / "lemmas.yaml"
+    cfg.write_text(yaml.safe_dump({"grid": {"half_length": 20.0, "n_points": 1024},
+                                   "lemmas": {"n_random": 3, "resolutions": [512, 1024]}}))
+    tracer = load_tracer().Tracer()
+    with tracer.installed(), tracer.operation("lemmas"):
+        code = cli.main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 0
+    fields = json.loads((tmp_path / "o" / "lemmas_report.json").read_text())["fields"]
+    assert len(fields) == 4 + 3
+    assert [sp.name for sp in tracer.spans].count("helmholtz.convolution") == len(fields) + 2

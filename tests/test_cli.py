@@ -12,10 +12,11 @@ import yaml
 
 import dghlab as dg
 from dghlab import analysis, cli, helmholtz
-from dghlab.analysis import full_kernel_gap, one_sided_gaps
+from dghlab.analysis import full_kernel_gap, gap_minimum, one_sided_gaps
 from dghlab.cli import main
 from dghlab.core import Field
 from draws import full_row_draw
+from lemma_oracle import gap_args
 
 ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = ROOT / "src" / "dghlab" / "schemas"
@@ -303,27 +304,28 @@ class TestLemmasCommand:
         assert not out.exists()
 
     def test_fields_freed_as_checked(self, tmp_path, monkeypatch):
-        # each field (and the quarter band cached on it) is freed once its
-        # entry is made, and none outlives the command
+        # each field's row and samples are freed once its entry is made,
+        # and none outlives the command
         refs, alive = [], []
         gap_entries = cli._gap_entries
 
-        def tracked(u, params):
+        def tracked(grid, row, samples, params):
             alive.append(sum(r() is not None for r in refs))
-            refs.append(weakref.ref(u))
-            return gap_entries(u, params)
+            refs.extend((weakref.ref(row), weakref.ref(samples)))
+            return gap_entries(grid, row, samples, params)
 
         monkeypatch.setattr(cli, "_gap_entries", tracked)
         cfg = write_config(tmp_path, lemmas={"n_random": 5, "resolutions": [512]})
         assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert len(refs) == 4 + 5
-        assert alive == [0] * len(refs)
+        assert len(refs) == 2 * (4 + 5)
+        assert alive == [0] * (4 + 5)
         assert all(r() is None for r in refs)
 
     def test_one_field_per_checked_datum(self, tmp_path, monkeypatch):
         # a Field (a copy and a finiteness scan) is built for the initial
-        # datum, each lemma field and each witness level only: the gaps and
-        # the convolutions behind them stay arrays
+        # datum, each preset and witness field and each witness level only:
+        # the random fields, the gaps and the convolutions behind them stay
+        # arrays
         built = []
         post_init = Field.__post_init__
 
@@ -334,7 +336,7 @@ class TestLemmasCommand:
         monkeypatch.setattr(Field, "__post_init__", counted)
         cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
         assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-        assert built == [1024] * (1 + 4 + 3) + [512]
+        assert built == [1024] * (1 + 4) + [512]
 
     def test_full_kernel_entries_from_each_fields_own_pair(self, tmp_path):
         # the report's full-kernel gap of every field is the one
@@ -345,9 +347,9 @@ class TestLemmasCommand:
         fields = json.loads((out / "lemmas_report.json").read_text())["fields"]
         grid, params = dg.make_grid(20.0, 1024), dg.make_parameters(1.0)
         lemma_fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 4, 30, 80)
-        for name, u, p in lemma_fields:
-            fk = full_kernel_gap(u, one_sided_gaps(u, p))
-            assert fields[name]["full_kernel"] == {"min_gap": fk.min_gap, "argmin_x": fk.argmin_x}
+        for name, row, samples, p in lemma_fields:
+            fk = full_kernel_gap(one_sided_gaps(*gap_args(grid, row, samples), p))
+            assert fields[name]["full_kernel"] == gap_minimum(fk, grid)
         assert len(fields) == 4 + 4
 
     def test_random_fields_match_the_same_draws_built_from_samples(self):
@@ -357,11 +359,12 @@ class TestLemmasCommand:
         grid, params = dg.make_grid(20.0, 4096), dg.make_parameters(1.0)
         fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 12, 30, 80)
         redraw = np.random.default_rng(5)
-        for name, u, p in list(fields)[4:]:
+        for name, row, samples, p in list(fields)[4:]:
             assert p.k == float(redraw.uniform(-1.0, 1.0))
             _, vals = full_row_draw(redraw, grid, 30, 80)
-            drawn = cli._gap_entries(Field(grid, vals / np.max(np.abs(vals))), p)
-            for quantity, entry in cli._gap_entries(u, p).items():
+            u = Field(grid, vals / np.max(np.abs(vals)))
+            drawn = cli._gap_entries(grid, u.spectrum, u.values, p)
+            for quantity, entry in cli._gap_entries(grid, row, samples, p).items():
                 assert entry == pytest.approx(drawn[quantity], rel=0.0, abs=1e-13), name
 
     def test_seed_changes_fields_not_verdict(self, tmp_path):

@@ -164,50 +164,45 @@ class TestField:
             dg.Field(grid1024)
 
     def test_quarter_band_equals_per_row_transforms(self, grid1024, monkeypatch):
-        # one 2-row irfft of the field's row gives the bits of the two
-        # separate inverse transforms of the band-limited coefficients; the
-        # row of a field built from samples is their rfft (the one rfft it
-        # makes), and a field built from its row makes none
+        # one 2-row irfft of a row gives the bits of the two separate
+        # inverse transforms of the band-limited coefficients, with no rfft:
+        # the row of sampled data (a field's spectrum) and a drawn row alike
         rng = np.random.default_rng(7)
-        samples = rng.standard_normal(1024)
+        sp = grid1024.spectral
         row = np.fft.rfft(rng.standard_normal(1024))
-        cases = [(dg.Field(grid1024, samples), np.fft.rfft(samples), 1),
-                 (dg.Field(grid1024, rfft_row=row), row.copy(), 0)]
         rfft = np.fft.rfft
-        for f, u_hat, n_rfft in cases:
+        for given in (dg.Field(grid1024, rng.standard_normal(1024)).spectrum, row):
+            u_hat = np.array(given)
             u_hat[1024 // 4 + 1 :] = 0.0
-            expected = (np.fft.irfft(u_hat, n=1024),
-                        np.fft.irfft(grid1024.spectral.ik * u_hat, n=1024))
+            expected = (np.fft.irfft(u_hat, n=1024), np.fft.irfft(sp.ik * u_hat, n=1024))
             calls = []
             monkeypatch.setattr(np.fft, "rfft", lambda *a, **kw: calls.append(1) or rfft(*a, **kw))
-            uv, ux = f.quarter_band
+            uv, ux = sp.quarter_band(given)
             monkeypatch.setattr(np.fft, "rfft", rfft)
-            assert len(calls) == n_rfft
+            assert calls == []
             assert np.array_equal(uv, expected[0])
             assert np.array_equal(ux, expected[1])
-            assert f.quarter_band is f.quarter_band
-            with pytest.raises(ValueError):
-                f.quarter_band[0, 0] = 1.0
         # the transform reads a row shorter than the band as zero-padded
-        sp = grid1024.spectral
         padded = np.zeros_like(row)
         padded[:81] = row[:81]
         assert np.array_equal(sp.quarter_band(row[:81]), sp.quarter_band(padded))
 
     def test_quarter_band_never_shared(self, grid1024):
-        samples = np.exp(-grid1024.nodes**2)
-        f = dg.Field(grid1024, samples)
-        band = f.quarter_band.copy()
-        samples *= 3.0  # the field holds its own copy of the samples
-        g = dg.Field(grid1024, samples)
-        assert np.array_equal(f.quarter_band, band)
-        assert np.array_equal(g.quarter_band, dg.Field(grid1024, samples).quarter_band)
-        assert not np.array_equal(g.quarter_band, band)
-        assert not np.shares_memory(f.quarter_band, g.quarter_band)
-        # the same samples on a grid of another length have another u_x
-        h = dg.Field(dg.make_grid(10.0, 1024), f.values)
-        assert np.array_equal(h.quarter_band[0], band[0])
-        assert not np.array_equal(h.quarter_band[1], band[1])
+        # each call makes new rows, shared with no other call's and not
+        # with the row, so a caller may write its own
+        sp = grid1024.spectral
+        row = np.fft.rfft(np.exp(-grid1024.nodes**2))
+        band = sp.quarter_band(row)
+        again = sp.quarter_band(row)
+        assert np.array_equal(band, again)
+        assert not np.shares_memory(band, again) and not np.shares_memory(band, row)
+        kept = band.copy()
+        again *= 3.0
+        assert np.array_equal(band, kept) and np.array_equal(sp.quarter_band(row), kept)
+        # the same row on a grid of another length has another u_x
+        other = dg.make_grid(10.0, 1024).spectral.quarter_band(row)
+        assert np.array_equal(other[0], band[0])
+        assert not np.array_equal(other[1], band[1])
 
     @pytest.mark.parametrize("source", ["samples", "rfft_row"])
     def test_unpickled_arrays_stay_read_only(self, source):
@@ -218,18 +213,17 @@ class TestField:
         samples = np.exp(-grid.nodes**2)
         f = (dg.Field(grid, samples) if source == "samples"
              else dg.Field(grid, rfft_row=np.fft.rfft(samples)))
-        f.values, f.spectrum, f.quarter_band, grid.spectral.filters  # cache every array
+        f.values, f.spectrum, grid.spectral.filters  # cache every array
         copy = pickle.loads(pickle.dumps(f))
         sp = copy.grid.spectral
         arrays = {"nodes": copy.grid.nodes, "xi": sp.xi, "ik": sp.ik, "filters": sp.filters,
-                  "values": copy.values, "spectrum": copy.spectrum,
-                  "quarter_band": copy.quarter_band}
+                  "values": copy.values, "spectrum": copy.spectrum}
         for name, a in arrays.items():
             assert not a.flags.writeable, name
         # each was unpickled, not made again
-        assert {"values", "spectrum", "quarter_band"} <= copy.__dict__.keys()
+        assert {"values", "spectrum"} <= copy.__dict__.keys()
         assert "filters" in sp.__dict__
-        assert np.array_equal(copy.quarter_band, f.quarter_band)
+        assert np.array_equal(copy.spectrum, f.spectrum)
         assert copy.grid == grid
 
     def test_state_requires_shared_grid(self, grid1024, grid2048):

@@ -10,6 +10,7 @@ import dghlab as dg
 from dghlab.analysis import one_sided_gaps, random_band_limited
 from derivative import ddx
 from kernel import green_kernel
+from lemma_oracle import gap_args
 
 
 class TestGreenKernel:
@@ -89,8 +90,8 @@ class TestSymbols:
         enabled = gc.isenabled()
         gc.disable()
         try:
-            u = random_band_limited(np.random.default_rng(1), grid, 10, 20)
-            one_sided_gaps(u, params_ch)
+            u = gap_args(grid, *random_band_limited(np.random.default_rng(1), grid, 10, 20))
+            one_sided_gaps(*u, params_ch)
             state = dg.State(0.0, dg.ic_preset("gaussian_derivative", grid))
             dg.simulate(state, dg.SolverConfig(t_max=0.05), params_ch)
             del u, state, grid
@@ -187,9 +188,9 @@ class TestApplyDQ:
         p = dg.make_parameters(1.7)
         op = dg.make_operator(grid4096, p)
         rng = np.random.default_rng(11)
-        f = random_band_limited(rng, grid4096)
-        qf = op.apply_q_values(f.values)
-        residual = qf - f.values - p.alpha**2 * ddx(grid4096, ddx(grid4096, qf))
+        _, f = random_band_limited(rng, grid4096)
+        qf = op.apply_q_values(f)
+        residual = qf - f - p.alpha**2 * ddx(grid4096, ddx(grid4096, qf))
         assert np.max(np.abs(residual)) < 1e-10
 
 
@@ -248,8 +249,8 @@ class TestOperatorProperties:
     def test_self_adjoint(self, grid4096, params_ch):
         op = dg.make_operator(grid4096, params_ch)
         rng = np.random.default_rng(5)
-        f = random_band_limited(rng, grid4096).values
-        g = random_band_limited(rng, grid4096).values
+        _, f = random_band_limited(rng, grid4096)
+        _, g = random_band_limited(rng, grid4096)
         lhs = np.sum(f * op.apply_q_values(g)) * grid4096.dx
         rhs = np.sum(op.apply_q_values(f) * g) * grid4096.dx
         assert abs(lhs - rhs) / (abs(rhs) + 1e-30) < 1e-10
@@ -259,7 +260,7 @@ class TestOperatorProperties:
         op = dg.make_operator(grid1024, p)
         rng = np.random.default_rng(9)
         for _ in range(10):
-            f = np.abs(random_band_limited(rng, grid1024).values)
+            f = np.abs(random_band_limited(rng, grid1024)[1])
             qf = op.apply_q_values(f)
             assert np.max(np.abs(qf)) <= np.max(np.abs(f)) * (1 + 1e-13)
 
