@@ -94,12 +94,12 @@ def gap_minimum(gap: np.ndarray, grid: Grid) -> dict:
     return {"min_gap": float(gap[i]), "argmin_x": float(grid.nodes[i])}
 
 
-def one_sided_gaps(grid: Grid, samples, band, params: Parameters) -> tuple[np.ndarray, np.ndarray]:
+def one_sided_gaps(grid: Grid, samples, band, alpha: float, k: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaps of the two sharp one-sided convolution inequalities
 
         (p -+ alpha d_x p) * (alpha^2/2 u_x^2 + u^2 + 2k u) >= (u+k)^2/2 - k^2,
 
-    with p the kernel of ``grid`` and params.alpha.  Equality holds for the
+    with p the kernel of ``grid`` and alpha.  Equality holds for the
     peakon family u = c*exp(-|x-y|/alpha) - k, on x <= y for the minus
     sign and x >= y for the plus sign.
 
@@ -113,22 +113,11 @@ def one_sided_gaps(grid: Grid, samples, band, params: Parameters) -> tuple[np.nd
     # the discrete gap equals the continuum gap of a genuine finite-energy
     # function: nonnegative up to the e^{-2L/alpha} periodization
     # correction even for kinked inputs like the peakon
-    # each quantity is formed in place, one array pass per operation, in
-    # the order and grouping of the plain formulas
-    #   w   = 0.5 * alpha**2 * ux * ux + uv * uv + 2.0 * k * uv
-    #   rhs = 0.5 * (u + k) ** 2 - k**2
     uv, ux = band
     u = uv if uv.size == grid.n_points else samples
-    w = np.multiply(0.5 * params.alpha**2, ux)
-    w *= ux
-    term = np.multiply(uv, uv)
-    w += term
-    w += np.multiply(2.0 * params.k, uv, out=term)
-    minus, plus = NonlocalOperator(grid, params.alpha).one_sided_convolutions(w)
-    rhs = np.add(u, params.k)
-    rhs *= rhs
-    rhs *= 0.5
-    rhs -= params.k**2
+    w = 0.5 * alpha**2 * ux * ux + uv * uv + 2.0 * k * uv
+    minus, plus = NonlocalOperator(grid, alpha).one_sided_convolutions(w)
+    rhs = 0.5 * (u + k) ** 2 - k**2
     minus -= rhs
     plus -= rhs
     return minus, plus
@@ -136,7 +125,7 @@ def one_sided_gaps(grid: Grid, samples, band, params: Parameters) -> tuple[np.nd
 
 def full_kernel_gap(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Gap of p * (alpha^2/2 u_x^2 + (u+k)^2) >= (u+k)^2/2, as the mean of
-    ``pair``, the gaps one_sided_gaps made for u at the params wanted.
+    ``pair``, the gaps one_sided_gaps made for u at the alpha and k wanted.
 
     The one-sided kernels p -+ alpha p_x are 2p 1_{x>0} and 2p 1_{x<0}, so
     p is their mean, and with w = alpha^2/2 u_x^2 + u^2 + 2k u
@@ -152,7 +141,7 @@ def full_kernel_gap(pair: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return mean
 
 
-def sobolev_gap(grid: Grid, samples, band, params: Parameters) -> float:
+def sobolev_gap(grid: Grid, samples, band, alpha: float) -> float:
     """Slack in the sharp embedding max|u| <= ||u||_{H1,alpha}/sqrt(2 alpha);
     equality is attained by the peakon profile.
 
@@ -163,13 +152,10 @@ def sobolev_gap(grid: Grid, samples, band, params: Parameters) -> float:
     """
     uv, ux = band
     u = uv if uv.size == grid.n_points else samples
-    # uv * uv + alpha**2 * ux * ux, one array pass per operation
-    dens = np.multiply(params.alpha**2, ux)
-    dens *= ux
-    dens += np.multiply(uv, uv)
+    dens = alpha**2 * ux * ux + uv * uv
     # the working grid's spacing: N/m is a power of two, so this is exact
     norm = np.sqrt(_quadrature(dens, grid.dx * (grid.n_points // uv.size)))
-    return float(norm / np.sqrt(2.0 * params.alpha) - np.abs(u).max())
+    return float(norm / np.sqrt(2.0 * alpha) - np.abs(u).max())
 
 
 def random_band_limited(rng: np.random.Generator, grid: Grid, n_modes: int = 30,
@@ -216,7 +202,7 @@ def peakon_witness_study(params: Parameters, resolutions) -> dict:
         grid = make_grid(20.0 * params.alpha, n)
         u = ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)
         band = grid.spectral.quarter_band(u.spectrum)
-        gm, _ = one_sided_gaps(grid, u.values, band, params)
+        gm, _ = one_sided_gaps(grid, u.values, band, params.alpha, params.k)
         x = grid.nodes
         ipk = int(np.argmin(np.abs(x)))
         region = x <= -exclusion
@@ -226,7 +212,7 @@ def peakon_witness_study(params: Parameters, resolutions) -> dict:
                 "gap_at_peak": float(gm[ipk]),
                 "gap_equality_region": float(np.max(np.abs(gm[region]))),
                 "min_gap": gap_minimum(gm, grid)["min_gap"],
-                "sup_embedding_gap": sobolev_gap(grid, u.values, band, params),
+                "sup_embedding_gap": sobolev_gap(grid, u.values, band, params.alpha),
             }
         )
     order = np.nan

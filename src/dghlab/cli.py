@@ -436,35 +436,34 @@ def cmd_criterion(cfg: RunConfig, params: Parameters, solver: SolverConfig, stat
     return 0
 
 
-def _gap_entries(grid: Grid, row: np.ndarray, samples: np.ndarray, params: Parameters) -> dict:
+def _gap_entries(grid: Grid, row: np.ndarray, samples: np.ndarray, alpha: float, k: float) -> dict:
     """Report entries of the field with rfft row ``row`` and samples
-    ``samples``: its quarter band is formed once, for all three gaps."""
+    ``samples`` at alpha and k, its quarter band formed once for all three."""
     band = grid.spectral.quarter_band(row)
-    gm, gp = one_sided_gaps(grid, samples, band, params)
+    gm, gp = one_sided_gaps(grid, samples, band, alpha, k)
     return {
         "one_sided_minus": gap_minimum(gm, grid),
         "one_sided_plus": gap_minimum(gp, grid),
         "full_kernel": gap_minimum(full_kernel_gap((gm, gp)), grid),
-        "sup_embedding": {"min_gap": sobolev_gap(grid, samples, band, params)},
+        "sup_embedding": {"min_gap": sobolev_gap(grid, samples, band, alpha)},
     }
 
 
 def _lemma_fields(grid: Grid, params: Parameters, rng: np.random.Generator,
                   n_random: int, n_modes: int, max_mode: int):
-    """(name, rfft row, samples, parameters) of the lemma suite, made one at
-    a time so that each field is freed once checked: the three smooth
-    presets, the peakon witness, then n_random band-limited fields, each
+    """(name, rfft row, samples, k) of the lemma suite, made one at a time
+    so that each field is freed once checked: the three smooth presets and
+    the peakon witness at params.k, then n_random band-limited fields, each
     at its own k drawn before its row."""
     row_and_samples = attrgetter("spectrum", "values")
     for name in ("gaussian_bump", "gaussian_derivative", "sech_bump"):
-        yield name, *row_and_samples(ic_preset(name, grid)), params
+        yield name, *row_and_samples(ic_preset(name, grid)), params.k
     yield ("peakon_witness",
            *row_and_samples(ic_preset("peakon_shifted", grid, params, c=1.0, y=0.0, k=params.k)),
-           params)
+           params.k)
     for i in range(n_random):
-        kv = float(rng.uniform(-1.0, 1.0))
-        pk = make_parameters(params.alpha, 0.0, 2.0 * kv, params.sigma)
-        yield f"random_{i:03d}", *random_band_limited(rng, grid, n_modes, max_mode), pk
+        k = float(rng.uniform(-1.0, 1.0))
+        yield f"random_{i:03d}", *random_band_limited(rng, grid, n_modes, max_mode), k
 
 
 def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: State) -> int:
@@ -488,7 +487,7 @@ def cmd_lemmas(cfg: RunConfig, params: Parameters, solver: SolverConfig, state: 
     rng = np.random.default_rng(cfg.rng_seed)
 
     fields = _lemma_fields(grid, params, rng, n_random, n_modes, max_mode)
-    results = {name: _gap_entries(grid, row, samples, pars) for name, row, samples, pars in fields}
+    results = {name: _gap_entries(grid, row, samples, params.alpha, k) for name, row, samples, k in fields}
     worst = min(np.inf, *(e["min_gap"] for entry in results.values() for e in entry.values()))
 
     witness = peakon_witness_study(params, resolutions)

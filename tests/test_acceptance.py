@@ -48,9 +48,9 @@ def test_criterion_01_inequality_suite(grid4096, params_ch):
         fields.append((gap_args(grid4096, *random_band_limited(rng, grid4096)), p))
 
     for args, p in fields:
-        gm, gp = one_sided_gaps(*args, p)
+        gm, gp = one_sided_gaps(*args, p.alpha, p.k)
         fk = full_kernel_gap((gm, gp))
-        worst = min(worst, gm.min(), gp.min(), fk.min(), sobolev_gap(*args, p))
+        worst = min(worst, gm.min(), gp.min(), fk.min(), sobolev_gap(*args, p.alpha))
     assert worst >= -1e-8
 
     # peakon equality witness: x <= y side of the minus kernel, measured
@@ -61,7 +61,7 @@ def test_criterion_01_inequality_suite(grid4096, params_ch):
     for n in (1024, 2048, 4096):
         grid = dg.make_grid(20.0, n)
         u = dg.ic_preset("peakon_shifted", grid, params_ch, c=1.0, y=0.0, k=0.0)
-        gm, gp = one_sided_gaps(*field_gap_args(u), params_ch)
+        gm, gp = one_sided_gaps(*field_gap_args(u), params_ch.alpha, params_ch.k)
         assert gm.min() >= -1e-8 and gp.min() >= -1e-8
         region = grid.nodes <= -0.25
         region_gaps.append(float(np.max(np.abs(gm[region]))))

@@ -21,7 +21,7 @@ def peakon(grid, params, c=1.0, y=0.0, k=0.0):
 
 def gaps(u, p):
     """The one-sided gap pair of the Field u at the parameters p."""
-    return one_sided_gaps(*field_gap_args(u), p)
+    return one_sided_gaps(*field_gap_args(u), p.alpha, p.k)
 
 
 class TestEnergyE:
@@ -176,7 +176,7 @@ class TestOneSidedGaps:
         for _ in range(25):
             kv = float(rng.uniform(-1.0, 1.0))
             p = dg.make_parameters(1.0, 0.0, 2.0 * kv)
-            gm, gp = one_sided_gaps(*gap_args(grid2048, *random_band_limited(rng, grid2048)), p)
+            gm, gp = one_sided_gaps(*gap_args(grid2048, *random_band_limited(rng, grid2048)), p.alpha, p.k)
             assert gm.min() > -1e-8
             assert gp.min() > -1e-8
 
@@ -221,7 +221,7 @@ class TestFullKernelGap:
 
     def assert_matches_oracle(self, grid, row, samples, p):
         oracle = self.direct_gap(grid, row, dg.make_operator(grid, p), p)
-        gap = full_kernel_gap(one_sided_gaps(*gap_args(grid, row, samples), p))
+        gap = full_kernel_gap(one_sided_gaps(*gap_args(grid, row, samples), p.alpha, p.k))
         assert np.max(np.abs(gap - oracle)) < 1e-12
 
     @pytest.mark.parametrize("c0", [0.0, 0.7])
@@ -324,12 +324,12 @@ class TestWorkingGrid:
             row, samples = random_band_limited(rng, grid, 30, max_mode)
             minus, plus, slack = n_grid_gaps(grid, row, p)
             args = gap_args(grid, row, samples)
-            pair = one_sided_gaps(*args, p)
+            pair = one_sided_gaps(*args, p.alpha, p.k)
             want = (minus, plus, 0.5 * (minus + plus))
             for gap, oracle in zip((*pair, full_kernel_gap(pair)), want):
                 assert np.max(np.abs(gap - oracle)) < 1e-14
                 assert gap_minimum(gap, grid)["argmin_x"] == grid.nodes[np.argmin(oracle)]
-            assert abs(sobolev_gap(*args, p) - slack) < 1e-14
+            assert abs(sobolev_gap(*args, p.alpha) - slack) < 1e-14
 
     @pytest.mark.parametrize("n, top, m, signed_zero", [
         *(pytest.param(n, top, m, None, id=f"{n}-{top}-{m}") for n, top, m in (
@@ -409,13 +409,13 @@ class TestWorkingGrid:
 class TestSobolevGap:
     def test_zero(self, grid1024, params_ch):
         u = dg.ic_preset("from_samples", grid1024, values=np.zeros(1024))
-        assert sobolev_gap(*field_gap_args(u), params_ch) == 0.0
+        assert sobolev_gap(*field_gap_args(u), params_ch.alpha) == 0.0
 
     def test_peakon_is_equality_witness(self, params_ch):
         gaps = []
         for n in (1024, 2048, 4096):
             grid = dg.make_grid(20.0, n)
-            g = sobolev_gap(*field_gap_args(peakon(grid, params_ch)), params_ch)
+            g = sobolev_gap(*field_gap_args(peakon(grid, params_ch)), params_ch.alpha)
             assert g >= -1e-12
             gaps.append(g)
         assert gaps[-1] < 5e-3
@@ -425,7 +425,7 @@ class TestSobolevGap:
         rng = np.random.default_rng(77)
         for _ in range(100):
             args = gap_args(grid2048, *random_band_limited(rng, grid2048))
-            assert sobolev_gap(*args, params_ch) > -1e-9
+            assert sobolev_gap(*args, params_ch.alpha) > -1e-9
 
 
 class TestCriterionOneComponent:

@@ -14,7 +14,7 @@ import dghlab as dg
 from dghlab import analysis, cli, helmholtz
 from dghlab.analysis import full_kernel_gap, gap_minimum, one_sided_gaps
 from dghlab.cli import main
-from dghlab.core import Field
+from dghlab.core import Field, Parameters
 from draws import full_row_draw
 from lemma_oracle import gap_args
 
@@ -309,10 +309,10 @@ class TestLemmasCommand:
         refs, alive = [], []
         gap_entries = cli._gap_entries
 
-        def tracked(grid, row, samples, params):
+        def tracked(grid, row, samples, alpha, k):
             alive.append(sum(r() is not None for r in refs))
             refs.extend((weakref.ref(row), weakref.ref(samples)))
-            return gap_entries(grid, row, samples, params)
+            return gap_entries(grid, row, samples, alpha, k)
 
         monkeypatch.setattr(cli, "_gap_entries", tracked)
         cfg = write_config(tmp_path, lemmas={"n_random": 5, "resolutions": [512]})
@@ -338,6 +338,22 @@ class TestLemmasCommand:
         assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert built == [1024] * (1 + 4) + [512]
 
+    def test_one_parameters_per_run(self, tmp_path, monkeypatch):
+        # the config's Parameters is the only one built: every lemma field,
+        # random ones at their drawn k included, is checked on plain
+        # (alpha, k) numbers
+        built = []
+        post_init = Parameters.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Parameters, "__post_init__", counted)
+        cfg = write_config(tmp_path, lemmas={"n_random": 3, "resolutions": [512]})
+        assert main(["lemmas", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert len(built) == 1
+
     def test_full_kernel_entries_from_each_fields_own_pair(self, tmp_path):
         # the report's full-kernel gap of every field is the one
         # full_kernel_gap computes from that field's own one-sided pair
@@ -347,8 +363,8 @@ class TestLemmasCommand:
         fields = json.loads((out / "lemmas_report.json").read_text())["fields"]
         grid, params = dg.make_grid(20.0, 1024), dg.make_parameters(1.0)
         lemma_fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 4, 30, 80)
-        for name, row, samples, p in lemma_fields:
-            fk = full_kernel_gap(one_sided_gaps(*gap_args(grid, row, samples), p))
+        for name, row, samples, k in lemma_fields:
+            fk = full_kernel_gap(one_sided_gaps(*gap_args(grid, row, samples), params.alpha, k))
             assert fields[name]["full_kernel"] == gap_minimum(fk, grid)
         assert len(fields) == 4 + 4
 
@@ -359,12 +375,12 @@ class TestLemmasCommand:
         grid, params = dg.make_grid(20.0, 4096), dg.make_parameters(1.0)
         fields = cli._lemma_fields(grid, params, np.random.default_rng(5), 12, 30, 80)
         redraw = np.random.default_rng(5)
-        for name, row, samples, p in list(fields)[4:]:
-            assert p.k == float(redraw.uniform(-1.0, 1.0))
+        for name, row, samples, k in list(fields)[4:]:
+            assert k == float(redraw.uniform(-1.0, 1.0))
             _, vals = full_row_draw(redraw, grid, 30, 80)
             u = Field(grid, vals / np.max(np.abs(vals)))
-            drawn = cli._gap_entries(grid, u.spectrum, u.values, p)
-            for quantity, entry in cli._gap_entries(grid, row, samples, p).items():
+            drawn = cli._gap_entries(grid, u.spectrum, u.values, params.alpha, k)
+            for quantity, entry in cli._gap_entries(grid, row, samples, params.alpha, k).items():
                 assert entry == pytest.approx(drawn[quantity], rel=0.0, abs=1e-13), name
 
     def test_seed_changes_fields_not_verdict(self, tmp_path):

@@ -91,7 +91,7 @@ class TestSymbols:
         gc.disable()
         try:
             u = gap_args(grid, *random_band_limited(np.random.default_rng(1), grid, 10, 20))
-            one_sided_gaps(*u, params_ch)
+            one_sided_gaps(*u, params_ch.alpha, params_ch.k)
             state = dg.State(0.0, dg.ic_preset("gaussian_derivative", grid))
             dg.simulate(state, dg.SolverConfig(t_max=0.05), params_ch)
             del u, state, grid
