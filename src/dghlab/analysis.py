@@ -47,7 +47,7 @@ def _energy_e(u, ux, rho, params: Parameters, dx: float) -> float:
 
 
 def _energy_f(uf, uxf, rf, params: Parameters, dx: float) -> float:
-    """F from the 2/3-filtered samples u, u_x [and rho~]."""
+    """F from the samples u, u_x [and rho~] of the 2/3 band."""
     # uf * uf * uf, not uf**3: numpy's float power takes a slow pow path
     dens = uf * uf * uf + params.alpha**2 * uf * uxf**2 + params.c0 * uf**2 - params.gamma * uxf**2
     if rf is not None:
@@ -76,14 +76,16 @@ def energy_F(state: State, params: Parameters) -> float:
 
     The alpha power on the u u_x^2 term is quadratic, as dimensional
     consistency and the Camassa-Holm limit require; products are formed
-    from 2/3-filtered factors so the cubic quadrature stays alias-free.
+    from the factors' 2/3 band (bins below Spectral.cut) so the cubic
+    quadrature stays alias-free.
     """
     grid = state.u.grid
     sp = grid.spectral
-    uf, uxf = np.fft.irfft(sp.filters[:2] * state.u.spectrum, n=sp.n)
+    band = state.u.spectrum[: sp.cut]
+    uf, uxf = np.fft.irfft(np.array([band, sp.ik[: sp.cut] * band]), n=sp.n)
     rf = None
     if state.rho_tilde is not None:
-        rf = np.fft.irfft(sp.filters[0] * state.rho_tilde.spectrum, n=sp.n)
+        rf = np.fft.irfft(state.rho_tilde.spectrum[: sp.cut], n=sp.n)
     return _energy_f(uf, uxf, rf, params, grid.dx)
 
 

@@ -295,8 +295,10 @@ class Spectral:
 
     Owns the wavenumbers ``xi`` on rfft bins, the derivative symbol ``ik``
     (i*xi with the Nyquist bin zeroed, which keeps d/dx real and
-    antisymmetric on an even grid), the 2/3-rule cut and its filter rows,
-    the quarter band (bins <= ``quarter`` = N/4, where every quadratic
+    antisymmetric on an even grid), the 2/3-rule ``cut`` = N/3 + 1 (the
+    solver's state rows and every quadratic product it forms are zero
+    from bin cut on, and ``energy_F`` reads a row's bins below it), the
+    quarter band (bins <= ``quarter`` = N/4, where every quadratic
     product is alias-free) and its one transform ``quarter_band``, which
     samples a row's band on the smallest grid that keeps its products
     alias-free, the memo ``helmholtz_symbols`` of the grid's Helmholtz
@@ -344,15 +346,6 @@ class Spectral:
         return {**self.__dict__, "helmholtz_symbols": {}}
 
     __setstate__ = _unpickle_read_only
-
-    @cached_property
-    def filters(self) -> np.ndarray:
-        """Multipliers for the rows u_f, u_x,f and the unfiltered u_x, built
-        on first use: grids that never step never need them."""
-        mask = (np.arange(self.xi.size) < self.cut).astype(float)
-        rows = np.array([mask, self.ik * mask, self.ik])
-        rows.setflags(write=False)
-        return rows
 
     def quarter_band(self, row: np.ndarray) -> np.ndarray:
         """Rows (u, u_x) of the rfft row ``row`` limited to bins <= ``quarter``,

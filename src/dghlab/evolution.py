@@ -4,53 +4,55 @@ One-component:   u_t + (u + lam) u_x = -d_x p * (a2/2 u_x^2 + u^2 + 2k u)
 Two-component:   the same u equation with 1/2 rho~^2 + rho~ added under the
 convolution, coupled to  rho~_t + u rho~_x = -u_x rho~ - u_x.
 
-Quadratic products are dealiased with the 2/3 rule before entering any
-Fourier multiplier.  Time stepping is Lawson RK4 (RK4 on the integrating
-factor of the transport lam u_x) with a CFL-adaptive step on the speed
-|u| alone: lam u_x has constant coefficients, so the Fourier phase
-exp(-lam i xi dt) carries it exactly on the u row, and RK4 only has to
-resolve the Galilean-invariant rest (the nonlocal term is smoothing and
-never stiff before breaking).  At lam = 0 the phase is 1 and is skipped,
-so the step is classical RK4 bit for bit.
+The 2/3 rule dealiases the state: simulate zeroes the initial rows from
+bin Spectral.cut = N/3 + 1 on once and cuts every quadratic product there,
+so each RK4 update keeps the rows in the band exactly.  Time stepping is
+Lawson RK4 (RK4 on the integrating factor of the transport lam u_x) with a
+CFL-adaptive step on the speed |u| alone: lam u_x has constant
+coefficients, so the Fourier phase exp(-lam i xi dt) carries it exactly on
+the u row, and RK4 only has to resolve the Galilean-invariant rest (the
+nonlocal term is smoothing and never stiff before breaking).  At lam = 0
+the phase is 1 and is skipped, so the step is classical RK4 bit for bit.
 
 The solver's state is the rfft rows (u[, rho~]); it starts from the
 initial fields' rows (Field.spectrum, one rfft each unless the caller's
-criterion already made it), and each step returns the new rows.  One stage
-function, _stage, is the only place the right-hand side is computed: it
-takes the rows, makes one batched irfft of the filtered fields and slopes
-and one batched rfft of the quadratic products, and returns the time
-derivatives as rfft rows, without the transport lam u_x that the step's
-phase carries.  Each point the integration reaches is
-evaluated once (_evaluate), with the grid values u[, rho~] as extra rows
-of the same irfft, so a step costs 8 batched FFT calls; that evaluation
-serves as the next step's first stage (also across NaN backoff), as the
-finiteness test, as the CFL speed, as the slope tracker's endpoint fields
-and as the grid-slope trigger, and at N as the record's du/dt, min u_x,
-E and F.  A record keeps
-only the state rows, as fields built from them (Field.spectrum), and
-du/dt as an rfft row, so the path integration (characteristics.advect)
-and the public E and F read them without a transform; a record field
-derives its samples from its row on first use, bit for bit those of the
-batched irfft.  The grid's Fourier bookkeeping
-(derivative symbol, 2/3 filter rows, trigonometric interpolant) comes
-from grid.spectral, the Helmholtz symbols from the NonlocalOperator that
-simulate builds from the initial datum's grid and alpha.
+criterion already made it) cut to the band, and each step returns the new
+rows.  One stage function, _stage, is the only place the right-hand side
+is computed: one batched irfft of the rows and their slopes, u[, rho~],
+u_x[, rho~_x], and one batched rfft of the quadratic products give the
+time derivatives as rfft rows, without the transport lam u_x that the
+step's phase carries.  Each point the integration reaches is evaluated
+once (_evaluate), the same stage, whose samples u[, rho~] are its grid
+values, so a step costs 8 batched FFT calls of 2 + 2 rows each (4 + 3 for
+two components); that evaluation serves as the next step's first stage
+(also across NaN backoff), as the finiteness test, as the CFL speed, as
+the slope tracker's endpoint fields and as the grid-slope trigger, and at
+N as the record's du/dt, min u_x, E and F.  A record keeps only the state
+rows, as fields built from them (Field.spectrum), and du/dt as an rfft
+row, so the path integration (characteristics.advect) and the public E and
+F read them without a transform; a record field derives its samples from
+its row on first use, bit for bit those of the batched irfft.  The first
+record is the initial datum itself, with the datum's own slope.  The grid's
+Fourier bookkeeping (derivative symbol, 2/3 cut, trigonometric
+interpolant) comes from grid.spectral, the Helmholtz symbols from the
+NonlocalOperator that simulate builds from the initial datum's grid and
+alpha.
 
 Resolution on demand.  A smooth solution does not need the full grid's N
-nodes, so simulate steps on the half grid N/2 (the rows truncated to
-bins <= N/4, exactly) while the state is resolved there: in the u row
-and the rho~ row, the largest |bin| from the top 16 bins of the half
-grid's 2/3 band up is under 1e-12 times the row's largest non-DC bin.
-From the first step whose state is not, it moves to N (the rows
-zero-padded, exactly) for the rest of the run.  A half-grid step is the
-same 8 calls at half the length, at the dt the full grid would take: its
+nodes, so simulate steps on the half grid N/2 while the state is resolved
+there: in the u row and the rho~ row, the largest |bin| from the top 16
+bins of the half grid's 2/3 band up is under 1e-12 times the row's largest
+non-DC bin.  The move keeps that grid's own band (bins below N/6 + 1)
+exactly.  From the first step whose state is not resolved, it moves to N
+(the rows zero-padded, exactly) for good.  A half-grid step is the same 8
+calls at half the length, at the dt the full grid would take: its
 evaluation also samples u at the full grid's odd nodes (the half-cell
 phase, one more irfft row), so the CFL speed is max|u| over all N nodes,
 and a doubled dt, which the RK4 error would show, is never taken.  Each
 record made on the half grid pads the rows and evaluates them at N (2
 calls), so records, advect, the writers and the criterion only see
-full-grid rows.  The tracker is seeded from the initial evaluation at N
-and interpolates the rows of whichever grid the state is on.
+full-grid rows.  The tracker is seeded from the datum's own slope at N and
+interpolates the rows of whichever grid the state is on.
 
 Breaking detection.  At a breaking point the solution keeps a square-root
 cusp, so the minimum of the spectrally sampled u_x saturates at O(sqrt(N))
@@ -144,8 +146,8 @@ class _Eval(NamedTuple):
     coef: np.ndarray
     # time derivatives of the rows u[, rho~] without the transport lam u_x
     k_hat: np.ndarray
-    # samples u_f, u_x,f, u_x, u[, rho~][, u odd][, rho~_f, rho~_x,f] (f: 2/3-
-    # filtered; u odd, on the half grid only: u at the full grid's odd nodes)
+    # samples u[, rho~], u_x[, rho~_x][, u odd] (u odd, on the half grid
+    # only: u at the full grid's odd nodes)
     phys: np.ndarray
     # max|u| over the full grid's nodes, the speed of the next CFL step
     speed: float
@@ -153,22 +155,25 @@ class _Eval(NamedTuple):
     @property
     def y(self) -> np.ndarray:
         """The grid values u[, rho~] of the reached point."""
-        return self.phys[3 : 3 + self.k_hat.shape[0]]
+        return self.phys[: self.k_hat.shape[0]]
+
+    @property
+    def ux(self) -> np.ndarray:
+        """The grid values of u_x at the reached point."""
+        return self.phys[self.k_hat.shape[0]]
 
 
 def _stage(
     y_hat: np.ndarray,
     op: NonlocalOperator,
     params: Parameters,
-    grid_rows: bool = False,
     half_cell: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(time derivatives without lam u_x, convolution argument, samples)
-    of the rfft rows y_hat = (u[, rho~]) with one batched irfft and one
-    batched rfft; the samples are u_f, u_x,f[, u_x, u[, rho~]][, u odd][,
-    rho~_f, rho~_x,f], the rows in the first brackets only with
-    grid_rows=True, u odd (u at x + dx/2, dx the spacing of op's grid)
-    only with the phase half_cell = exp(i xi dx/2) too.  Each
+    of the rfft rows y_hat = (u[, rho~]), zero from op's grid's 2/3 cut
+    on, with one batched irfft and one batched rfft; the samples are u[,
+    rho~], u_x[, rho~_x][, u odd], u odd (u at x + dx/2, dx the spacing of
+    op's grid) only with the phase half_cell = exp(i xi dx/2).  Each
     quantity is formed once, in the array that is then transformed or
     returned: the derivatives and the convolution argument are rows of
     the products' rfft."""
@@ -176,32 +181,27 @@ def _stage(
     c = y_hat.shape[0]
     two = c == 2
     u_hat = y_hat[0]
-    n_u = 3 if grid_rows else 2  # u's filter rows
-    n_grid = (c + (half_cell is not None)) if grid_rows else 0
-    spec = np.empty((n_u + n_grid + (2 if two else 0), u_hat.size), dtype=complex)
-    np.multiply(sp.filters[:n_u], u_hat, out=spec[:n_u])
-    if grid_rows:
-        spec[n_u : n_u + c] = y_hat
-        if half_cell is not None:
-            np.multiply(half_cell, u_hat, out=spec[n_u + c])
-    if two:
-        np.multiply(sp.filters[:2], y_hat[1], out=spec[-2:])
+    spec = np.empty((2 * c + (half_cell is not None), u_hat.size), dtype=complex)
+    spec[:c] = y_hat
+    np.multiply(sp.ik, y_hat, out=spec[c : 2 * c])
+    if half_cell is not None:
+        np.multiply(half_cell, u_hat, out=spec[-1])
     phys = np.fft.irfft(spec, n=sp.n)
-    uf, uxf = phys[0], phys[1]
+    u, ux = phys[0], phys[c]
 
-    # rows u_f u_x,f, alpha^2/2 u_x,f^2 + u_f^2 [+ sigma rho~_f^2/2][, (u rho~)_x,f]
+    # rows u u_x, alpha^2/2 u_x^2 + u^2 [+ sigma rho~^2/2][, (u rho~)_x]
     prods = np.empty((c + 1, sp.n))
-    np.multiply(uf, uxf, out=prods[0])
+    np.multiply(u, ux, out=prods[0])
     quad = prods[1]
-    np.multiply(0.5 * params.alpha**2, uxf, out=quad)
-    quad *= uxf
-    quad += uf * uf
+    np.multiply(0.5 * params.alpha**2, ux, out=quad)
+    quad *= ux
+    quad += u * u
     if two:
         # sigma scales the density coupling, as it does the density terms of E and F
-        rf, rxf = phys[-2], phys[-1]
-        quad += params.sigma * 0.5 * rf * rf
-        np.multiply(uf, rxf, out=prods[2])
-        prods[2] += uxf * rf
+        r, rx = phys[1], phys[3]
+        quad += params.sigma * 0.5 * r * r
+        np.multiply(u, rx, out=prods[2])
+        prods[2] += ux * r
     prod_hat = np.fft.rfft(prods)
     prod_hat[:, sp.cut :] = 0.0
 
@@ -230,9 +230,9 @@ def _evaluate(
     c = y_hat.shape[0]
     coef = np.empty((c + 1, op.symbol_q.size), dtype=complex)
     coef[:c] = y_hat
-    k_hat, conv_hat, phys = _stage(coef[:c], op, params, grid_rows=True, half_cell=half_cell)
+    k_hat, conv_hat, phys = _stage(coef[:c], op, params, half_cell)
     np.multiply(op.symbol_q, conv_hat, out=coef[c])
-    u = phys[3] if half_cell is None else phys[3 : 4 + c : c]  # u[, u odd]
+    u = phys[:: 2 * c]  # u[, u odd]
     return _Eval(coef, k_hat, phys, max(float(u.max()), -float(u.min())))
 
 
@@ -247,21 +247,22 @@ def _resolved(rows: np.ndarray, tail_from: int) -> bool:
     return True
 
 
-def _halved(rows: np.ndarray) -> np.ndarray:
-    """The rfft rows of the same function on the half grid: the bins up to
-    N/4, scaled by 1/2 (numpy's rfft is unnormalized); exact in floating
-    point."""
-    return 0.5 * rows[:, : rows.shape[1] // 2 + 1]
+def _halved(rows: np.ndarray, cut: int) -> np.ndarray:
+    """The rfft rows of the half grid's 2/3 band (bins below its cut) of
+    the same function: scaled by 1/2 (numpy's rfft is unnormalized), exact
+    in floating point, and zero from cut to N/4."""
+    out = np.zeros((rows.shape[0], rows.shape[1] // 2 + 1), dtype=complex)
+    np.multiply(rows[:, :cut], 0.5, out=out[:, :cut])
+    return out
 
 
 def _doubled(rows: np.ndarray) -> np.ndarray:
     """The half grid's rfft rows zero-padded to the full grid, scaled by 2;
-    its Nyquist bin, a cosine of weight 1 there, is the bin N/4 of weight
-    2 here, so it is halved.  Exact in floating point."""
+    exact in floating point.  The rows are zero from the half grid's cut
+    on, so its Nyquist bin, which would need halving, is zero."""
     n = rows.shape[1]
     out = np.zeros((rows.shape[0], 2 * n - 1), dtype=complex)
     np.multiply(rows, 2.0, out=out[:, :n])
-    out[:, n - 1] *= 0.5
     return out
 
 
@@ -277,7 +278,7 @@ def _step(ev: _Eval, dt: float, op: NonlocalOperator, params: Parameters) -> np.
 
     E carries lam u_x exactly, so the transport neither limits dt nor adds
     time-stepping error; N is translation-equivariant (2/3-dealiased
-    products of band-limited rows), so a run at lam is the lam = 0 run at
+    products of rows in the 2/3 band), so a run at lam is the lam = 0 run at
     the same k shifted by lam t, up to the time-stepping error of its
     slightly different CFL steps (the node maximum of |u| moves with the
     shift).  At lam = 0 the phase is skipped and this is classical RK4,
@@ -492,14 +493,20 @@ def simulate(
     simulate keeps none and the list returned is empty.
     """
     grid = initial.u.grid
+    n = grid.n_points
     op = NonlocalOperator(grid, params.alpha)
     two = initial.rho_tilde is not None
 
-    # ev is the stage evaluation at the reached point
+    # ev is the stage evaluation at the reached point; the state is the
+    # initial fields' rows (cached there for the caller's criterion) cut
+    # to the 2/3 band once, which every step then keeps
     fields = [initial.u] + ([initial.rho_tilde] if two else [])
+    rows = np.array([f.spectrum for f in fields])
+    rows[:, grid.spectral.cut :] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # the initial fields' rows, cached there for the caller's criterion
-        ev = _evaluate(np.array([f.spectrum for f in fields]), op, params)
+        ev = _evaluate(rows, op, params)
+    # the datum's own slope, read by the first record and the tracker's seeds
+    ux0 = np.fft.irfft(grid.spectral.ik * initial.u.spectrum, n=n)
 
     t = float(initial.t)
     records: list[TrajectoryRecord] = []
@@ -512,21 +519,21 @@ def simulate(
         # their samples)
         if state is None:
             state = State(t, *(Field(grid, rfft_row=row) for row in ev.coef[:-1]))
-            y = ev.y
+            y, ux = ev.y, ev.ux
         else:
-            y = [f.values for f in fields]
+            y, ux = [f.values for f in fields], ux0
         # the stages leave out lam u_x, which the step's phase carries
         du_dt_hat = ev.k_hat[0].copy()
         if params.lam != 0.0:
             du_dt_hat -= params.lam * grid.spectral.ik * ev.coef[0]
         du_dt_hat.setflags(write=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            rho, rf = (y[1], ev.phys[-2]) if two else (None, None)
+            rho, rf = (y[1], ev.phys[1]) if two else (None, None)
             diag = RecordDiagnostics(
-                min_ux=float(np.min(ev.phys[2])),
+                min_ux=float(np.min(ux)),
                 max_abs_u=float(np.max(np.abs(y[0]))),
-                energy_e=_energy_e(y[0], ev.phys[2], rho, params, grid.dx),
-                energy_f=_energy_f(ev.phys[0], ev.phys[1], rf, params, grid.dx),
+                energy_e=_energy_e(y[0], ux, rho, params, grid.dx),
+                energy_f=_energy_f(ev.phys[0], ev.ux, rf, params, grid.dx),
                 dt=dt_used,
             )
         return TrajectoryRecord(
@@ -541,12 +548,11 @@ def simulate(
     # holds two records at most
     last = snapshot(ev, dt_used=0.0, state=initial)
 
-    tracker = _SlopeTracker(initial, ev.phys[2], params)
+    tracker = _SlopeTracker(initial, ux0, params)
 
     # the grid the run steps on: the half grid while the rows are resolved
     # there (half_cell set), else N; an N / 2 under 16 points or odd is no grid
     level, half_cell = op, None
-    n = grid.n_points
     if n % 4 == 0 and n >= 32:
         half = Grid(grid.half_length, n // 2)
         tail_from = max(half.spectral.cut - _TAIL_BINS, 1)
@@ -555,7 +561,7 @@ def simulate(
             half_cell = np.exp((1j * grid.dx) * half.spectral.xi)
             tracker.sp = half.spectral
             with np.errstate(over="ignore", invalid="ignore"):
-                ev = _evaluate(_halved(ev.coef[:-1]), level, params, half_cell)
+                ev = _evaluate(_halved(ev.coef[:-1], half.spectral.cut), level, params, half_cell)
     switch = None  # (step, t) of the move from the half grid to N
 
     def at_full(ev: _Eval) -> _Eval:
@@ -571,13 +577,11 @@ def simulate(
     dt = 0.0  # the step that reached t
     dt_lo, dt_hi = np.inf, 0.0  # the smallest and largest step taken
     eps = 1e-12 * max(horizon, 1.0)
-    # only |u|: the step's phase carries the transport at lam exactly; the
-    # first step's speed is the initial samples', each later one ev's
-    u0 = initial.u.values
-    speed = max(float(u0.max()), -float(u0.min()))
 
     while t < horizon - eps:
-        dt = config.cfl * grid.dx / max(speed, _SPEED_FLOOR)
+        # only |u| of the state, not of the datum's tail: the step's phase
+        # carries the transport at lam exactly
+        dt = config.cfl * grid.dx / max(ev.speed, _SPEED_FLOOR)
         # overflow inside a trial step is the breakdown signal, not an error;
         # the floor holds for the CFL step and for each halving of it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -590,7 +594,7 @@ def simulate(
             else:
                 # the CFL step under the floor (amplitude blowup) or NaN
                 # even at the floor: the last finite state is kept
-                min_slope = min(float(np.min(ev.phys[2])), tracker.min_slope())
+                min_slope = min(float(np.min(ev.ux)), tracker.min_slope())
                 report = BlowupReport(True, TRIGGER_DT, t, min_slope)
                 break
 
@@ -604,9 +608,8 @@ def simulate(
             ev = at_full(ev)
             level, half_cell, tracker.sp = op, None, grid.spectral
             switch = (steps, t)
-        speed = ev.speed
 
-        min_ux_grid = float(ev.phys[2].min())
+        min_ux_grid = float(ev.ux.min())
         if crossing is not None:
             report = BlowupReport(True, TRIGGER_SLOPE, *crossing)
             break

@@ -213,16 +213,15 @@ class TestField:
         samples = np.exp(-grid.nodes**2)
         f = (dg.Field(grid, samples) if source == "samples"
              else dg.Field(grid, rfft_row=np.fft.rfft(samples)))
-        f.values, f.spectrum, grid.spectral.filters  # cache every array
+        f.values, f.spectrum  # cache every array
         copy = pickle.loads(pickle.dumps(f))
         sp = copy.grid.spectral
-        arrays = {"nodes": copy.grid.nodes, "xi": sp.xi, "ik": sp.ik, "filters": sp.filters,
+        arrays = {"nodes": copy.grid.nodes, "xi": sp.xi, "ik": sp.ik,
                   "values": copy.values, "spectrum": copy.spectrum}
         for name, a in arrays.items():
             assert not a.flags.writeable, name
         # each was unpickled, not made again
         assert {"values", "spectrum"} <= copy.__dict__.keys()
-        assert "filters" in sp.__dict__
         assert np.array_equal(copy.spectrum, f.spectrum)
         assert copy.grid == grid
 
@@ -328,7 +327,7 @@ class TestSpectral:
         sp = grid1024.spectral
         assert grid1024.spectral is sp
         assert dg.make_grid(20.0, 1024).spectral is not sp
-        for a in (sp.xi, sp.ik, sp.filters):
+        for a in (sp.xi, sp.ik):
             assert not a.flags.writeable
         assert sp.ik[-1] == 0.0
         assert np.array_equal(sp.ik.imag[:-1], sp.xi[:-1])

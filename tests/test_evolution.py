@@ -208,16 +208,16 @@ class TestStepRK4:
 
     @staticmethod
     def plain_stage(y_hat, op, p):
-        """The stage derivatives written as plain expressions, with one
-        temporary per operation."""
+        """The stage derivatives of rows in the 2/3 band written as plain
+        expressions, with one temporary per operation."""
         sp = op.grid.spectral
         u_hat, two = y_hat[0], y_hat.shape[0] == 2
-        parts = [sp.filters[:2] * u_hat] + ([sp.filters[:2] * y_hat[1]] if two else [])
-        uf, uxf, *r = np.fft.irfft(np.concatenate(parts), n=sp.n)
-        quad = 0.5 * p.alpha**2 * uxf * uxf + uf * uf
-        prods = [uf * uxf, quad]
+        parts = [u_hat, sp.ik * u_hat] + ([y_hat[1], sp.ik * y_hat[1]] if two else [])
+        u, ux, *r = np.fft.irfft(np.array(parts), n=sp.n)
+        quad = 0.5 * p.alpha**2 * ux * ux + u * u
+        prods = [u * ux, quad]
         if two:
-            prods = [uf * uxf, quad + p.sigma * 0.5 * r[0] * r[0], uf * r[1] + uxf * r[0]]
+            prods = [u * ux, quad + p.sigma * 0.5 * r[0] * r[0], u * r[1] + ux * r[0]]
         prod_hat = np.fft.rfft(np.array(prods))
         prod_hat[:, sp.cut :] = 0.0
         conv_hat = prod_hat[1] + 2.0 * p.k * u_hat
@@ -259,6 +259,7 @@ class TestStepRK4:
         if two:
             rows.append(dg.ic_preset("gaussian_bump", grid1024, a=-0.8, center=0.5).spectrum)
         y_hat = np.array(rows)
+        y_hat[:, grid1024.spectral.cut :] = 0.0  # the state simulate steps
         for _ in range(5):
             ev = _evaluate(y_hat, op, p)
             assert np.array_equal(ev.k_hat, self.plain_stage(y_hat, op, p))
@@ -678,12 +679,15 @@ class TestRecordConsumer:
 
 
 class TestFftBudget:
-    """The state stays as rfft rows: a step is three stages (one batched
-    irfft and one batched rfft each) and the evaluation of the reached
-    point, whose irfft also gives the grid values: 8 batched calls for one
-    component and two, on either grid.  A run adds the rfft of each
-    initial field and the initial point's evaluation.  A run that starts
-    on the half grid adds the evaluation of its truncated rows there, and
+    """The state stays as rfft rows in the 2/3 band: a step is three
+    stages (one batched irfft and one batched rfft each) and the
+    evaluation of the reached point, the same stage, whose irfft rows u[,
+    rho~] are the grid values: 8 batched calls for one component and two,
+    on either grid.  A run adds the rfft of each initial field, the
+    initial point's evaluation and the irfft of the datum's slope, which
+    the first record and the tracker's seeds read.  A run that starts
+    on the half grid adds the evaluation of its rows cut to that grid's
+    band, and
     one evaluation at N of the padded rows per record made on the half
     grid and at the move to N (ceil(h / record_every) of them after h steps
     there), each 2 calls; every evaluation on the half grid carries one
@@ -693,14 +697,14 @@ class TestFftBudget:
     point forward again cost 10 per step, and advect re-transformed 2 rows
     per record (3 with the density)."""
 
-    # [calls, rows] at the start: the rfft of u0 (and of rho~0) and the
-    # initial evaluation, for dgh2 with a vacuum point also the one-row
-    # irfft of u0_x in the vacuum-point search
-    START = {False: (3, 7), True: (4, 12), "vacuum": (5, 13)}
-    # of a step at N (3 stages of 2 + 2 rows and the evaluation's 4 + 2;
-    # 3 of 4 + 3 and 7 + 3) and of an evaluation at N
-    STEP = {False: (8, 18), True: (8, 31)}
-    EVAL = {False: (2, 6), True: (2, 10)}
+    # [calls, rows] at the start: the rfft of u0 (and of rho~0), the
+    # initial evaluation and the one-row irfft of u0_x, for dgh2 with a
+    # vacuum point also the one-row irfft of u0_x in the vacuum-point search
+    START = {False: (4, 6), True: (5, 10), "vacuum": (6, 11)}
+    # of a step at N (4 stages of 2 + 2 rows; 4 of 4 + 3) and of an
+    # evaluation at N
+    STEP = {False: (8, 16), True: (8, 28)}
+    EVAL = {False: (2, 4), True: (2, 7)}
 
     @classmethod
     def budget(cls, start, two, half, full, record_every):
@@ -792,7 +796,7 @@ class TestFftBudget:
             pytest.param(False, "gaussian_derivative", True, id="dgh"),
             pytest.param(True, "gaussian_derivative", True, id="dgh2"),
             # the peakon's kink keeps its spectrum's tail far above the
-            # half grid's threshold: all steps at N, 8 calls and 18 rows each
+            # half grid's threshold: all steps at N, 8 calls and 16 rows each
             pytest.param(False, "peakon_shifted", False, id="dgh-never-half"),
         ],
     )
@@ -810,7 +814,7 @@ class TestFftBudget:
         assert (half > 0) == on_half
         assert calls == self.budget("vacuum" if two else two, two, half, full, cfg.record_every)
         if not on_half:
-            assert calls == [8 * full + 3, 18 * full + 7]
+            assert calls == [8 * full + 4, 16 * full + 6]
 
     @pytest.mark.parametrize("two", [False, True])
     def test_criterion_reuses_the_rows_simulate_made(self, grid1024, params_ch, monkeypatch, two):
@@ -876,6 +880,52 @@ class TestHalfGridStart:
         assert rep.detector_x0 == rep0.detector_x0
         assert len(traj) == len(traj0)
         assert rep.t_detect == pytest.approx(rep0.t_detect, rel=1e-13, abs=0.0)
+
+
+class TestStateBand:
+    """simulate cuts the datum's rows to the 2/3 band once, at t = 0, and
+    every step keeps them there, on the half grid in that grid's own band:
+    the datum's bins from Spectral.cut on never reach the state, so a copy
+    of the datum with seeded noise at 1e-14 of each row's peak in those
+    bins makes the same records, bit for bit, after the first."""
+
+    @pytest.mark.parametrize("gamma, c0", [(0.0, 0.0), (0.7, 0.5)])
+    @pytest.mark.parametrize("two", [False, True])
+    def test_noise_above_the_cut_never_reaches_the_state(self, grid1024, caplog, gamma, c0, two):
+        params = dg.make_parameters(1.0, gamma, c0)
+        cut = grid1024.spectral.cut
+        fields = [dg.ic_preset("gaussian_derivative", grid1024, a=1.0)]
+        if two:
+            fields.append(dg.ic_preset("gaussian_bump", grid1024, a=-1.0, width=2.0**-0.5))
+        rng = np.random.default_rng(5)
+        noisy = []
+        for f in fields:
+            row = f.spectrum.copy()
+            noise = rng.standard_normal((2, row.size - cut))
+            row[cut:] = 1e-14 * np.abs(row).max() * (noise[0] + 1j * noise[1])
+            noisy.append(dg.Field(grid1024, rfft_row=row))
+        cfg = dg.SolverConfig(t_max=2.5 if two else 3.0, record_every=1)
+        runs = []
+        for data in (fields, noisy):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="dghlab.evolution"):
+                runs.append(dg.simulate(dg.State(0.0, *data), cfg, params))
+        half, full = TestFftBudget.grid_steps(caplog)
+        (traj, rep), (traj1, rep1) = runs
+        assert rep.trigger == rep1.trigger
+        assert len(traj) == len(traj1) == half + full + 1
+        assert half > 0 and full > 0
+        def state_rows(record):
+            return np.array([f.spectrum for f in (record.state.u, record.state.rho_tilde) if f])
+
+        # record i is made by step i; steps 1 to half are on the half grid
+        for i, (r, r1) in enumerate(zip(traj[1:], traj1[1:]), start=1):
+            rows = state_rows(r)
+            assert np.array_equal(rows, state_rows(r1)), i
+            assert np.array_equal(r.du_dt_hat, r1.du_dt_hat), i
+            band = grid1024.n_points // 6 + 1 if i <= half else cut
+            assert not rows[:, band:].any(), i
+            assert not r.du_dt_hat[cut:].any(), i
 
 
 class TestSlopeTracker:
